@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"ufork/internal/alloc"
 	"ufork/internal/cap"
@@ -488,11 +489,12 @@ func (s *Store) Save(path string) error {
 		binary.LittleEndian.PutUint64(lens[8:], vlen)
 		buf = append(buf, lens[:]...)
 		buf = append(buf, key...)
-		vb := make([]byte, vlen)
-		if err := s.p.Load(val, 0, vb); err != nil {
+		// Load the value straight into the write buffer: no per-entry copy.
+		n := len(buf)
+		buf = slices.Grow(buf, int(vlen))[:n+int(vlen)]
+		if err := s.p.Load(val, 0, buf[n:]); err != nil {
 			return err
 		}
-		buf = append(buf, vb...)
 		return flush(false)
 	})
 	if err != nil {

@@ -148,3 +148,114 @@ func TestUnlinkAndStat(t *testing.T) {
 	}
 	k.Run()
 }
+
+// runFileOps runs ops in a fresh μprocess and reports the first syscall
+// error after the run, so a failure cannot strand the engine mid-task.
+func runFileOps(t *testing.T, ops func(k *kernel.Kernel, p *kernel.Proc) error) *kernel.Kernel {
+	t.Helper()
+	k := newKernel(1, kernel.IsolationFull)
+	var opErr error
+	if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) { opErr = ops(k, p) }); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if opErr != nil {
+		t.Fatal(opErr)
+	}
+	return k
+}
+
+// writeFile recreates name (truncating it) and writes data at offset off.
+func writeFile(k *kernel.Kernel, p *kernel.Proc, name string, off int64, data string) (int, error) {
+	fd, err := k.Open(p, name, true)
+	if err != nil {
+		return -1, err
+	}
+	if _, err := k.Lseek(p, fd, off, kernel.SeekSet); err != nil {
+		return -1, err
+	}
+	_, err = k.Write(p, fd, []byte(data))
+	return fd, err
+}
+
+// TestTruncateHoleReadsZeros: truncation keeps the file's storage for the
+// rewrite, so a write past EOF must zero the hole rather than expose the
+// bytes written before the truncate.
+func TestTruncateHoleReadsZeros(t *testing.T) {
+	const want = "\x00\x00\x00\x00\x00\x00\x00\x00x"
+	var read string
+	k := runFileOps(t, func(k *kernel.Kernel, p *kernel.Proc) error {
+		fd, err := writeFile(k, p, "/h", 0, "SECRETSECRET")
+		if err != nil {
+			return err
+		}
+		if err := k.Close(p, fd); err != nil {
+			return err
+		}
+		if fd, err = writeFile(k, p, "/h", 8, "x"); err != nil {
+			return err
+		}
+		if _, err := k.Lseek(p, fd, 0, kernel.SeekSet); err != nil {
+			return err
+		}
+		buf := make([]byte, 16)
+		n, err := k.Read(p, fd, buf)
+		read = string(buf[:n])
+		return err
+	})
+	ino, _ := k.VFS().Lookup("/h")
+	if string(ino.Data) != want || read != want {
+		t.Fatalf("file = %q, read back %q; want %q", ino.Data, read, want)
+	}
+}
+
+// TestRewriteShorter: recreating a file and writing less than it held
+// leaves exactly the new content, whichever way the length is asked for.
+func TestRewriteShorter(t *testing.T) {
+	var end, size uint64
+	k := runFileOps(t, func(k *kernel.Kernel, p *kernel.Proc) error {
+		fd, err := writeFile(k, p, "/r", 0, "0123456789")
+		if err != nil {
+			return err
+		}
+		if err := k.Close(p, fd); err != nil {
+			return err
+		}
+		if fd, err = writeFile(k, p, "/r", 0, "abc"); err != nil {
+			return err
+		}
+		if end, err = k.Lseek(p, fd, 0, kernel.SeekEnd); err != nil {
+			return err
+		}
+		size, err = k.Stat(p, "/r")
+		return err
+	})
+	ino, _ := k.VFS().Lookup("/r")
+	if string(ino.Data) != "abc" || end != 3 || size != 3 {
+		t.Fatalf("file = %q, seek end %d, stat %d; want %q, 3, 3", ino.Data, end, size, "abc")
+	}
+}
+
+// TestWriteInsideFile: a write that ends before EOF overwrites in place
+// and leaves the length alone.
+func TestWriteInsideFile(t *testing.T) {
+	var size uint64
+	k := runFileOps(t, func(k *kernel.Kernel, p *kernel.Proc) error {
+		fd, err := writeFile(k, p, "/w", 0, "0123456789")
+		if err != nil {
+			return err
+		}
+		if _, err := k.Lseek(p, fd, 3, kernel.SeekSet); err != nil {
+			return err
+		}
+		if _, err := k.Write(p, fd, []byte("XY")); err != nil {
+			return err
+		}
+		size, err = k.Stat(p, "/w")
+		return err
+	})
+	ino, _ := k.VFS().Lookup("/w")
+	if string(ino.Data) != "012XY56789" || size != 10 {
+		t.Fatalf("file = %q, stat %d; want %q, 10", ino.Data, size, "012XY56789")
+	}
+}

@@ -447,7 +447,7 @@ func (k *Kernel) Open(p *Proc, name string, create bool) (int, error) {
 		}
 		ino = k.vfs.Create(name)
 	} else if create {
-		ino.Data = nil // truncate
+		ino.Data = ino.Data[:0] // truncate, keeping the storage for the rewrite
 	}
 	return k.fdInstall(p, &OpenFile{File: &regularFile{ino: ino}}), nil
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ufork/internal/sim"
@@ -10,6 +11,9 @@ import (
 // Inode is one ram-disk file.
 type Inode struct {
 	Name string
+	// Data is the live file contents, not a snapshot: it is valid only
+	// until the next write or truncate of this file, which may reuse or
+	// reallocate its backing array. A caller that keeps it must copy it.
 	Data []byte
 }
 
@@ -87,14 +91,21 @@ func (f *regularFile) readAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
 	return n
 }
 
+// writeAt grows the file by amortised doubling, so a file written
+// sequentially costs host time in proportion to its length. Truncation
+// keeps the backing array, so any hole between the old end and off is
+// zeroed: otherwise it would expose the bytes from before the truncate.
 func (f *regularFile) writeAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
-	end := off + uint64(len(buf))
-	if end > uint64(len(f.ino.Data)) {
-		grown := make([]byte, end)
-		copy(grown, f.ino.Data)
-		f.ino.Data = grown
+	data := f.ino.Data
+	if end := off + uint64(len(buf)); end > uint64(len(data)) {
+		old := len(data)
+		data = slices.Grow(data, int(end)-old)[:end]
+		if off > uint64(old) {
+			clear(data[old:off])
+		}
+		f.ino.Data = data
 	}
-	copy(f.ino.Data[off:], buf)
+	copy(data[off:], buf)
 	p.Task.Book(sim.Time(len(buf)) * k.Machine.FSWriteNsPerKB / 1024)
 	return len(buf)
 }
