@@ -16,10 +16,11 @@
 // counts; -full runs the paper's parameters (100 MB databases, 1000
 // spawns, 100k pipe exchanges, second-long throughput windows).
 //
-// -trace enables the observability layer and writes a Chrome trace_event
-// JSON of every kernel the run boots (open in chrome://tracing or
-// Perfetto). -metrics enables it too and writes a JSON snapshot of the
-// aggregated counters and latency histograms next to the rendered tables.
+// -trace arms a flight recorder on every kernel the run boots and writes
+// its events as Chrome trace_event JSON (open in chrome://tracing or
+// Perfetto). -metrics enables the metrics layer and writes a JSON snapshot
+// of the aggregated counters and latency histograms next to the rendered
+// tables.
 //
 // -profile arms the virtual-time sampling profiler on every kernel the
 // run boots and writes the aggregate folded-stack profile (flamegraph.pl
@@ -44,6 +45,7 @@ import (
 	"ufork/internal/bench/ycsb"
 	"ufork/internal/kernel"
 	"ufork/internal/obs"
+	"ufork/internal/obs/flight"
 	"ufork/internal/obs/profile"
 	"ufork/internal/sim"
 	"ufork/internal/telemetry"
@@ -392,7 +394,7 @@ func findExperiment(name string) (experiment, bool) {
 func main() {
 	exp := flag.String("exp", "all", expUsage())
 	full := flag.Bool("full", false, "run the paper's full parameters (slower)")
-	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to this file (enables tracing)")
+	tracePath := flag.String("trace", "", "write Chrome trace_event JSON of the kernels' flight events to this file")
 	metricsPath := flag.String("metrics", "", "write a metrics JSON snapshot to this file (enables metrics)")
 	profilePath := flag.String("profile", "", "arm the virtual-time profiler on every kernel and write the aggregate folded-stack profile to this file")
 	parallel := flag.Int("parallel", 0, "host worker-pool width for eager fork copies (0 = one per CPU, 1 = serial); virtual-time results are identical at any setting")
@@ -409,7 +411,7 @@ func main() {
 	flag.Parse()
 
 	bench.Parallelism = *parallel
-	if *tracePath != "" || *metricsPath != "" {
+	if *metricsPath != "" {
 		obs.Enable()
 	}
 	var tsrv *telemetry.Server
@@ -419,6 +421,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s/\n", tsrv.Addr)
+	}
+	var trace *flight.Recorder
+	if *tracePath != "" {
+		trace = kernel.ArmTrace()
 	}
 	// The -profile plane: when the telemetry server is up its plane is
 	// already armed on every kernel through TrackNew — reuse it so the
@@ -469,7 +475,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		die(obs.Default.WriteTraceFile(*tracePath))
+		die(kernel.WriteTraceFile(*tracePath, trace))
 	}
 	if *metricsPath != "" {
 		die(obs.Default.WriteMetricsFile(*metricsPath))

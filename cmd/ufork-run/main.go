@@ -13,10 +13,10 @@
 // The -forks flag demonstrates the Zygote pattern: each child attaches to
 // the inherited (relocated) runtime and calls main() again.
 //
-// -trace writes a Chrome trace_event JSON of the run (syscalls, fork
-// phases, faults — open in chrome://tracing or Perfetto); -metrics writes
-// a JSON snapshot of the kernel's counters and latency histograms. Either
-// flag enables the observability layer.
+// -trace writes a Chrome trace_event JSON of the run, converted from the
+// kernel's flight events (syscalls, fork phases, faults — open in
+// chrome://tracing or Perfetto); -metrics enables the metrics layer and
+// writes a JSON snapshot of the kernel's counters and latency histograms.
 //
 // -serve starts the live telemetry plane (Prometheus /metrics, JSON
 // /procs, /flight dumps, pprof) and keeps serving after the run finishes
@@ -39,6 +39,7 @@ import (
 	"ufork/internal/kernel"
 	"ufork/internal/minipy"
 	"ufork/internal/obs"
+	"ufork/internal/obs/flight"
 	"ufork/internal/telemetry"
 )
 
@@ -46,12 +47,12 @@ func main() {
 	forks := flag.Int("forks", 0, "fork N children that re-run main() on the warm runtime")
 	stats := flag.Bool("stats", false, "print kernel statistics after the run")
 	smaps := flag.Bool("smaps", false, "print the script μprocess's memory map (per-segment RSS/PSS/USS, shared clean/dirty) after the run")
-	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to this file (enables tracing)")
+	tracePath := flag.String("trace", "", "write Chrome trace_event JSON of the kernel's flight events to this file")
 	metricsPath := flag.String("metrics", "", "write a metrics JSON snapshot to this file (enables metrics)")
 	serveAddr := flag.String("serve", "", "serve live telemetry (/metrics, /procs, /flight, pprof) on this address; keeps serving after the run until interrupted")
 	flag.Parse()
 
-	if *tracePath != "" || *metricsPath != "" {
+	if *metricsPath != "" {
 		obs.Enable()
 	}
 	var tsrv *telemetry.Server
@@ -61,6 +62,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s/\n", tsrv.Addr)
+	}
+	var trace *flight.Recorder
+	if *tracePath != "" {
+		trace = kernel.ArmTrace()
 	}
 
 	var src []byte
@@ -161,7 +166,7 @@ func main() {
 		fmt.Fprint(os.Stderr, smapsText)
 	}
 	if *tracePath != "" {
-		if err := obs.Default.WriteTraceFile(*tracePath); err != nil {
+		if err := kernel.WriteTraceFile(*tracePath, trace); err != nil {
 			log.Fatal(err)
 		}
 	}

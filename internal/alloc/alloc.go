@@ -207,10 +207,10 @@ func (a *Allocator) Alloc(n uint64) (cap.Capability, error) {
 // churn records allocator activity (op count + bytes) in the owning
 // kernel's metrics registry when observability is on.
 func (a *Allocator) churn(op string, bytes uint64) {
-	if obs.Disabled() {
+	if !obs.On() {
 		return
 	}
-	reg := a.p.Kernel().Obs.Reg
+	reg := a.p.Kernel().Metrics
 	reg.Counter(op).Inc()
 	reg.Counter(op + ".bytes").Add(bytes)
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"ufork/internal/kernel"
-	"ufork/internal/obs"
 	"ufork/internal/vm"
 )
 
@@ -30,7 +29,6 @@ func (e *Engine) Name() string { return "posix-cow" }
 func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.ForkStats, error) {
 	var stats kernel.ForkStats
 	m := k.Machine
-	t0 := parent.Task.Now()
 
 	// A brand-new address space: pmap + vm_map creation dominates the
 	// fixed cost of a small fork (Fig. 8).
@@ -77,15 +75,6 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 	child.TLSCap = parent.TLSCap
 	child.SyscallCap = parent.SyscallCap
 
-	if obs.On() {
-		tr := k.Obs.Tracer
-		pid, tid := int(parent.PID), parent.Task.ID
-		tr.Complete(pid, tid, "vmspace-setup", "fork", uint64(t0), uint64(stats.ReserveTime))
-		tr.Complete(pid, tid, "pte-copy", "fork",
-			uint64(t0)+uint64(stats.ReserveTime), uint64(stats.PTECopyTime),
-			obs.A("ptes", uint64(stats.PTEsCopied)))
-	}
-
 	return stats, nil
 }
 
@@ -122,12 +111,7 @@ func (e *Engine) HandleFault(k *kernel.Kernel, p *kernel.Proc, f *vm.Fault, acc 
 		return err
 	}
 	if copied {
-		t0 := p.Task.Now()
 		p.Task.Advance(k.Machine.PageCopy)
-		if obs.On() {
-			k.Obs.Tracer.Complete(int(p.PID), p.Task.ID, "cow-copy", "fault",
-				uint64(t0), uint64(k.Machine.PageCopy))
-		}
 	}
 	return nil
 }

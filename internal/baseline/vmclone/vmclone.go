@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"ufork/internal/kernel"
-	"ufork/internal/obs"
 	"ufork/internal/vm"
 )
 
@@ -29,7 +28,6 @@ func (e *Engine) Name() string { return "vm-clone" }
 func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.ForkStats, error) {
 	var stats kernel.ForkStats
 	m := k.Machine
-	t0 := parent.Task.Now()
 
 	child.AS = vm.NewAddressSpace(k.Mem)
 	child.Region = parent.Region // the clone sees identical guest-virtual addresses
@@ -90,19 +88,6 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 	child.DataCap = parent.DataCap
 	child.TLSCap = parent.TLSCap
 	child.SyscallCap = parent.SyscallCap
-
-	if obs.On() {
-		tr := k.Obs.Tracer
-		pid, tid := int(parent.PID), parent.Task.ID
-		cur := uint64(t0)
-		tr.Complete(pid, tid, "domain-create", "fork", cur, uint64(stats.ReserveTime))
-		cur += uint64(stats.ReserveTime)
-		tr.Complete(pid, tid, "pte-copy", "fork", cur, uint64(stats.PTECopyTime),
-			obs.A("ptes", uint64(stats.PTEsCopied)))
-		cur += uint64(stats.PTECopyTime)
-		tr.Complete(pid, tid, "full-copy", "fork", cur, uint64(stats.EagerCopyTime),
-			obs.A("pages", uint64(stats.PagesCopied)))
-	}
 
 	return stats, nil
 }

@@ -106,7 +106,7 @@ func runRoot(k *kernel.Kernel, spec kernel.ProgramSpec, entry func(*kernel.Proc)
 // per-process address spaces of the multi-AS baselines die with their
 // procs; for those only the kernel-level counters fold.
 func foldRun(prefix string, k *kernel.Kernel) {
-	reg := obs.Default.Reg
+	reg := obs.Default
 	for name, v := range k.Stats.Snapshot() {
 		reg.Counter(prefix + "." + name).Add(v)
 	}

@@ -63,7 +63,7 @@ func forkHistOnce(id SystemID, iters int) (ForkHistRow, error) {
 	row := ForkHistRow{System: id}
 	// Registered in the process-wide registry so `-metrics` snapshots carry
 	// the full summary, not just the rendered table.
-	hist := obs.Default.Reg.HistogramWith("bench.forkhist."+string(id), forkHistBuckets)
+	hist := obs.Default.HistogramWith("bench.forkhist."+string(id), forkHistBuckets)
 	hist.Reset()
 	var phases [6]sim.Time
 	spec := kernel.HelloWorldSpec()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ufork/internal/kernel"
+	"ufork/internal/obs/flight"
 	"ufork/internal/obs/profile"
 )
 
@@ -63,6 +64,43 @@ func TestGoldenContentionProfilerArmed(t *testing.T) {
 	if err := pl.CheckExact(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGoldenForkHistTraceArmed and TestGoldenContentionTraceArmed are
+// the same observer-effect gate for the -trace recorder: a 2^18-event
+// flight recorder armed on every kernel through TrackNew, exactly as the
+// CLIs arm it, must leave both virtual-time goldens byte-identical.
+func TestGoldenForkHistTraceArmed(t *testing.T) {
+	rec := armTraceEverywhere(t)
+	rows, err := ForkHist(ForkHistItersQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, RenderForkHist(rows), "golden_forkhist.txt")
+	if rec.Seq() == 0 {
+		t.Fatal("armed sweep recorded no flight events")
+	}
+}
+
+func TestGoldenContentionTraceArmed(t *testing.T) {
+	rec := armTraceEverywhere(t)
+	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, RenderContention(rows), "golden_contention.txt")
+	if rec.Seq() == 0 {
+		t.Fatal("armed contention sweep recorded no flight events")
+	}
+}
+
+// armTraceEverywhere arms the -trace recorder through kernel.ArmTrace,
+// restoring the previous TrackNew hook at test end.
+func armTraceEverywhere(t *testing.T) *flight.Recorder {
+	t.Helper()
+	old := kernel.TrackNew
+	t.Cleanup(func() { kernel.TrackNew = old })
+	return kernel.ArmTrace()
 }
 
 // TestGoldenProfDiff pins the cross-lock-regime profile diff: the

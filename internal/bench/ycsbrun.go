@@ -248,12 +248,12 @@ func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
 	return rows, nil
 }
 
-// ycsbFlight picks the cell's flight recorder: the live plane's default
-// recorder when telemetry armed it, otherwise a private per-cell ring so
-// a breach dump is always available.
+// ycsbFlight picks the cell's flight recorder: the one already armed on
+// the kernel (the live plane's, or the -trace recorder), otherwise a
+// private per-cell ring so a breach dump is always available.
 func ycsbFlight(k *kernel.Kernel) *flight.Recorder {
-	if flight.Default.On() {
-		return flight.Default
+	if k.Flight.On() {
+		return k.Flight
 	}
 	fr := flight.New(flight.DefaultShards, flight.DefaultPerShard)
 	fr.Enable()
@@ -302,7 +302,7 @@ func ycsbFinish(row *YCSBRow, hist *obs.Histogram, fr *flight.Recorder, pl *caus
 // (ufork_ycsb_<workload>_mix<x>_latency_ns in /metrics).
 func ycsbObserve(hist *obs.Histogram, workload, mix string, lat sim.Time) {
 	hist.Observe(uint64(lat))
-	obs.Default.Reg.Histogram("ycsb." + workload + ".mix" + strings.ToLower(mix) + ".latency").Observe(uint64(lat))
+	obs.Default.Histogram("ycsb." + workload + ".mix" + strings.ToLower(mix) + ".latency").Observe(uint64(lat))
 }
 
 // ycsbKVSpec is the kvstore server image: the machine's build-time

@@ -80,7 +80,6 @@ func (e *Engine) Name() string { return "uFork/" + e.Mode.String() }
 func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.ForkStats, error) {
 	var stats kernel.ForkStats
 	m := k.Machine
-	t0 := parent.Task.Now()
 
 	// 1. Reserve enough contiguous virtual memory for the entire child
 	// μprocess (§3.5 step 1). The reservation is a bump-allocator hit (or
@@ -230,35 +229,10 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 
 	// 3. Relocate the capability register file (§3.5 step 2): tags extend
 	// to registers, so genuine pointers are distinguished from integers.
-	scanRelocs := stats.CapsRelocated
 	e.relocateRegisters(k, parent, child)
 	stats.CapsRelocated += kernel.NumRegs
 	stats.Latency += m.RegRelocate
 	stats.RegTime = m.RegRelocate
-
-	if obs.On() {
-		// Phase spans reconstructed on the parent's timeline: kernel.Fork
-		// advances the parent's clock by stats.Latency when the engine
-		// returns, so [t0, t0+Latency) is exactly where this fork lands in
-		// virtual time. relocation-scan nests inside eager-copy — the tag
-		// scans happen on the pages the eager phase copies.
-		tr := k.Obs.Tracer
-		pid, tid := int(parent.PID), parent.Task.ID
-		cur := uint64(t0)
-		tr.Complete(pid, tid, "reserve", "fork", cur, uint64(stats.ReserveTime),
-			obs.A("region-base", child.Region.Base), obs.A("region-size", child.Region.Size))
-		cur += uint64(stats.ReserveTime)
-		tr.Complete(pid, tid, "pte-copy", "fork", cur, uint64(stats.PTECopyTime),
-			obs.A("ptes", uint64(stats.PTEsCopied)))
-		cur += uint64(stats.PTECopyTime)
-		tr.Complete(pid, tid, "eager-copy", "fork", cur, uint64(stats.EagerCopyTime+stats.ScanTime),
-			obs.A("pages", uint64(stats.PagesCopied)), obs.A("proactive", uint64(stats.ProactivePages)))
-		tr.Complete(pid, tid, "relocation-scan", "fork", cur+uint64(stats.EagerCopyTime), uint64(stats.ScanTime),
-			obs.A("caps", uint64(scanRelocs)))
-		cur += uint64(stats.EagerCopyTime + stats.ScanTime)
-		tr.Complete(pid, tid, "reg-relocate", "fork", cur, uint64(stats.RegTime),
-			obs.A("regs", uint64(kernel.NumRegs)))
-	}
 
 	return stats, nil
 }
@@ -416,7 +390,6 @@ func (e *Engine) HandleFault(k *kernel.Kernel, p *kernel.Proc, f *vm.Fault, acc 
 		return err
 	}
 	m := k.Machine
-	t0 := p.Task.Now()
 	if copied {
 		p.Task.Advance(m.PageCopy)
 	}
@@ -427,27 +400,15 @@ func (e *Engine) HandleFault(k *kernel.Kernel, p *kernel.Proc, f *vm.Fault, acc 
 		// relocate (in place when the frame was adopted rather than
 		// copied — the copy was avoided but the relocation cannot be).
 		scanned = true
-		scanStart := p.Task.Now()
 		p.Task.Advance(m.CapScanPage)
 		if relocs, err = e.relocatePage(k, p, page.PFN); err != nil {
 			return err
 		}
 		p.Task.Advance(sim.Time(relocs) * m.CapRelocate)
-		if obs.On() {
-			k.Obs.Tracer.Complete(int(p.PID), p.Task.ID, "relocation-scan", "fault",
-				uint64(scanStart), uint64(p.Task.Now()-scanStart), obs.A("caps", uint64(relocs)))
-		}
 		p.Pending.Remove(vpn)
 	}
 	if obs.On() && (copied || scanned) {
-		var copiedN uint64
-		if copied {
-			copiedN = 1
-		}
-		k.Obs.Tracer.Complete(int(p.PID), p.Task.ID, "copy+relocate", "fault",
-			uint64(t0), uint64(p.Task.Now()-t0),
-			obs.A("pages-copied", copiedN), obs.A("caps", uint64(relocs)))
-		k.Obs.Reg.Counter("fault.copy-relocate").Inc()
+		k.Metrics.Counter("fault.copy-relocate").Inc()
 	}
 	return nil
 }

@@ -91,16 +91,41 @@ type ForkStats struct {
 	CapsRelocated  int // capabilities rewritten during the fork call
 	ProactivePages int // GOT + allocator-metadata pages copied eagerly
 
-	// Phase breakdown of Latency (the §6-style accounting the tracer
-	// exports): engines fill the phases that apply to them. The kernel
-	// fills FixupTime (FD duplication + fixed fork cost). Phases sum to
-	// Latency.
+	// Phase breakdown of Latency (the §6-style accounting the fork-phase
+	// flight events and histograms export): engines fill the phases that
+	// apply to them. The kernel fills FixupTime (FD duplication + fixed
+	// fork cost). Phases sum to Latency.
 	ReserveTime   sim.Time // contiguous region reservation
 	PTECopyTime   sim.Time // bulk page-table-entry copy
 	EagerCopyTime sim.Time // frames physically copied during the call
 	ScanTime      sim.Time // tag-plane scans + capability relocation
 	RegTime       sim.Time // capability register-file relocation
 	FixupTime     sim.Time // kernel-side FD dup + fixed cost
+}
+
+// phaseStat is one entry of a fork's phase breakdown: its share of
+// Latency and the units of work it covered.
+type phaseStat struct {
+	dur   sim.Time
+	count uint64
+}
+
+// phases returns s's breakdown in flight.ForkPhases order; fds is the
+// number of descriptors the fixup duplicated. The scan count excludes the
+// register file, which the reg phase relocates.
+func (s ForkStats) phases(fds int) [len(flight.ForkPhases)]phaseStat {
+	regs := 0
+	if s.RegTime > 0 {
+		regs = NumRegs
+	}
+	return [...]phaseStat{
+		{s.ReserveTime, 1},
+		{s.PTECopyTime, uint64(s.PTEsCopied)},
+		{s.EagerCopyTime, uint64(s.PagesCopied)},
+		{s.ScanTime, uint64(s.CapsRelocated - regs)},
+		{s.RegTime, uint64(regs)},
+		{s.FixupTime, uint64(fds)},
+	}
 }
 
 // ForkEngine is the strategy that implements fork: μFork (internal/core),
@@ -297,10 +322,10 @@ type Kernel struct {
 
 	Stats Stats
 
-	// Obs is the observability handle (metrics registry + span tracer).
-	// Never nil; defaults to obs.Default, and all span/histogram traffic
-	// through it is gated on the global obs.On() switch.
-	Obs *obs.Obs
+	// Metrics is the registry kernel counters and histograms record into:
+	// obs.Default, shared by every kernel so -metrics aggregates a whole
+	// sweep. All traffic through it is gated on the global obs.On() switch.
+	Metrics *obs.Registry
 
 	// Flight is the flight recorder kernel events stream into. Never nil;
 	// defaults to flight.Default (disabled until armed), so every emit
@@ -450,9 +475,6 @@ type Config struct {
 	// ASLRSeed, when nonzero, randomizes μprocess region base offsets
 	// (§3.7). The same seed reproduces the same layout.
 	ASLRSeed int64
-	// Obs overrides the observability handle (default: obs.Default, the
-	// process-wide registry/tracer the bench harness aggregates into).
-	Obs *obs.Obs
 	// Flight overrides the flight recorder (default: flight.Default). The
 	// chaos harness passes a private enabled recorder per run so dumps are
 	// deterministic per seed.
@@ -472,10 +494,6 @@ func New(cfg Config) *Kernel {
 	if frames == 0 {
 		frames = 1 << 19 // 2 GiB
 	}
-	o := cfg.Obs
-	if o == nil {
-		o = obs.Default
-	}
 	fr := cfg.Flight
 	if fr == nil {
 		fr = flight.Default
@@ -489,7 +507,7 @@ func New(cfg Config) *Kernel {
 		vfs:     NewVFS(),
 		procs:   make(map[PID]*Proc),
 		next:    1,
-		Obs:     o,
+		Metrics: obs.Default,
 		Flight:  fr,
 	}
 	// Frame alloc/free flight events: timestamped from the running task's
@@ -747,9 +765,6 @@ func (k *Kernel) startProc(p *Proc, start sim.Time, entry func(*Proc)) {
 		k.Flight.Emit(uint64(start), int32(p.PID), flight.KindProcSpawn, uint64(parent), 0, 0)
 	}
 	k.Memmap.OnSpawn(int32(p.PID), int32(parent), p.Spec.Name, p.Gen)
-	if obs.On() {
-		k.Obs.Tracer.SetProcName(int(p.PID), fmt.Sprintf("%s[%d]", p.Spec.Name, p.PID))
-	}
 	p.Task = k.Eng.Go(fmt.Sprintf("%s[%d]", p.Spec.Name, p.PID), start, func(t *sim.Task) {
 		defer k.reapOnReturn(p)
 		if p.Parent != nil {
@@ -759,9 +774,6 @@ func (k *Kernel) startProc(p *Proc, start sim.Time, entry func(*Proc)) {
 	})
 	p.Task.SwitchCost = k.Machine.CtxSwitch
 	p.Task.Tag = int32(p.PID)
-	if obs.On() {
-		k.Obs.Tracer.SetThreadName(int(p.PID), p.Task.ID, p.Task.Name)
-	}
 }
 
 type exitPanic struct{ status int }

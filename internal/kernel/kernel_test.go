@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"ufork/internal/cap"
@@ -513,4 +514,25 @@ func TestConsoleCapturesOutput(t *testing.T) {
 	}
 	// FDs are closed at exit; the console content check above is best
 	// effort — the write not erroring is the real assertion.
+}
+
+// TestSpawnStaticHeapHostAlloc guards frame data on first write: booting
+// a μprocess maps its build-time static heap page by page (§4.2), but a
+// page nobody writes must cost no host data storage. A 32768-page (128
+// MiB) heap has to spawn in well under its simulated size of host memory.
+func TestSpawnStaticHeapHostAlloc(t *testing.T) {
+	k := newKernel(1, kernel.IsolationFull)
+	spec := kernel.HelloWorldSpec()
+	spec.HeapPages = 32768
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := k.Spawn(spec, 0, func(p *kernel.Proc) {}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	k.Run()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("spawning a 128 MiB static heap allocated %.1f MiB of host memory, want < 16",
+			float64(got)/(1<<20))
+	}
 }

@@ -88,11 +88,10 @@ type Proc struct {
 	// performed; the benchmark harness reads it for latency accounting.
 	LastFork ForkStats
 
-	// sysSpan is the in-flight syscall trace span (kernel entry through
-	// exit); syscalls do not nest within one μprocess, so one slot is
-	// enough. sysEnter is its start time for latency accounting and sysNo
-	// the in-flight syscall number for the flight recorder's return event.
-	sysSpan  obs.Span
+	// sysEnter is the in-flight syscall's entry time for latency
+	// accounting and sysNo its number for the flight recorder's return
+	// event; syscalls do not nest within one μprocess, so one slot is
+	// enough.
 	sysEnter sim.Time
 	sysNo    SysNo
 
@@ -174,11 +173,8 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFault,
 				uint64(fault.Kind), fault.VA, 0)
 		}
-		var sp obs.Span
 		if obs.On() {
-			p.k.Obs.Reg.Counter("vm.fault." + fault.Kind.String()).Inc()
-			sp = p.k.Obs.Tracer.Begin(int(p.PID), p.Task.ID,
-				"fault:"+fault.Kind.String(), "vm", uint64(p.Task.Now()))
+			p.k.Metrics.Counter("vm.fault." + fault.Kind.String()).Inc()
 		}
 		// Taking the fault costs a trap + handler dispatch. Everything
 		// from here to the handler's return is fault-service time.
@@ -230,7 +226,6 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 		if tmemHeld {
 			p.k.locks.tmem.Unlock(p.Task)
 		}
-		sp.End(uint64(p.Task.Now()), obs.A("va", fault.VA))
 		if err != nil {
 			p.k.profFaultEnd(p, pmark, "fault:error")
 			// Double-wrap so errors.Is sees both the segfault and the

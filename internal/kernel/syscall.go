@@ -29,9 +29,7 @@ func (k *Kernel) enter(p *Proc, no SysNo, bufBytes int) {
 		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindSyscall, uint64(no), 0, 0)
 	}
 	if obs.On() {
-		name := no.String()
-		k.Obs.Reg.Counter("syscall." + name).Inc()
-		p.sysSpan = k.Obs.Tracer.Begin(int(p.PID), p.Task.ID, name, "syscall", uint64(t.Now()))
+		k.Metrics.Counter("syscall." + no.String()).Inc()
 	}
 	// Pending kills and signals are delivered at kernel entry.
 	k.checkKilled(p)
@@ -109,10 +107,6 @@ func (k *Kernel) chargeSwitch(p *Proc) {
 		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindCtxSwitch,
 			uint64(k.Machine.CtxSwitch), 0, 0)
 	}
-	if obs.On() {
-		k.Obs.Tracer.Complete(int(p.PID), p.Task.ID, "ctx-switch", "sched",
-			uint64(p.Task.Now()), uint64(k.Machine.CtxSwitch))
-	}
 	p.Task.Book(k.Machine.CtxSwitch)
 	k.Stats.CtxSwitches.Inc()
 }
@@ -134,12 +128,8 @@ func (k *Kernel) leave(p *Proc) {
 		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindSysRet,
 			uint64(p.sysNo), uint64(p.Task.Now()-p.sysEnter), 0)
 	}
-	if p.sysSpan.Active() {
-		p.sysSpan.End(uint64(p.Task.Now()))
-		p.sysSpan = obs.Span{}
-		if obs.On() {
-			k.Obs.Reg.Histogram("syscall.latency").Observe(uint64(p.Task.Now() - p.sysEnter))
-		}
+	if obs.On() {
+		k.Metrics.Histogram("syscall.latency").Observe(uint64(p.Task.Now() - p.sysEnter))
 	}
 	p.inSys = false
 }
@@ -282,33 +272,26 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 		k.refreshMemStats(child)
 	}
 
+	phases := stats.phases(child.FDs.Len())
 	if k.Flight.On() {
+		// One event per phase, laid end to end from forkStart: kernel.Fork
+		// advances the parent's clock by stats.Latency below, so the phases
+		// tile [forkStart, forkStart+Latency) exactly.
+		ts := uint64(forkStart)
+		for i, ph := range phases {
+			k.Flight.Emit(ts, int32(p.PID), flight.KindForkPhase, uint64(i), uint64(ph.dur), ph.count)
+			ts += uint64(ph.dur)
+		}
 		k.Flight.Emit(uint64(forkStart+stats.Latency), int32(p.PID), flight.KindForkDone,
 			uint64(child.PID), uint64(copiedPages), uint64(stats.CapsRelocated))
 	}
 	if obs.On() {
-		// The fork span and its kernel-side fixup phase; the engine has
-		// already emitted its own phase spans starting at forkStart.
-		tr := k.Obs.Tracer
-		pid, tid := int(p.PID), p.Task.ID
-		tr.Complete(pid, tid, "fork:"+k.Engine.Name(), "fork",
-			uint64(forkStart), uint64(stats.Latency),
-			obs.A("child-pid", uint64(child.PID)),
-			obs.A("ptes-copied", uint64(stats.PTEsCopied)),
-			obs.A("pages-copied", uint64(stats.PagesCopied)),
-			obs.A("caps-relocated", uint64(stats.CapsRelocated)))
-		tr.Complete(pid, tid, "fd-dup+fixed", "fork",
-			uint64(forkStart)+uint64(stats.Latency-stats.FixupTime), uint64(stats.FixupTime))
-		k.Obs.Reg.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
+		k.Metrics.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
 		// Per-phase latency histograms: the §6-style breakdown the
 		// telemetry server exports as fork_phase_* on /metrics.
-		reg := k.Obs.Reg
-		reg.Histogram("fork.phase.reserve").Observe(uint64(stats.ReserveTime))
-		reg.Histogram("fork.phase.ptecopy").Observe(uint64(stats.PTECopyTime))
-		reg.Histogram("fork.phase.eagercopy").Observe(uint64(stats.EagerCopyTime))
-		reg.Histogram("fork.phase.scan").Observe(uint64(stats.ScanTime))
-		reg.Histogram("fork.phase.reg").Observe(uint64(stats.RegTime))
-		reg.Histogram("fork.phase.fixup").Observe(uint64(stats.FixupTime))
+		for i, ph := range phases {
+			k.Metrics.Histogram("fork.phase." + flight.ForkPhases[i]).Observe(uint64(ph.dur))
+		}
 	}
 
 	// The fork call's latency is charged to the parent; the child begins

@@ -1,0 +1,114 @@
+package kernel
+
+import (
+	"fmt"
+	"io"
+	"os"
+
+	"ufork/internal/obs"
+	"ufork/internal/obs/flight"
+	"ufork/internal/vm"
+)
+
+// traceEvents is the capacity of the recorder a -trace run arms: 2^18
+// flight events of 48 bytes, 12 MiB of pointer-free memory.
+const traceEvents = 1 << 18
+
+// ArmTrace returns the recorder a -trace run dumps. When the telemetry
+// plane has armed flight.Default (-serve), that recorder is already on
+// every kernel and is reused; otherwise a fresh one is chained onto
+// TrackNew, so every kernel booted afterwards streams into it. A kernel a
+// harness handed its own recorder (the chaos runs) keeps that one.
+func ArmTrace() *flight.Recorder {
+	if flight.Default.On() {
+		return flight.Default
+	}
+	rec := flight.New(1, traceEvents)
+	rec.Enable()
+	old := TrackNew
+	TrackNew = func(k *Kernel) {
+		if old != nil {
+			old(k)
+		}
+		if k.Flight == flight.Default {
+			k.Flight = rec
+		}
+	}
+	return rec
+}
+
+// WriteTraceFile writes rec's buffered events to path as Chrome
+// trace_event JSON.
+func WriteTraceFile(path string, rec *flight.Recorder) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, rec.Snapshot()); err != nil {
+		f.Close()
+		return fmt.Errorf("kernel: write trace %s: %w", path, err)
+	}
+	return f.Close()
+}
+
+// WriteChromeTrace converts flight events, in sequence order, to Chrome
+// trace_event JSON with one row per PID:
+//   - a sysret becomes a complete span of its latency, ending at the
+//     sysret and named by its SysNo (the entry event is folded into it);
+//   - a fault becomes a span up to its fault-done, carrying the faulting
+//     VA and the pages copied and capabilities relocated resolving it;
+//   - context switches and fork phases become spans; the phases tile the
+//     fork and nest inside its fork syscall span;
+//   - every other kind, and a fault that never resolved, is an instant.
+func WriteChromeTrace(w io.Writer, evs []flight.Event) error {
+	out := make([]obs.ChromeEvent, 0, len(evs))
+	faults := map[int32]flight.Event{} // unresolved fault per PID
+	for _, e := range evs {
+		x := obs.ChromeEvent{Ph: 'X', TS: e.TS, PID: uint64(e.PID), TID: int64(e.PID)}
+		switch e.Kind {
+		case flight.KindSyscall:
+			continue
+		case flight.KindSysRet:
+			x.Name, x.Cat, x.TS, x.Dur = SysNo(e.Args[0]).String(), "syscall", e.TS-e.Args[1], e.Args[1]
+		case flight.KindCtxSwitch:
+			x.Name, x.Cat, x.Dur = "ctx-switch", "sched", e.Args[0]
+		case flight.KindForkPhase:
+			x.Name, x.Cat, x.Dur = "fork:"+flight.ForkPhases[e.Args[0]], "fork", e.Args[1]
+			x.Args = []obs.Arg{obs.A("count", e.Args[2])}
+		case flight.KindFault:
+			if prev, ok := faults[e.PID]; ok {
+				out = append(out, instant(prev))
+			}
+			faults[e.PID] = e
+			continue
+		case flight.KindFaultDone:
+			f, ok := faults[e.PID]
+			if !ok {
+				x = instant(e)
+				break
+			}
+			delete(faults, e.PID)
+			x.Name, x.Cat = "fault:"+vm.FaultKind(f.Args[0]).String(), "fault"
+			x.TS, x.Dur = f.TS, e.TS-f.TS
+			x.Args = []obs.Arg{obs.A("va", f.Args[1]), obs.A("copied", e.Args[1]), obs.A("relocs", e.Args[2])}
+		default:
+			x = instant(e)
+		}
+		out = append(out, x)
+	}
+	for _, e := range evs {
+		if f, ok := faults[e.PID]; ok && f.Seq == e.Seq {
+			out = append(out, instant(e))
+		}
+	}
+	return obs.WriteChromeTrace(w, out)
+}
+
+// instant renders e as an instant event carrying its raw arguments.
+func instant(e flight.Event) obs.ChromeEvent {
+	return obs.ChromeEvent{
+		Name: e.Kind.String(), Cat: "flight", Ph: 'i', TS: e.TS,
+		PID: uint64(e.PID), TID: int64(e.PID),
+		Args: []obs.Arg{obs.A("seq", e.Seq), obs.A("a0", e.Args[0]), obs.A("a1", e.Args[1]), obs.A("a2", e.Args[2])},
+	}
+}

@@ -1,12 +1,13 @@
 package causal
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"time"
+
+	"ufork/internal/obs"
 )
 
 // SegJSON, SpanJSON, EdgeJSON, TraceJSON, GroupJSON, and Snapshot are the
@@ -184,23 +185,6 @@ func renderSegs(segs []Segment) string {
 	return strings.Join(parts, " → ")
 }
 
-// chromeEvent is one Chrome trace_event record; the ph field selects the
-// shape ("X" complete, "s"/"f" flow, "M" metadata).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  uint64         `json:"pid"`
-	TID  int32          `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// usec converts virtual ns to the float microseconds Chrome expects.
-func usec(ns uint64) float64 { return float64(ns) / 1e3 }
-
 // WriteChromeTrace writes the k slowest exemplars (k <= 0 for all) as
 // Chrome trace_event JSON: each trace is its own process group, each
 // μprocess a row inside it, segments as complete events, and flow arrows
@@ -210,41 +194,35 @@ func (pl *Plane) WriteChromeTrace(w io.Writer, k int) error {
 	pl.mu.Lock()
 	top := pl.top(k)
 	pl.mu.Unlock()
-	var events []chromeEvent
+	var events []obs.ChromeEvent
 	for _, tr := range top {
 		pid := uint64(tr.ID)
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid,
-			Args: map[string]any{"name": fmt.Sprintf("trace #%d %s op=%s cause=%s", tr.ID, tr.Group, tr.Op, tr.Cause)},
+		events = append(events, obs.ChromeEvent{
+			Name: "process_name", Ph: 'M', PID: pid, TID: -1,
+			Label: fmt.Sprintf("trace #%d %s op=%s cause=%s", tr.ID, tr.Group, tr.Op, tr.Cause),
 		})
 		for _, s := range tr.Spans {
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: s.PID,
-				Args: map[string]any{"name": fmt.Sprintf("%s[%d]", s.Proc, s.PID)},
+			events = append(events, obs.ChromeEvent{
+				Name: "thread_name", Ph: 'M', PID: pid, TID: int64(s.PID),
+				Label: fmt.Sprintf("%s[%d]", s.Proc, s.PID),
 			})
 			// Segments tile the span from its start: cumulative offsets are
 			// virtual-time exact.
 			for _, seg := range s.Segs {
-				events = append(events, chromeEvent{
-					Name: seg.Label, Ph: "X",
-					TS: usec(uint64(s.Start) + seg.StartNS), Dur: usec(seg.DurNS),
-					PID: pid, TID: s.PID,
+				events = append(events, obs.ChromeEvent{
+					Name: seg.Label, Cat: "causal", Ph: 'X',
+					TS: uint64(s.Start) + seg.StartNS, Dur: seg.DurNS,
+					PID: pid, TID: int64(s.PID),
 				})
 			}
 		}
 		for i, e := range tr.Edges {
 			id := fmt.Sprintf("%d.%d", tr.ID, i)
-			events = append(events, chromeEvent{
-				Name: e.Kind.String(), Ph: "s", TS: usec(uint64(e.At)), PID: pid, TID: e.FromPID, ID: id,
-			})
-			events = append(events, chromeEvent{
-				Name: e.Kind.String(), Ph: "f", BP: "e", TS: usec(uint64(e.At)), PID: pid, TID: e.ToPID, ID: id,
-			})
+			at := uint64(e.At)
+			events = append(events,
+				obs.ChromeEvent{Name: e.Kind.String(), Cat: "causal", Ph: 's', TS: at, PID: pid, TID: int64(e.FromPID), ID: id},
+				obs.ChromeEvent{Name: e.Kind.String(), Cat: "causal", Ph: 'f', TS: at, PID: pid, TID: int64(e.ToPID), ID: id})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ns",
-	})
+	return obs.WriteChromeTrace(w, events)
 }

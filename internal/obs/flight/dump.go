@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -35,30 +34,4 @@ func (r *Recorder) TextDump(n int) string {
 	var b strings.Builder
 	_ = r.WriteText(&b, n)
 	return b.String()
-}
-
-// WriteChromeTrace serializes the last n events (n < 0 means all) as
-// Chrome trace_event JSON instant events, loadable in chrome://tracing or
-// Perfetto alongside (or instead of) the obs tracer's span view. Virtual
-// nanoseconds map to trace microseconds with three decimals.
-func (r *Recorder) WriteChromeTrace(w io.Writer, n int) error {
-	evs := r.Tail(n)
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[")
-	for i, e := range evs {
-		if i > 0 {
-			bw.WriteString(",\n")
-		}
-		fmt.Fprintf(bw, "{\"name\":%s,\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":%d,\"tid\":%d,"+
-			"\"args\":{\"seq\":%d,\"a0\":%d,\"a1\":%d,\"a2\":%d}}",
-			strconv.Quote(e.Kind.String()), usec(e.TS), e.PID, e.PID,
-			e.Seq, e.Args[0], e.Args[1], e.Args[2])
-	}
-	bw.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
-	return bw.Flush()
-}
-
-// usec formats virtual nanoseconds as microseconds with ns precision.
-func usec(ns uint64) string {
-	return strconv.FormatFloat(float64(ns)/1000.0, 'f', 3, 64)
 }

@@ -1,11 +1,11 @@
 // Package flight implements the kernel flight recorder: an always-on
 // capable, fixed-capacity, sharded ring buffer of compact binary kernel
-// events. Where the obs tracer is an opt-in, span-structured view for
-// offline timeline analysis, the flight recorder is the post-mortem plane:
-// cheap enough to leave running under production traffic, bounded in
-// memory, and dumped — as human-readable text or a Chrome trace — the
-// moment a panic, invariant violation, or chaos-fuzzer divergence needs
-// the event history that led up to it.
+// events. It is the kernel's one event stream: cheap enough to leave
+// running under production traffic, bounded in memory, and dumped — as
+// human-readable text, or converted by the kernel into a Chrome trace —
+// the moment a panic, invariant violation, or chaos-fuzzer divergence
+// needs the event history that led up to it, or a -trace run asks for its
+// timeline.
 //
 // Design constraints, in order:
 //
@@ -86,6 +86,10 @@ const (
 	// KindTraceEnd is a completed causal trace. Args: trace ID, root-span
 	// latency (virtual ns).
 	KindTraceEnd
+	// KindForkPhase is one phase of a completed fork, stamped at the
+	// phase's start on the parent's timeline. Args: phase (an index into
+	// ForkPhases), duration (virtual ns), units of work the phase covered.
+	KindForkPhase
 	numKinds
 )
 
@@ -93,8 +97,13 @@ var kindNames = [numKinds]string{
 	"syscall", "sysret", "fork-start", "fork-done", "fault", "fault-done",
 	"frame-alloc", "frame-free", "ctx-switch", "proc-spawn", "proc-exit",
 	"mark", "frame-owner", "lock-wait", "dispatch",
-	"trace-start", "trace-edge", "trace-end",
+	"trace-start", "trace-edge", "trace-end", "fork-phase",
 }
+
+// ForkPhases decodes KindForkPhase's phase argument, in the order a fork
+// runs them. The names match the profiler's fork:<phase> frames and the
+// fork.phase.* histograms.
+var ForkPhases = [...]string{"reserve", "ptecopy", "eagercopy", "scan", "reg", "fixup"}
 
 // ownerChangeModes decodes KindFrameOwnerChange's mode argument.
 var ownerChangeModes = [...]string{"?", "cow", "coa", "copa"}
@@ -168,6 +177,12 @@ func (e Event) Format() string {
 		return fmt.Sprintf("%12d  pid=%-3d trace-edge  id=%d kind=%s peer=%d", e.TS, e.PID, e.Args[0], edge, e.Args[2])
 	case KindTraceEnd:
 		return fmt.Sprintf("%12d  pid=%-3d trace-end   id=%d lat=%dns", e.TS, e.PID, e.Args[0], e.Args[1])
+	case KindForkPhase:
+		phase := "?"
+		if e.Args[0] < uint64(len(ForkPhases)) {
+			phase = ForkPhases[e.Args[0]]
+		}
+		return fmt.Sprintf("%12d  pid=%-3d fork-phase  %s dur=%dns n=%d", e.TS, e.PID, phase, e.Args[1], e.Args[2])
 	default:
 		return fmt.Sprintf("%12d  pid=%-3d %v a0=%d a1=%d a2=%d", e.TS, e.PID, e.Kind, e.Args[0], e.Args[1], e.Args[2])
 	}

@@ -176,30 +176,6 @@ func TestTextDumpFormat(t *testing.T) {
 	}
 }
 
-func TestChromeTraceDump(t *testing.T) {
-	r := New(1, 16)
-	r.Enable()
-	r.Emit(1000, 2, KindForkStart, 0, 0, 0)
-	r.Emit(2500, 2, KindForkDone, 3, 10, 7)
-	var b strings.Builder
-	if err := r.WriteChromeTrace(&b, -1); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`{"traceEvents":[`,
-		`"name":"fork-start"`,
-		`"name":"fork-done"`,
-		`"ts":1.000`,
-		`"ts":2.500`,
-		`"displayTimeUnit":"ns"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("chrome trace missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		if s := k.String(); s == "" || strings.HasPrefix(s, "kind(") {

@@ -1,27 +1,24 @@
-// Package obs is the kernel-wide observability layer: a low-overhead,
-// concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// latency histograms with percentile summaries) and a span tracer whose
-// events carry monotonic sim-clock timestamps and export to Chrome
-// trace_event JSON loadable in chrome://tracing or Perfetto.
+// Package obs is the kernel-wide metrics layer: a low-overhead,
+// concurrency-safe registry of counters, gauges and fixed-bucket latency
+// histograms with percentile summaries, plus the one Chrome trace_event
+// writer every timeline export (the kernel's flight-event trace and the
+// causal plane's exemplars) serializes through.
 //
 // Design constraints, in order:
 //
-//  1. Off by default. The whole layer sits behind one global switch; a
-//     disabled hot-path probe is a single atomic load and branch, far
-//     below benchmark noise (see obs_bench_test.go).
+//  1. Off by default. Registry traffic on kernel hot paths sits behind one
+//     global switch; a disabled probe is a single atomic load and branch,
+//     far below benchmark noise (see obs_bench_test.go).
 //  2. Zero virtual-time cost. Instrumentation never calls Advance/Work on
-//     the simulation clock, so enabling tracing cannot perturb measured
-//     results — the trace of a run and the run itself describe the same
-//     timeline.
-//  3. Race-safe. Counters and histograms are plain atomics; the trace
-//     ring buffer takes a mutex only on the enabled path. `go test -race`
-//     covers the whole package.
+//     the simulation clock, so enabling metrics cannot perturb measured
+//     results.
+//  3. Race-safe. Counters and histograms are plain atomics. `go test
+//     -race` covers the whole package.
 //
 // Typical hot-path shape:
 //
 //	if obs.On() {
-//		sp := k.Obs.Tracer.Begin(pid, tid, "fork", "kernel", now)
-//		defer sp.End(later)
+//		k.Metrics.Histogram("fork.latency").Observe(lat)
 //	}
 package obs
 
@@ -31,62 +28,32 @@ import (
 	"sync/atomic"
 )
 
-// enabled is the single global switch. All span/histogram instrumentation
-// sites check it before touching any obs state.
+// enabled is the single global switch. All registry instrumentation sites
+// on kernel hot paths check it before touching any obs state.
 var enabled atomic.Bool
 
-// Enable turns the observability layer on globally.
+// Enable turns the metrics layer on globally.
 func Enable() { enabled.Store(true) }
 
-// Disable turns the observability layer off globally (the default).
+// Disable turns the metrics layer off globally (the default).
 func Disable() { enabled.Store(false) }
 
-// On reports whether the observability layer is enabled. This is the
-// hot-path probe: one atomic load.
+// On reports whether the metrics layer is enabled. This is the hot-path
+// probe: one atomic load.
 func On() bool { return enabled.Load() }
 
-// Disabled is the nop-path predicate: true (the default) means every
-// instrumentation site must fall through without allocating or locking.
-func Disabled() bool { return !enabled.Load() }
-
-// Obs bundles one registry and one tracer — the handle a kernel instance
-// carries so experiments can run side by side without sharing state.
-type Obs struct {
-	Reg    *Registry
-	Tracer *Tracer
-}
-
-// New returns a fresh Obs with an empty registry and a default-capacity
-// tracer.
-func New() *Obs {
-	return &Obs{Reg: NewRegistry(), Tracer: NewTracer(DefaultTraceEvents)}
-}
-
-// Default is the process-wide Obs. Kernels constructed without an explicit
-// Obs share it, which is what lets `ufork-bench -metrics` aggregate counts
-// across every kernel an experiment sweep boots.
-var Default = New()
-
-// WriteTraceFile writes the tracer's Chrome trace_event JSON to path.
-func (o *Obs) WriteTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := o.Tracer.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("obs: write trace %s: %w", path, err)
-	}
-	return f.Close()
-}
+// Default is the process-wide registry. Every kernel records into it,
+// which is what lets `ufork-bench -metrics` aggregate counts across every
+// kernel an experiment sweep boots.
+var Default = NewRegistry()
 
 // WriteMetricsFile writes a JSON snapshot of the registry to path.
-func (o *Obs) WriteMetricsFile(path string) error {
+func (r *Registry) WriteMetricsFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := o.Reg.Snapshot().WriteJSON(f); err != nil {
+	if err := r.Snapshot().WriteJSON(f); err != nil {
 		f.Close()
 		return fmt.Errorf("obs: write metrics %s: %w", path, err)
 	}

@@ -10,19 +10,18 @@ import "testing"
 //	go test -bench Disabled -benchtime 100000000x ./internal/obs
 
 // BenchmarkDisabledSyscallProbe is the exact shape of the probe on the
-// kernel's syscall dispatch path: guard, then (skipped) span begin/end.
+// kernel's syscall dispatch path: guard, then (skipped) counter lookup.
 func BenchmarkDisabledSyscallProbe(b *testing.B) {
 	Disable()
-	tr := NewTracer(64)
-	var spans int
+	reg := NewRegistry()
+	var hits int
 	for i := 0; i < b.N; i++ {
 		if On() {
-			sp := tr.Begin(1, 1, "write", "syscall", uint64(i))
-			sp.End(uint64(i + 1))
-			spans++
+			reg.Counter("syscall.write").Inc()
+			hits++
 		}
 	}
-	if spans != 0 {
+	if hits != 0 {
 		b.Fatal("disabled probe took the enabled path")
 	}
 }
@@ -38,20 +37,6 @@ func BenchmarkDisabledHistogramProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledSpanBegin measures the inert-span fallback itself: the
-// Begin call made without a guard (nil-or-disabled check inside).
-func BenchmarkDisabledSpanBegin(b *testing.B) {
-	Disable()
-	tr := NewTracer(64)
-	for i := 0; i < b.N; i++ {
-		sp := tr.Begin(1, 1, "write", "syscall", uint64(i))
-		sp.End(uint64(i + 1))
-	}
-	if got := len(tr.Events()); got != 0 {
-		b.Fatalf("disabled tracer recorded %d events", got)
-	}
-}
-
 // BenchmarkCounterInc is the always-on path: kernel.Stats counters are
 // plain atomics with no enable guard, replacing the old bare uint64s.
 func BenchmarkCounterInc(b *testing.B) {
@@ -61,19 +46,6 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 	if c.Value() != uint64(b.N) {
 		b.Fatal("lost increments")
-	}
-}
-
-// BenchmarkEnabledSpan is the contrast case: the full enabled-path cost of
-// one begin/end pair through the ring buffer.
-func BenchmarkEnabledSpan(b *testing.B) {
-	Enable()
-	b.Cleanup(Disable)
-	tr := NewTracer(1 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Begin(1, 1, "write", "syscall", uint64(i))
-		sp.End(uint64(i + 1))
 	}
 }
 

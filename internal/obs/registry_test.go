@@ -133,30 +133,3 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
-
-// TestTracerConcurrent exercises the ring buffer and pairing maps from
-// several goroutines for the -race CI run.
-func TestTracerConcurrent(t *testing.T) {
-	withObs(t)
-	tr := NewTracer(128)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				sp := tr.Begin(w, w, "op", "t", uint64(i))
-				tr.Instant(w, w, "tick", "t", uint64(i))
-				sp.End(uint64(i + 1))
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Mispaired() != 0 {
-		t.Errorf("Mispaired = %d, want 0 (per-thread stacks are independent)", tr.Mispaired())
-	}
-	if tr.OpenSpans() != 0 {
-		t.Errorf("OpenSpans = %d, want 0", tr.OpenSpans())
-	}
-}

@@ -28,7 +28,7 @@ import (
 // read only atomic state, so serving concurrently with a running
 // simulation is safe.
 type Server struct {
-	obs    *obs.Obs
+	reg    *obs.Registry
 	fr     *flight.Recorder
 	pl     *memmap.Plane
 	causal *causal.Plane
@@ -41,22 +41,16 @@ type Server struct {
 	Addr string
 }
 
-// New creates a server over the given observability handle and flight
-// recorder (nil selects the process-wide defaults). The server owns a
-// memory-provenance plane; Track arms it on each kernel it adopts.
-func New(o *obs.Obs, fr *flight.Recorder) *Server {
-	if o == nil {
-		o = obs.Default
-	}
-	if fr == nil {
-		fr = flight.Default
-	}
+// New creates a server over the given metrics registry and flight
+// recorder. The server owns a memory-provenance plane; Track arms it on
+// each kernel it adopts.
+func New(reg *obs.Registry, fr *flight.Recorder) *Server {
 	pl := memmap.New()
 	pl.Enable()
 	// The causal and profiler planes start disabled — Start enables them
 	// when the live telemetry plane is armed, so embedded/test servers
 	// keep a genuine "not armed" /traces and /profile state.
-	return &Server{obs: o, fr: fr, pl: pl, causal: causal.New(0),
+	return &Server{reg: reg, fr: fr, pl: pl, causal: causal.New(0),
 		prof: profile.New(0), locks: sim.NewLockTable()}
 }
 
@@ -136,8 +130,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := Exposition{
-		Snap:          s.obs.Reg.Snapshot(),
-		Hists:         s.obs.Reg.Histograms(),
+		Snap:          s.reg.Snapshot(),
+		Hists:         s.reg.Histograms(),
 		Procs:         s.procs(),
 		FlightSeq:     s.fr.Seq(),
 		FlightDropped: s.fr.Dropped(),
@@ -247,7 +241,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
-		_ = s.fr.WriteChromeTrace(w, n)
+		_ = kernel.WriteChromeTrace(w, s.fr.Tail(n))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -52,7 +52,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 // TestFlightEndpointNotArmed: a recorder that was never enabled and holds
 // no events is a 409, not an empty success.
 func TestFlightEndpointNotArmed(t *testing.T) {
-	s := New(obs.New(), flight.New(2, 64))
+	s := New(obs.NewRegistry(), flight.New(2, 64))
 	res, body := get(t, s.Handler(), "/flight")
 	if res.StatusCode != http.StatusConflict {
 		t.Fatalf("unarmed /flight status = %d, want 409", res.StatusCode)

@@ -17,17 +17,17 @@ import (
 // testServer builds a Server over private obs + flight state with a few
 // instruments populated, so endpoint tests never touch process globals.
 func testServer() *Server {
-	o := obs.New()
-	o.Reg.Counter("syscall.fork").Add(4)
-	o.Reg.Gauge("frames.allocated").Set(128)
-	h := o.Reg.Histogram("fork.phase.reserve")
+	reg := obs.NewRegistry()
+	reg.Counter("syscall.fork").Add(4)
+	reg.Gauge("frames.allocated").Set(128)
+	h := reg.Histogram("fork.phase.reserve")
 	h.Observe(120)
 	h.Observe(340)
 	fr := flight.New(2, 64)
 	fr.Enable()
 	fr.Emit(100, 1, flight.KindForkStart, 0, 0, 0)
 	fr.Emit(900, 1, flight.KindForkDone, 2, 8, 3)
-	return New(o, fr)
+	return New(reg, fr)
 }
 
 func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {

@@ -6,7 +6,6 @@
 package tmem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -43,8 +42,9 @@ func (m *Memory) SetHooks(h *Hooks) { m.hooks = h }
 const poisonByte = 0xDB
 
 func poisonFrame(f *Frame) {
-	for i := range f.Data {
-		f.Data[i] = poisonByte
+	d := f.data()
+	for i := range d {
+		d[i] = poisonByte
 	}
 	f.tags = [TagWords]uint64{}
 	f.ntags = 0
@@ -119,10 +119,10 @@ func (m *Memory) AuditFrame(pfn PFN) error {
 				return fmt.Errorf("tmem: frame %d granule %d tagged but capability plane holds an untagged value", pfn, g)
 			}
 			off := g * cap.GranuleSize
-			if got := binary.LittleEndian.Uint64(f.Data[off:]); got != c.Addr() {
+			if got := f.word(off); got != c.Addr() {
 				return fmt.Errorf("tmem: frame %d granule %d data cursor %#x != capability address %#x", pfn, g, got, c.Addr())
 			}
-			if got := binary.LittleEndian.Uint64(f.Data[off+8:]); got != c.Base() {
+			if got := f.word(off + 8); got != c.Base() {
 				return fmt.Errorf("tmem: frame %d granule %d data base %#x != capability base %#x", pfn, g, got, c.Base())
 			}
 		}

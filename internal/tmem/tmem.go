@@ -65,7 +65,10 @@ var (
 // pointer see its address, as on real hardware) followed by a descriptive
 // pattern. Clearing the tag leaves the bytes behind but revokes authority.
 type Frame struct {
-	Data [PageSize]byte
+	// Data is allocated on the frame's first write: a frame never written
+	// reads as zeros, so mapping a large static heap costs no host memory
+	// for the pages nobody touches. A pooled frame keeps its storage.
+	Data *[PageSize]byte
 	// tags is the packed tag plane: bit g%64 of word g/64 is the validity
 	// tag of granule g.
 	tags [TagWords]uint64
@@ -96,11 +99,30 @@ func (f *Frame) setTag(g uint64, v bool) {
 	}
 }
 
-// reset returns the frame to its freshly allocated state. The caps array
-// is retained but inert: with every tag clear no stale capability is
-// reachable.
+// data returns the frame's bytes for writing, allocating them on first
+// use.
+func (f *Frame) data() *[PageSize]byte {
+	if f.Data == nil {
+		f.Data = new([PageSize]byte)
+	}
+	return f.Data
+}
+
+// word reads the little-endian uint64 at off; unwritten bytes read zero.
+func (f *Frame) word(off uint64) uint64 {
+	if f.Data == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(f.Data[off:])
+}
+
+// reset returns the frame to its freshly allocated state. The data and
+// caps storage is retained: the bytes are cleared, and with every tag
+// clear no stale capability is reachable.
 func (f *Frame) reset() {
-	f.Data = [PageSize]byte{}
+	if f.Data != nil {
+		clear(f.Data[:])
+	}
 	f.tags = [TagWords]uint64{}
 	f.ntags = 0
 }
@@ -265,7 +287,11 @@ func (m *Memory) ReadBytes(pfn PFN, off uint64, buf []byte) error {
 	if err := checkRange(off, uint64(len(buf))); err != nil {
 		return err
 	}
-	copy(buf, f.Data[off:])
+	if f.Data == nil {
+		clear(buf)
+	} else {
+		copy(buf, f.Data[off:])
+	}
 	m.totalOps.Add(uint64(len(buf)))
 	return nil
 }
@@ -280,7 +306,7 @@ func (m *Memory) WriteBytes(pfn PFN, off uint64, buf []byte) error {
 	if err := checkRange(off, uint64(len(buf))); err != nil {
 		return err
 	}
-	copy(f.Data[off:], buf)
+	copy(f.data()[off:], buf)
 	if f.ntags > 0 {
 		first := off / cap.GranuleSize
 		last := (off + uint64(len(buf)) - 1) / cap.GranuleSize
@@ -323,8 +349,7 @@ func (m *Memory) LoadCap(pfn PFN, off uint64) (cap.Capability, error) {
 	if !f.tag(g) || f.caps == nil {
 		// Untagged load: reconstruct an invalid capability whose cursor is
 		// whatever integer the bytes hold.
-		addr := binary.LittleEndian.Uint64(f.Data[off:])
-		return cap.Null().SetAddr(addr).Untag(), nil
+		return cap.Null().SetAddr(f.word(off)).Untag(), nil
 	}
 	return f.caps[g], nil
 }
@@ -345,8 +370,9 @@ func (m *Memory) StoreCap(pfn PFN, off uint64, c cap.Capability) error {
 		return err
 	}
 	g := off / cap.GranuleSize
-	binary.LittleEndian.PutUint64(f.Data[off:], c.Addr())
-	binary.LittleEndian.PutUint64(f.Data[off+8:], c.Base())
+	d := f.data()
+	binary.LittleEndian.PutUint64(d[off:], c.Addr())
+	binary.LittleEndian.PutUint64(d[off+8:], c.Base())
 	f.setTag(g, c.Tag())
 	if c.Tag() {
 		if f.caps == nil {
@@ -422,7 +448,12 @@ func (m *Memory) CopyFrame(dst, src PFN) error {
 	if err != nil {
 		return err
 	}
-	fd.Data = fs.Data
+	if fs.Data != nil {
+		*fd.data() = *fs.Data
+	} else if fd.Data != nil {
+		// A pooled destination must not keep its previous contents.
+		clear(fd.Data[:])
+	}
 	fd.tags = fs.tags
 	fd.ntags = fs.ntags
 	if fs.caps != nil && fs.ntags > 0 {

@@ -359,6 +359,107 @@ func TestCopyFramePreservesTags(t *testing.T) {
 	}
 }
 
+// TestUnwrittenFrameReadsZeros pins frame data on first write: a fresh
+// frame has no data storage, reads as zeros through both the byte and the
+// capability path, and reading does not allocate it.
+func TestUnwrittenFrameReadsZeros(t *testing.T) {
+	m := New(1)
+	pfn, _ := m.AllocFrame()
+	buf := bytes.Repeat([]byte{0xAA}, PageSize)
+	if err := m.ReadBytes(pfn, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Fatal("unwritten frame must read as zeros")
+	}
+	c, err := m.LoadCap(pfn, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Tag() || c.Addr() != 0 {
+		t.Fatalf("unwritten granule loads as %v, want an untagged zero", c)
+	}
+	if m.frames[pfn].Data != nil {
+		t.Fatal("reads must not allocate frame data")
+	}
+	if err := m.WriteBytes(pfn, 8, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if m.frames[pfn].Data == nil {
+		t.Fatal("the first write must allocate frame data")
+	}
+}
+
+// TestCopyFrameFromUnwrittenClearsPooledDest: a copy destination taken
+// from the pool keeps its previous tenant's bytes until the copy lands;
+// copying an unwritten source must leave only zeros, not the stale bytes.
+func TestCopyFrameFromUnwrittenClearsPooledDest(t *testing.T) {
+	m := New(2)
+	src, _ := m.AllocFrame()
+	old, _ := m.AllocFrame()
+	if err := m.WriteBytes(old, 100, []byte("SECRETS")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FreeFrame(old); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := m.AllocFrameForCopy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 7)
+	if err := m.ReadBytes(dst, 100, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != "SECRETS" {
+		t.Fatalf("pooled copy destination should still hold its old bytes, got %q", buf)
+	}
+	if err := m.CopyFrame(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize)
+	if err := m.ReadBytes(dst, 0, page); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page, make([]byte, PageSize)) {
+		t.Fatal("copy from an unwritten frame left stale bytes in the destination")
+	}
+}
+
+// TestAuditAfterPoison: poisoning writes every byte of a freed frame —
+// allocating data for one never written — and revokes its tags, leaving a
+// frame the audit accepts when it comes back out of the pool.
+func TestAuditAfterPoison(t *testing.T) {
+	m := New(2)
+	m.SetHooks(&Hooks{PoisonFreed: true})
+	tagged, _ := m.AllocFrame()
+	blank, _ := m.AllocFrame()
+	if err := m.StoreCap(tagged, 64, cap.Root(0x4000, 64)); err != nil {
+		t.Fatal(err)
+	}
+	for _, pfn := range []PFN{tagged, blank} {
+		if err := m.FreeFrame(pfn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		pfn, err := m.AllocFrameForCopy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AuditFrame(pfn); err != nil {
+			t.Fatalf("audit after poison: %v", err)
+		}
+		buf := make([]byte, 16)
+		if err := m.ReadBytes(pfn, 64, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, bytes.Repeat([]byte{poisonByte}, 16)) {
+			t.Fatalf("frame %d not poisoned: % x", pfn, buf)
+		}
+	}
+}
+
 func TestZeroFrame(t *testing.T) {
 	m := New(1)
 	pfn, _ := m.AllocFrame()
