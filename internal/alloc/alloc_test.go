@@ -203,7 +203,7 @@ func TestAllocatorSurvivesFork(t *testing.T) {
 }
 
 // Property-style stress: random alloc/free interleavings keep the used
-// list consistent and blocks disjoint.
+// list consistent, the index in step with it, and blocks disjoint.
 func TestAllocFreeStress(t *testing.T) {
 	withProc(t, func(k *kernel.Kernel, p *kernel.Proc, a *alloc.Allocator) {
 		r := rand.New(rand.NewSource(7))
@@ -227,7 +227,12 @@ func TestAllocFreeStress(t *testing.T) {
 					break
 				}
 			}
+			if err := checkHeap(a, live); err != nil {
+				t.Errorf("op %d: %v", i, err)
+				return
+			}
 		}
+		requireIndex(t, a)
 		blocks, err := a.UsedBlocks()
 		if err != nil {
 			t.Fatal(err)

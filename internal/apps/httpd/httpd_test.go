@@ -2,6 +2,7 @@ package httpd_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -177,4 +178,40 @@ func TestBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Run()
+}
+
+// BenchmarkServeGet times one GET of a 1 KiB document through a two-worker
+// fleet, client side included, and reports the host allocations per
+// request.
+func BenchmarkServeGet(b *testing.B) {
+	k := newKernel(2)
+	doc := bytes.Repeat([]byte("nginx-doc "), 100)
+	k.VFS().WriteFile("/index.html", doc)
+	var runErr error
+	if _, err := k.Spawn(serverSpec(), 0, func(p *kernel.Proc) {
+		srv, err := httpd.Start(p, 2)
+		if err != nil {
+			runErr = err
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := httpd.DoRequest(p, srv.Listener, "/index.html")
+			if err != nil || len(res.Body) != len(doc) {
+				runErr = fmt.Errorf("request %d: %d-byte body, %v", i, len(res.Body), err)
+				break
+			}
+		}
+		b.StopTimer()
+		if err := srv.Shutdown(p); err != nil && runErr == nil {
+			runErr = err
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+	k.Run()
+	if runErr != nil {
+		b.Fatal(runErr)
+	}
 }

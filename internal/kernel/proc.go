@@ -88,6 +88,12 @@ type Proc struct {
 	// performed; the benchmark harness reads it for latency accounting.
 	LastFork ForkStats
 
+	// AllocIndex is a host-side slot owned by the heap allocator
+	// (internal/alloc), which caches a lookup index over its in-memory
+	// used list here so every allocator view of the process shares it.
+	// The kernel never reads it and fork does not copy it.
+	AllocIndex any
+
 	// sysEnter is the in-flight syscall's entry time for latency
 	// accounting and sysNo its number for the flight recorder's return
 	// event; syscalls do not nest within one μprocess, so one slot is
