@@ -16,21 +16,19 @@
 // counts; -full runs the paper's parameters (100 MB databases, 1000
 // spawns, 100k pipe exchanges, second-long throughput windows).
 //
-// -trace arms a flight recorder on every kernel the run boots and writes
-// its events as Chrome trace_event JSON (open in chrome://tracing or
-// Perfetto). -metrics enables the metrics layer and writes a JSON snapshot
-// of the aggregated counters and latency histograms next to the rendered
-// tables.
-//
-// -profile arms the virtual-time sampling profiler on every kernel the
-// run boots and writes the aggregate folded-stack profile (flamegraph.pl
-// input) to the given file at exit. With -serve, the same plane also
-// serves /profile live.
+// -trace, -metrics, -profile and -serve fill one kernel.Planes value that
+// every kernel the run boots is armed with. -trace records flight events
+// and writes them as Chrome trace_event JSON (open in chrome://tracing or
+// Perfetto); -metrics writes a JSON snapshot of the aggregated counters
+// and latency histograms; -profile writes the aggregate virtual-time
+// folded-stack profile (flamegraph.pl input). All three are written at
+// exit.
 //
 // -serve starts the live telemetry plane (Prometheus /metrics, JSON
 // /procs of the currently booted kernel, /flight dumps, /profile, pprof)
 // and keeps serving after the experiments finish so the final state can
-// be scraped; interrupt to exit.
+// be scraped; interrupt to exit. Its planes are the ones -trace, -metrics
+// and -profile then dump, so a file and an endpoint read the same plane.
 package main
 
 import (
@@ -43,10 +41,6 @@ import (
 
 	"ufork/internal/bench"
 	"ufork/internal/bench/ycsb"
-	"ufork/internal/kernel"
-	"ufork/internal/obs"
-	"ufork/internal/obs/flight"
-	"ufork/internal/obs/profile"
 	"ufork/internal/sim"
 	"ufork/internal/telemetry"
 )
@@ -411,41 +405,17 @@ func main() {
 	flag.Parse()
 
 	bench.Parallelism = *parallel
-	if *metricsPath != "" {
-		obs.Enable()
+	// -serve, -trace, -metrics and -profile fill one Planes value that
+	// every kernel the experiments boot is armed with.
+	out := telemetry.Outputs{Trace: *tracePath, Metrics: *metricsPath, Profile: *profilePath}
+	pl, tsrv, err := out.Arm(*serveAddr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var tsrv *telemetry.Server
-	if *serveAddr != "" {
-		var err error
-		if tsrv, err = telemetry.Start(*serveAddr); err != nil {
-			log.Fatal(err)
-		}
+	if tsrv != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s/\n", tsrv.Addr)
 	}
-	var trace *flight.Recorder
-	if *tracePath != "" {
-		trace = kernel.ArmTrace()
-	}
-	// The -profile plane: when the telemetry server is up its plane is
-	// already armed on every kernel through TrackNew — reuse it so the
-	// file and /profile agree. Otherwise chain a private plane onto
-	// TrackNew the same way.
-	var prof *profile.Plane
-	if *profilePath != "" {
-		if tsrv != nil {
-			prof = tsrv.Profile()
-		} else {
-			prof = profile.New(0)
-			prof.Enable()
-			old := kernel.TrackNew
-			kernel.TrackNew = func(k *kernel.Kernel) {
-				if old != nil {
-					old(k)
-				}
-				k.ArmProfile(prof)
-			}
-		}
-	}
+	bench.Planes = pl
 
 	if *exp == "list" {
 		fmt.Print(expList())
@@ -474,21 +444,9 @@ func main() {
 		die(e.run(cfg))
 	}
 
-	if *tracePath != "" {
-		die(kernel.WriteTraceFile(*tracePath, trace))
-	}
-	if *metricsPath != "" {
-		die(obs.Default.WriteMetricsFile(*metricsPath))
-	}
-	if prof != nil {
-		f, err := os.Create(*profilePath)
-		die(err)
-		err = prof.Snapshot().WriteFolded(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		die(err)
-		fmt.Fprintf(os.Stderr, "profile: %d samples folded to %s\n", prof.Samples(), *profilePath)
+	die(out.Write(pl))
+	if *profilePath != "" {
+		fmt.Fprintf(os.Stderr, "profile: %d samples folded to %s\n", pl.Profile.Samples(), *profilePath)
 	}
 	if tsrv != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: run complete; still serving on http://%s/ (interrupt to exit)\n", tsrv.Addr)

@@ -15,12 +15,14 @@
 //
 // -trace writes a Chrome trace_event JSON of the run, converted from the
 // kernel's flight events (syscalls, fork phases, faults — open in
-// chrome://tracing or Perfetto); -metrics enables the metrics layer and
-// writes a JSON snapshot of the kernel's counters and latency histograms.
+// chrome://tracing or Perfetto); -metrics writes a JSON snapshot of the
+// kernel's counters and latency histograms.
 //
 // -serve starts the live telemetry plane (Prometheus /metrics, JSON
 // /procs, /flight dumps, pprof) and keeps serving after the run finishes
-// so the final state can be scraped.
+// so the final state can be scraped. The three flags fill the one
+// kernel.Planes value the kernel is armed with; under -serve, -trace and
+// -metrics dump the served planes.
 //
 // -smaps prints the script μprocess's memory map after the run: per-
 // segment mapped/shared/private pages with the RSS/PSS/USS and shared
@@ -38,8 +40,6 @@ import (
 	"ufork/internal/alloc"
 	"ufork/internal/kernel"
 	"ufork/internal/minipy"
-	"ufork/internal/obs"
-	"ufork/internal/obs/flight"
 	"ufork/internal/telemetry"
 )
 
@@ -52,24 +52,18 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live telemetry (/metrics, /procs, /flight, pprof) on this address; keeps serving after the run until interrupted")
 	flag.Parse()
 
-	if *metricsPath != "" {
-		obs.Enable()
+	// -serve, -trace and -metrics fill the one Planes value the kernel is
+	// armed with.
+	out := telemetry.Outputs{Trace: *tracePath, Metrics: *metricsPath}
+	pl, tsrv, err := out.Arm(*serveAddr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var tsrv *telemetry.Server
-	if *serveAddr != "" {
-		var err error
-		if tsrv, err = telemetry.Start(*serveAddr); err != nil {
-			log.Fatal(err)
-		}
+	if tsrv != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s/\n", tsrv.Addr)
-	}
-	var trace *flight.Recorder
-	if *tracePath != "" {
-		trace = kernel.ArmTrace()
 	}
 
 	var src []byte
-	var err error
 	if flag.NArg() >= 1 {
 		src, err = os.ReadFile(flag.Arg(0))
 	} else {
@@ -93,6 +87,7 @@ func main() {
 		Isolation: ufork.IsolationFull,
 		Cores:     4,
 		Spec:      &spec,
+		Planes:    pl,
 	})
 
 	var stdout *kernel.Console
@@ -165,15 +160,8 @@ func main() {
 	if smapsText != "" {
 		fmt.Fprint(os.Stderr, smapsText)
 	}
-	if *tracePath != "" {
-		if err := kernel.WriteTraceFile(*tracePath, trace); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *metricsPath != "" {
-		if err := obs.Default.WriteMetricsFile(*metricsPath); err != nil {
-			log.Fatal(err)
-		}
+	if err := out.Write(pl); err != nil {
+		log.Fatal(err)
 	}
 	if tsrv != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: run complete; still serving on http://%s/ (interrupt to exit)\n", tsrv.Addr)

@@ -19,7 +19,6 @@ import (
 
 	"ufork/internal/cap"
 	"ufork/internal/kernel"
-	"ufork/internal/obs"
 )
 
 const (
@@ -218,12 +217,12 @@ func (a *Allocator) pushUsed(d uint64, c cap.Capability, size uint64) error {
 }
 
 // churn records allocator activity (op count + bytes) in the owning
-// kernel's metrics registry when observability is on.
+// kernel's metrics registry when one is armed.
 func (a *Allocator) churn(op string, bytes uint64) {
-	if !obs.On() {
+	reg := a.p.Kernel().Metrics
+	if reg == nil {
 		return
 	}
-	reg := a.p.Kernel().Metrics
 	reg.Counter(op).Inc()
 	reg.Counter(op + ".bytes").Add(bytes)
 }

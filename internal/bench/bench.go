@@ -13,7 +13,6 @@ import (
 	"ufork/internal/core"
 	"ufork/internal/kernel"
 	"ufork/internal/model"
-	"ufork/internal/obs"
 	"ufork/internal/sim"
 )
 
@@ -37,8 +36,15 @@ const (
 // only host wall-clock changes. Set from ufork-bench's -parallel flag.
 var Parallelism int
 
-// build creates a kernel for the given system with the given core count.
-func build(id SystemID, cores int, frames int) *kernel.Kernel {
+// Planes arms every kernel the harness boots: the one value the CLIs
+// fill from -serve, -trace, -metrics and -profile. Cells that need a
+// plane of their own copy it and fill only its nil fields, so a served
+// or dumped plane is never replaced.
+var Planes kernel.Planes
+
+// build creates a kernel for the given system with the given core count,
+// armed with pl.
+func build(id SystemID, cores int, frames int, pl kernel.Planes) *kernel.Kernel {
 	if frames == 0 {
 		frames = 1 << 17
 	}
@@ -70,7 +76,7 @@ func build(id SystemID, cores int, frames int) *kernel.Kernel {
 	default:
 		panic("bench: unknown system " + string(id))
 	}
-	return kernel.New(kernel.Config{Machine: m, Engine: eng, Isolation: iso, Frames: frames})
+	return kernel.New(kernel.Config{Machine: m, Engine: eng, Isolation: iso, Frames: frames, Planes: pl})
 }
 
 // memMetric is the per-process memory of a forked child, reported the way
@@ -101,12 +107,16 @@ func runRoot(k *kernel.Kernel, spec kernel.ProgramSpec, entry func(*kernel.Proc)
 }
 
 // foldRun accumulates a finished run's kernel and address-space counters
-// into the process-wide obs registry under prefix, so `-metrics` snapshots
-// carry fault/copy/relocation counts alongside the rendered tables. The
-// per-process address spaces of the multi-AS baselines die with their
-// procs; for those only the kernel-level counters fold.
+// into the kernel's metrics registry under prefix, when one is armed, so
+// `-metrics` snapshots carry fault/copy/relocation counts alongside the
+// rendered tables. The per-process address spaces of the multi-AS
+// baselines die with their procs; for those only the kernel-level
+// counters fold.
 func foldRun(prefix string, k *kernel.Kernel) {
-	reg := obs.Default
+	reg := k.Metrics
+	if reg == nil {
+		return
+	}
 	for name, v := range k.Stats.Snapshot() {
 		reg.Counter(prefix + "." + name).Add(v)
 	}

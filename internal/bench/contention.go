@@ -140,13 +140,23 @@ func contentionWaits(k *kernel.Kernel, lt *sim.LockTable, row *ContentionRow, ex
 	}
 }
 
+// contentionPlanes adds a private lock table to the harness planes when
+// none is armed: the rows read their global-lock stats from it.
+func contentionPlanes() kernel.Planes {
+	pl := Planes
+	if pl.Locks == nil {
+		pl.Locks = sim.NewLockTable()
+	}
+	return pl
+}
+
 // httpdContention is the Nginx-shaped cell: a fixed four-worker fleet
 // (forked, sharing the listener) hammered by eight closed-loop drivers,
 // at the given core count.
 func httpdContention(locks string, cores int, window sim.Time) (ContentionRow, error) {
-	k := build(contentionSystem(locks), cores, 1<<16)
-	lt := sim.NewLockTable()
-	k.ArmLockstat(lt)
+	pl := contentionPlanes()
+	k := build(contentionSystem(locks), cores, 1<<16, pl)
+	lt := pl.Locks
 	k.VFS().WriteFile("/index.html", make([]byte, nginxDocBytes))
 	row := ContentionRow{Workload: "httpd", Locks: locks, Cores: cores}
 
@@ -210,9 +220,9 @@ func kvContentionSpec() kernel.ProgramSpec {
 // and append AOF records in a closed loop while the parent cycles BGSAVE
 // snapshots — every Set, Write, fork and reap crossing the BKL.
 func kvContention(locks string, cores int, window sim.Time) (ContentionRow, error) {
-	k := build(contentionSystem(locks), cores, 1<<16)
-	lt := sim.NewLockTable()
-	k.ArmLockstat(lt)
+	pl := contentionPlanes()
+	k := build(contentionSystem(locks), cores, 1<<16, pl)
+	lt := pl.Locks
 	row := ContentionRow{Workload: "kvstore", Locks: locks, Cores: cores}
 
 	err := runRoot(k, kvContentionSpec(), func(p *kernel.Proc) error {

@@ -40,7 +40,7 @@ func FaaSSweep(window sim.Time) ([]FaaSRow, error) {
 }
 
 func faasOnce(id SystemID, workers int, window sim.Time) (FaaSRow, error) {
-	k := build(id, workers+1, 1<<17)
+	k := build(id, workers+1, 1<<17, Planes)
 	row := FaaSRow{System: id, WorkerCores: workers}
 	err := runRoot(k, faas.ZygoteSpec(k.Machine.StaticHeapPages/16), func(p *kernel.Proc) error {
 		pr, _, err := faas.Warm(p)

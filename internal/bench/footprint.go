@@ -78,7 +78,7 @@ func footprintTotals(k *kernel.Kernel, depth int) FootprintSample {
 }
 
 func footprintOnce(id SystemID) (FootprintRow, error) {
-	k := build(id, 2, 1<<16)
+	k := build(id, 2, 1<<16, Planes)
 	row := FootprintRow{System: id}
 	var chainErr error
 	spec := kernel.HelloWorldSpec()

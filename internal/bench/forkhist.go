@@ -43,9 +43,9 @@ var forkHistBuckets = func() []uint64 {
 
 // ForkHist measures the fork-latency distribution per copy mode: iters
 // forks of a warmed hello-world-sized image, each latency observed into a
-// fixed-bucket histogram. The histograms also land in the process-wide
-// obs registry (bench.forkhist.<system>) so `-metrics` snapshots carry
-// them.
+// fixed-bucket histogram private to the row. When a metrics registry is
+// armed (Planes.Metrics) each row's histogram is also added to it as
+// bench.forkhist.<system>, so `-metrics` snapshots carry them.
 func ForkHist(iters int) ([]ForkHistRow, error) {
 	var rows []ForkHistRow
 	for _, id := range forkHistSystems {
@@ -59,12 +59,9 @@ func ForkHist(iters int) ([]ForkHistRow, error) {
 }
 
 func forkHistOnce(id SystemID, iters int) (ForkHistRow, error) {
-	k := build(id, 2, 1<<16)
+	k := build(id, 2, 1<<16, Planes)
 	row := ForkHistRow{System: id}
-	// Registered in the process-wide registry so `-metrics` snapshots carry
-	// the full summary, not just the rendered table.
-	hist := obs.Default.HistogramWith("bench.forkhist."+string(id), forkHistBuckets)
-	hist.Reset()
+	hist := obs.NewHistogram(forkHistBuckets)
 	var phases [6]sim.Time
 	spec := kernel.HelloWorldSpec()
 	spec.HeapPages = iters/2 + 64 // room for the growing live set below
@@ -128,6 +125,9 @@ func forkHistOnce(id SystemID, iters int) (ForkHistRow, error) {
 		return row, err
 	}
 	row.Hist = hist.Summary()
+	if k.Metrics != nil {
+		k.Metrics.HistogramWith("bench.forkhist."+string(id), forkHistBuckets).Merge(hist)
+	}
 	n := sim.Time(iters)
 	row.Reserve, row.PTECopy, row.EagerCopy = phases[0]/n, phases[1]/n, phases[2]/n
 	row.Scan, row.Reg, row.Fixup = phases[3]/n, phases[4]/n, phases[5]/n

@@ -37,7 +37,7 @@ func ForkServerSweep(nInputs int) ([]ForkServerRow, error) {
 
 	for _, id := range []SystemID{SysUForkCoPA, SysPosix} {
 		for _, mode := range []string{"fork-server", "re-exec"} {
-			k := build(id, 2, 1<<16)
+			k := build(id, 2, 1<<16, Planes)
 			row := ForkServerRow{System: id, Mode: mode}
 			err := runRoot(k, spec, func(p *kernel.Proc) error {
 				var res forkserver.Result

@@ -1,27 +1,27 @@
 package bench
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"ufork/internal/kernel"
+	"ufork/internal/obs"
+	"ufork/internal/obs/causal"
 	"ufork/internal/obs/flight"
+	"ufork/internal/obs/memmap"
 	"ufork/internal/obs/profile"
+	"ufork/internal/sim"
 )
 
-// armProfileEverywhere chains kernel.TrackNew so every kernel the bench
-// layer boots arms pl, restoring the previous hook at test end. This is
-// the same wiring path the telemetry server and the -profile bench flag
-// use, so the invariance tests exercise the real arming route.
-func armProfileEverywhere(t *testing.T, pl *profile.Plane) {
+// armEverywhere sets the harness planes every kernel the bench layer
+// boots is armed with, restoring the previous value at test end. This
+// is the same route the CLIs' -serve, -trace and -profile flags take,
+// so the invariance tests exercise the real arming path.
+func armEverywhere(t *testing.T, pl kernel.Planes) {
 	t.Helper()
-	old := kernel.TrackNew
-	kernel.TrackNew = func(k *kernel.Kernel) {
-		if old != nil {
-			old(k)
-		}
-		k.ArmProfile(pl)
-	}
-	t.Cleanup(func() { kernel.TrackNew = old })
+	old := Planes
+	Planes = pl
+	t.Cleanup(func() { Planes = old })
 }
 
 // TestGoldenForkHistProfilerArmed is the observer-effect gate: the
@@ -32,7 +32,7 @@ func armProfileEverywhere(t *testing.T, pl *profile.Plane) {
 func TestGoldenForkHistProfilerArmed(t *testing.T) {
 	pl := profile.New(0)
 	pl.Enable()
-	armProfileEverywhere(t, pl)
+	armEverywhere(t, kernel.Planes{Profile: pl})
 	rows, err := ForkHist(ForkHistItersQuick)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestGoldenForkHistProfilerArmed(t *testing.T) {
 func TestGoldenContentionProfilerArmed(t *testing.T) {
 	pl := profile.New(0)
 	pl.Enable()
-	armProfileEverywhere(t, pl)
+	armEverywhere(t, kernel.Planes{Profile: pl})
 	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,9 @@ func TestGoldenContentionProfilerArmed(t *testing.T) {
 
 // TestGoldenForkHistTraceArmed and TestGoldenContentionTraceArmed are
 // the same observer-effect gate for the -trace recorder: a 2^18-event
-// flight recorder armed on every kernel through TrackNew, exactly as the
-// CLIs arm it, must leave both virtual-time goldens byte-identical.
+// flight recorder armed on every kernel through the harness planes,
+// exactly as the CLIs arm it, must leave both virtual-time goldens
+// byte-identical.
 func TestGoldenForkHistTraceArmed(t *testing.T) {
 	rec := armTraceEverywhere(t)
 	rows, err := ForkHist(ForkHistItersQuick)
@@ -94,13 +95,51 @@ func TestGoldenContentionTraceArmed(t *testing.T) {
 	}
 }
 
-// armTraceEverywhere arms the -trace recorder through kernel.ArmTrace,
-// restoring the previous TrackNew hook at test end.
+// TestGoldenContentionAllPlanesArmed arms every plane at once — the
+// metrics registry, a flight recorder, memmap, causal, the profiler, a
+// lock table and a live-kernel slot, as -serve plus -trace, -metrics and
+// -profile do — and the contention golden must stay byte-identical while
+// each plane fills.
+func TestGoldenContentionAllPlanesArmed(t *testing.T) {
+	rec := flight.New(flight.DefaultShards, flight.DefaultPerShard)
+	rec.Enable()
+	mm := memmap.New()
+	mm.Enable()
+	cp := causal.New(0)
+	cp.Enable()
+	pp := profile.New(0)
+	pp.Enable()
+	pl := kernel.Planes{
+		Metrics: obs.NewRegistry(),
+		Flight:  rec,
+		Memmap:  mm,
+		Causal:  cp,
+		Profile: pp,
+		Locks:   sim.NewLockTable(),
+		Live:    new(atomic.Pointer[kernel.Kernel]),
+	}
+	armEverywhere(t, pl)
+	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, RenderContention(rows), "golden_contention.txt")
+	if len(pl.Metrics.Snapshot().Counters) == 0 || rec.Seq() == 0 || pp.Samples() == 0 ||
+		len(mm.Snapshot(0).AllocsByOrigin) == 0 || len(pl.Locks.Snapshot()) == 0 || pl.Live.Load() == nil {
+		t.Fatal("an armed plane recorded nothing over the sweep")
+	}
+	if err := pp.CheckExact(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// armTraceEverywhere arms a -trace-sized recorder on every kernel.
 func armTraceEverywhere(t *testing.T) *flight.Recorder {
 	t.Helper()
-	old := kernel.TrackNew
-	t.Cleanup(func() { kernel.TrackNew = old })
-	return kernel.ArmTrace()
+	rec := flight.New(1, 1<<18)
+	rec.Enable()
+	armEverywhere(t, kernel.Planes{Flight: rec})
+	return rec
 }
 
 // TestGoldenProfDiff pins the cross-lock-regime profile diff: the

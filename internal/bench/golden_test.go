@@ -3,7 +3,11 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"ufork/internal/kernel"
+	"ufork/internal/obs"
 )
 
 // The virtual-time outputs are the simulator's ground truth: host-side
@@ -31,6 +35,42 @@ func TestGoldenForkHist(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, RenderForkHist(rows), "golden_forkhist.txt")
+}
+
+// TestGoldenForkHistConcurrent runs two forkhist sweeps at once, both
+// recording into one armed registry. Each row's summary comes from its
+// own histogram, so neither sweep may disturb the other's golden rows,
+// and the registry ends up holding both sweeps' forks (run under -race).
+func TestGoldenForkHistConcurrent(t *testing.T) {
+	reg := obs.NewRegistry()
+	armEverywhere(t, kernel.Planes{Metrics: reg})
+	var wg sync.WaitGroup
+	outs := make([]string, 2)
+	errs := make([]error, 2)
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows, err := ForkHist(ForkHistItersQuick)
+			if err == nil {
+				outs[i] = RenderForkHist(rows)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		goldenCompare(t, outs[i], "golden_forkhist.txt")
+	}
+	for _, id := range forkHistSystems {
+		h := reg.Snapshot().Histograms["bench.forkhist."+string(id)]
+		if h.Count != 2*ForkHistItersQuick {
+			t.Errorf("registry bench.forkhist.%s holds %d forks, want %d", id, h.Count, 2*ForkHistItersQuick)
+		}
+	}
 }
 
 func TestGoldenTable1(t *testing.T) {

@@ -33,7 +33,7 @@ func HelloWorld() ([]HelloRow, error) {
 }
 
 func helloOnce(id SystemID) (HelloRow, error) {
-	k := build(id, 2, 1<<15)
+	k := build(id, 2, 1<<15, Planes)
 	row := HelloRow{System: id}
 	err := runRoot(k, kernel.HelloWorldSpec(), func(p *kernel.Proc) error {
 		// Warm the parent the way a started C program is warm: libc init
@@ -129,7 +129,7 @@ func Unixbench(spawnIters int, context1Target uint64) ([]UnixbenchRow, error) {
 	var rows []UnixbenchRow
 	for _, id := range unixbenchSystems {
 		row := UnixbenchRow{System: id}
-		k := build(id, 2, 1<<15)
+		k := build(id, 2, 1<<15, Planes)
 		err := runRoot(k, kernel.HelloWorldSpec(), func(p *kernel.Proc) error {
 			s, err := unixbench.Spawn(p, spawnIters)
 			if err != nil {

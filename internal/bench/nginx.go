@@ -80,7 +80,7 @@ func driverSpec() kernel.ProgramSpec {
 }
 
 func nginxOnce(id SystemID, workers, cores int, window sim.Time) (NginxRow, error) {
-	k := build(id, cores, 1<<16)
+	k := build(id, cores, 1<<16, Planes)
 	k.VFS().WriteFile("/index.html", make([]byte, nginxDocBytes))
 	row := NginxRow{System: id, Workers: workers, Cores: cores}
 

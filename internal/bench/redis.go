@@ -80,7 +80,7 @@ func RedisSweep(sizes []uint64) ([]RedisRow, error) {
 func redisOnce(id SystemID, dbBytes uint64) (RedisRow, error) {
 	// Frames: database + static heap + full-copy child, with headroom.
 	frames := 2*int(dbBytes/kernel.PageSize) + 90000
-	k := build(id, 2, frames)
+	k := build(id, 2, frames, Planes)
 	row := RedisRow{System: id, DBBytes: dbBytes}
 	spec := redisSpec(id, k, dbBytes)
 

@@ -50,7 +50,7 @@ func Stress(seed int64, rounds, maxOps int) []StressRow {
 						if smp && mode != core.CopyOnPointerAccess {
 							continue
 						}
-						cfg := chaos.Config{Mode: mode, Iso: iso, Seed: rseed, SMP: smp, MaxOps: maxOps, ProgBytes: 4 * maxOps}
+						cfg := chaos.Config{Mode: mode, Iso: iso, Seed: rseed, SMP: smp, MaxOps: maxOps, ProgBytes: 4 * maxOps, Planes: Planes}
 						// Label this cell's trace-exemplar reservoir so a
 						// failure dump's trace trees name the soak window.
 						cfg.TraceGroup = fmt.Sprintf("stress/r%d/%s/%s/smp=%v/clean=%v", round, mode, iso, smp, clean)

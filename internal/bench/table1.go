@@ -43,7 +43,7 @@ func Table1() []Table1Row {
 
 // measuredRow derives a row from the implemented system's properties.
 func measuredRow(id SystemID, label string) Table1Row {
-	k := build(id, 1, 1<<12)
+	k := build(id, 1, 1<<12, Planes)
 	m := k.Machine
 	yn := func(b bool) string {
 		if b {

@@ -172,7 +172,7 @@ type ycsbCell struct {
 	seed     int64
 	chaos    bool
 	slo      ycsb.SLO
-	prof     *profile.Plane
+	planes   kernel.Planes // the sweep's planes; ycsbPlanes fills the rest
 }
 
 // cellSeed derives a per-cell seed: every (workload, mix, locks, cores)
@@ -229,7 +229,10 @@ func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
 		} else {
 			c.slo = DefaultYCSBSLO(c.workload, c.chaos)
 		}
-		c.prof = o.Profile
+		c.planes = Planes
+		if o.Profile != nil {
+			c.planes.Profile = o.Profile
+		}
 		var (
 			row YCSBRow
 			err error
@@ -248,30 +251,19 @@ func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
 	return rows, nil
 }
 
-// ycsbFlight picks the cell's flight recorder: the one already armed on
-// the kernel (the live plane's, or the -trace recorder), otherwise a
-// private per-cell ring so a breach dump is always available.
-func ycsbFlight(k *kernel.Kernel) *flight.Recorder {
-	if k.Flight.On() {
-		return k.Flight
+// ycsbPlanes arms a cell's kernel with pl plus, where pl has none, a
+// private flight ring and causal plane, so a breach report always has a
+// flight dump and exemplar trace trees. A served sweep keeps the live
+// planes and so accumulates every cell's exemplars on /traces.
+func ycsbPlanes(pl kernel.Planes) kernel.Planes {
+	if pl.Flight == nil {
+		pl.Flight = flight.New(flight.DefaultShards, flight.DefaultPerShard)
+		pl.Flight.Enable()
 	}
-	fr := flight.New(flight.DefaultShards, flight.DefaultPerShard)
-	fr.Enable()
-	k.Flight = fr
-	return fr
-}
-
-// ycsbCausal picks the cell's trace-context plane: the live telemetry
-// plane when Track armed one, otherwise a private per-cell plane — so a
-// breach report always has exemplar trace trees, and a served sweep
-// accumulates every cell's exemplars on /traces.
-func ycsbCausal(k *kernel.Kernel) *causal.Plane {
-	if k.Causal.On() {
-		return k.Causal
+	if pl.Causal == nil {
+		pl.Causal = causal.New(0)
+		pl.Causal.Enable()
 	}
-	pl := causal.New(0)
-	pl.Enable()
-	k.ArmCausal(pl)
 	return pl
 }
 
@@ -287,22 +279,19 @@ const ycsbTraceTop = 3
 // captures the breach dumps. Called at window close, while the cell's
 // kernel is still up: the recorder tail then shows the workload's last
 // syscalls and faults instead of the teardown's frame frees, and the
-// causal plane still holds the cell's slow-op exemplars.
-func ycsbFinish(row *YCSBRow, hist *obs.Histogram, fr *flight.Recorder, pl *causal.Plane) {
+// causal plane still holds the cell's slow-op exemplars. When a metrics
+// registry is armed, the cell's latencies are added to the family the
+// telemetry plane exposes (ufork_ycsb_<workload>_mix<x>_latency_ns).
+func ycsbFinish(k *kernel.Kernel, row *YCSBRow, hist *obs.Histogram) {
 	row.Lat = hist.Summary()
 	row.Breaches = row.SLO.Evaluate(row.Result())
 	if len(row.Breaches) > 0 {
-		row.flightDump = fr.TextDump(flight.DumpTail)
-		row.traceDump = pl.RenderTop(ycsbTraceTop)
+		row.flightDump = k.Flight.TextDump(flight.DumpTail)
+		row.traceDump = k.Causal.RenderTop(ycsbTraceTop)
 	}
-}
-
-// ycsbObserve records one op latency into the cell histogram and the
-// process-wide registry family the telemetry plane exposes
-// (ufork_ycsb_<workload>_mix<x>_latency_ns in /metrics).
-func ycsbObserve(hist *obs.Histogram, workload, mix string, lat sim.Time) {
-	hist.Observe(uint64(lat))
-	obs.Default.Histogram("ycsb." + workload + ".mix" + strings.ToLower(mix) + ".latency").Observe(uint64(lat))
+	if k.Metrics != nil {
+		k.Metrics.Histogram("ycsb." + row.Workload + ".mix" + strings.ToLower(row.Mix.Name) + ".latency").Merge(hist)
+	}
 }
 
 // ycsbKVSpec is the kvstore server image: the machine's build-time
@@ -346,12 +335,7 @@ func reapRetry(k *kernel.Kernel, p *kernel.Proc, errs *int) (kernel.PID, int, er
 // mode) the big kernel lock or the split hierarchy.
 func ycsbKV(c ycsbCell) (YCSBRow, error) {
 	dataPages := c.keys * (ycsbValueBytes + 256) / int(kernel.PageSize)
-	k := build(contentionSystem(c.locks), c.cores, 2*dataPages+1<<16)
-	if c.prof != nil {
-		k.ArmProfile(c.prof)
-	}
-	fr := ycsbFlight(k)
-	pl := ycsbCausal(k)
+	k := build(contentionSystem(c.locks), c.cores, 2*dataPages+1<<16, ycsbPlanes(c.planes))
 	group := ycsbGroup(c)
 	row := YCSBRow{
 		Workload: "kvstore", Mix: c.mix, Chooser: "zipfian", Locks: c.locks,
@@ -435,7 +419,7 @@ func ycsbKV(c ycsbCell) (YCSBRow, error) {
 					}
 					lat := cp.Now() - opStart
 					k.TraceEnd(cp)
-					ycsbObserve(hist, "kvstore", c.mix.Name, lat)
+					hist.Observe(uint64(lat))
 					if opErr != nil {
 						errs[w]++
 					}
@@ -505,7 +489,7 @@ func ycsbKV(c ycsbCell) (YCSBRow, error) {
 		row.Ops = row.Reads + row.Updates
 		row.Errs += parentErrs
 		row.WindowNS = uint64(end - start)
-		ycsbFinish(&row, hist, fr, pl)
+		ycsbFinish(k, &row, hist)
 		return nil
 	})
 	if inj != nil {
@@ -521,12 +505,7 @@ func ycsbPath(i int) string { return fmt.Sprintf("/y/k%06d", i) }
 // GETs read a key's document, updates PUT a replacement body through the
 // same workers.
 func ycsbHTTPD(c ycsbCell) (YCSBRow, error) {
-	k := build(contentionSystem(c.locks), c.cores, 1<<16)
-	if c.prof != nil {
-		k.ArmProfile(c.prof)
-	}
-	fr := ycsbFlight(k)
-	pl := ycsbCausal(k)
+	k := build(contentionSystem(c.locks), c.cores, 1<<16, ycsbPlanes(c.planes))
 	group := ycsbGroup(c)
 	row := YCSBRow{
 		Workload: "httpd", Mix: c.mix, Chooser: "zipfian", Locks: c.locks,
@@ -600,7 +579,7 @@ func ycsbHTTPD(c ycsbCell) (YCSBRow, error) {
 					}
 					lat := dp.Now() - opStart
 					k.TraceEnd(dp)
-					ycsbObserve(hist, "httpd", c.mix.Name, lat)
+					hist.Observe(uint64(lat))
 					if opErr != nil || !strings.Contains(res.Status, want) {
 						errs[d]++
 					}
@@ -632,7 +611,7 @@ func ycsbHTTPD(c ycsbCell) (YCSBRow, error) {
 			row.Errs += errs[d]
 		}
 		row.Ops = row.Reads + row.Updates
-		ycsbFinish(&row, hist, fr, pl)
+		ycsbFinish(k, &row, hist)
 		return nil
 	})
 	if inj != nil {

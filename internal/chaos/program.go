@@ -49,6 +49,10 @@ type Config struct {
 	// (the stress soak labels each cell window); "" derives
 	// "chaos/<mode>/<iso>" from the configuration.
 	TraceGroup string
+	// Planes supplies observability planes to arm on the run's kernel
+	// (the live telemetry server's). The flight recorder is always
+	// private; memmap, causal and profile get private planes when nil.
+	Planes kernel.Planes
 	// mutate, when set (tests only), sabotages the kernel after arming so
 	// the harness can prove it catches deliberately broken kernels.
 	mutate func(k *kernel.Kernel)
@@ -132,11 +136,27 @@ func Run(cfg Config, prog []byte) (Result, error) {
 		}
 	}
 
-	// Every run records into a fresh private flight recorder (enabled from
-	// the first event, per-run sequence counter) so the dump a failure
-	// prints is a pure function of the repro line.
+	// A private flight recorder per run makes a failure's dump a pure
+	// function of the repro line. Memmap (which the invariant audit
+	// cross-checks from frame zero), causal and profile keep the caller's
+	// planes, else get private ones, so a failure dump always carries
+	// trace trees and stacks.
 	fr := flight.New(flight.DefaultShards, flight.DefaultPerShard)
 	fr.Enable()
+	pl := cfg.Planes
+	pl.Flight = fr
+	if pl.Memmap == nil {
+		pl.Memmap = memmap.New()
+		pl.Memmap.Enable()
+	}
+	if pl.Causal == nil {
+		pl.Causal = causal.New(0)
+		pl.Causal.Enable()
+	}
+	if pl.Profile == nil {
+		pl.Profile = profile.New(0)
+		pl.Profile.Enable()
+	}
 
 	eng := core.New(cfg.Mode)
 	machine := model.UFork(2)
@@ -148,33 +168,8 @@ func Run(cfg Config, prog []byte) (Result, error) {
 		Engine:    eng,
 		Isolation: cfg.Iso,
 		Frames:    cfg.Frames,
-		Flight:    fr,
+		Planes:    pl,
 	})
-	// Arm the memory-provenance plane before the first allocation: the
-	// invariant audit cross-checks its ledger against the page tables and
-	// the allocator, so coverage must be complete from frame zero. If the
-	// live telemetry server already armed one (kernel.TrackNew fires
-	// inside kernel.New), keep it — /memmap then shows the soak live.
-	if k.Memmap == nil {
-		pl := memmap.New()
-		pl.Enable()
-		k.ArmMemmap(pl)
-	}
-	// Arm causal tracing the same way: keep the live telemetry plane when
-	// Track installed one, else a private per-run plane — a failure dump
-	// then always carries the run's slowest classified trace trees.
-	if k.Causal == nil {
-		cpl := causal.New(0)
-		cpl.Enable()
-		k.ArmCausal(cpl)
-	}
-	// And the profiler: a failure dump then names the stacks the run's
-	// virtual time went to, next to where the tail latency came from.
-	if k.Profile == nil {
-		ppl := profile.New(0)
-		ppl.Enable()
-		k.ArmProfile(ppl)
-	}
 	traceGroup := cfg.TraceGroup
 	if traceGroup == "" {
 		traceGroup = fmt.Sprintf("chaos/%s/%s", cfg.Mode, cfg.Iso)

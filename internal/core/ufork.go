@@ -27,7 +27,6 @@ import (
 
 	"ufork/internal/cap"
 	"ufork/internal/kernel"
-	"ufork/internal/obs"
 	"ufork/internal/sim"
 	"ufork/internal/tmem"
 	"ufork/internal/vm"
@@ -407,7 +406,7 @@ func (e *Engine) HandleFault(k *kernel.Kernel, p *kernel.Proc, f *vm.Fault, acc 
 		p.Task.Advance(sim.Time(relocs) * m.CapRelocate)
 		p.Pending.Remove(vpn)
 	}
-	if obs.On() && (copied || scanned) {
+	if k.Metrics != nil && (copied || scanned) {
 		k.Metrics.Counter("fault.copy-relocate").Inc()
 	}
 	return nil

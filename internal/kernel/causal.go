@@ -12,13 +12,10 @@ import (
 // hooks in the syscall/fault/block paths flush critical-path segments.
 // Every hook is gated on a nil span check, so an untraced kernel pays
 // one pointer compare per site; none of them ever advances a virtual
-// clock, so arming the plane leaves timelines byte-identical.
-
-// ArmCausal attaches the trace-context plane to this kernel. Unlike
-// memmap, the plane is not reset per kernel: trace IDs are plane-global
-// and exemplar groups deliberately accumulate across the many kernels a
-// bench sweep boots, so /traces shows the whole run.
-func (k *Kernel) ArmCausal(pl *causal.Plane) { k.Causal = pl }
+// clock, so arming the plane leaves timelines byte-identical. The plane
+// is not reset per kernel: trace IDs are plane-global and exemplar groups
+// deliberately accumulate across the many kernels a bench sweep boots, so
+// /traces shows the whole run.
 
 // causalSpan returns p's live causal span, lazily clearing one whose
 // trace already finished (an adopted span goes stale the moment its

@@ -4,20 +4,16 @@ import (
 	"strings"
 	"testing"
 
-	"ufork/internal/core"
 	"ufork/internal/kernel"
-	"ufork/internal/model"
 	"ufork/internal/obs/causal"
 	"ufork/internal/obs/flight"
 )
 
 // tracedKernel boots a kernel with an armed causal plane.
 func tracedKernel(cores int) (*kernel.Kernel, *causal.Plane) {
-	k := newKernel(cores, kernel.IsolationFull)
 	pl := causal.New(0)
 	pl.Enable()
-	k.ArmCausal(pl)
-	return k, pl
+	return newKernelWith(cores, kernel.IsolationFull, kernel.Planes{Causal: pl}), pl
 }
 
 // rootOf returns the finished trace's root span JSON from a snapshot.
@@ -235,16 +231,9 @@ func TestTraceSignalAdoption(t *testing.T) {
 func TestTraceFlightEvents(t *testing.T) {
 	rec := flight.New(flight.DefaultShards, 4096)
 	rec.Enable()
-	k := kernel.New(kernel.Config{
-		Machine:   model.UFork(2),
-		Engine:    core.New(core.CopyOnPointerAccess),
-		Isolation: kernel.IsolationFull,
-		Frames:    1 << 16,
-		Flight:    rec,
-	})
 	pl := causal.New(0)
 	pl.Enable()
-	k.ArmCausal(pl)
+	k := newKernelWith(2, kernel.IsolationFull, kernel.Planes{Flight: rec, Causal: pl})
 
 	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
 		k.TraceBegin(p, "kernel-test", "flight-op")
@@ -281,12 +270,12 @@ func TestTraceFlightEvents(t *testing.T) {
 // virtual instant — tracing never advances a clock.
 func TestUntracedKernelUnaffected(t *testing.T) {
 	run := func(arm bool) uint64 {
-		k := newKernel(2, kernel.IsolationFull)
+		var planes kernel.Planes
 		if arm {
-			pl := causal.New(0)
-			pl.Enable()
-			k.ArmCausal(pl)
+			planes.Causal = causal.New(0)
+			planes.Causal.Enable()
 		}
+		k := newKernelWith(2, kernel.IsolationFull, planes)
 		var end uint64
 		_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
 			k.TraceBegin(p, "inv", "op")

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ufork/internal/cap"
 	"ufork/internal/model"
@@ -322,14 +323,14 @@ type Kernel struct {
 
 	Stats Stats
 
-	// Metrics is the registry kernel counters and histograms record into:
-	// obs.Default, shared by every kernel so -metrics aggregates a whole
-	// sweep. All traffic through it is gated on the global obs.On() switch.
+	// Metrics is the registry kernel counters and histograms record into,
+	// or nil when metrics are off: every site is one nil check. One
+	// registry may be shared by every kernel a sweep boots, so -metrics
+	// aggregates the whole run.
 	Metrics *obs.Registry
 
-	// Flight is the flight recorder kernel events stream into. Never nil;
-	// defaults to flight.Default (disabled until armed), so every emit
-	// point pays one atomic load when the recorder is off.
+	// Flight is the flight recorder kernel events stream into, or nil when
+	// it is off (Recorder.On and Emit are nil-safe).
 	Flight *flight.Recorder
 
 	// Chaos, when non-nil, is consulted at the entry of fallible syscalls
@@ -337,22 +338,20 @@ type Kernel struct {
 	// by the chaos harness (internal/chaos); nil in production.
 	Chaos SyscallFailer
 
-	// Memmap, when non-nil, is the armed memory-provenance plane
+	// Memmap, when non-nil, is the memory-provenance plane
 	// (internal/obs/memmap): frame lineage, per-μprocess mapping sets, and
-	// the fork-tree sharing view. Armed via ArmMemmap before the simulation
-	// runs; nil in production.
+	// the fork-tree sharing view.
 	Memmap *memmap.Plane
 
-	// Causal, when non-nil, is the armed causal trace-context plane
+	// Causal, when non-nil, is the causal trace-context plane
 	// (internal/obs/causal): request origins mint trace IDs, the kernel
 	// carries them across fork/pipe/signal boundaries, and the delay hooks
-	// flush per-trace critical-path segments. Armed via ArmCausal; nil in
-	// production, where every hook pays one nil check.
+	// flush per-trace critical-path segments. Every hook pays one nil check
+	// when it is off.
 	Causal *causal.Plane
-	// Profile, when non-nil, is the armed virtual-time sampling profiler
+	// Profile, when non-nil, is the virtual-time sampling profiler
 	// (internal/obs/profile): the engine charge hook feeds it stack-
-	// attributed samples at a fixed virtual-time quantum. Armed via
-	// ArmProfile; nil in production runs.
+	// attributed samples at a fixed virtual-time quantum.
 	Profile *profile.Plane
 	// memPhase classifies the kernel activity frames allocated right now
 	// should be attributed to (image load, eager fork copy, fault
@@ -368,8 +367,8 @@ type Kernel struct {
 	// for the subsystems the BKL serializes on its behalf. On fine-grained
 	// machines every lock in the hierarchy is a real metered lock: the
 	// shadow trio stays nil and lkUproc/lkFDT are the shared per-class
-	// meters the per-μprocess locks attach to. Armed via ArmLockstat; nil
-	// in production, where every site pays one nil check.
+	// meters the per-μprocess locks attach to. Nil in production, where
+	// every site pays one nil check.
 	Locks   *sim.LockTable
 	lkProc  *sim.LockMeter
 	lkFD    *sim.LockMeter
@@ -475,18 +474,29 @@ type Config struct {
 	// ASLRSeed, when nonzero, randomizes μprocess region base offsets
 	// (§3.7). The same seed reproduces the same layout.
 	ASLRSeed int64
-	// Flight overrides the flight recorder (default: flight.Default). The
-	// chaos harness passes a private enabled recorder per run so dumps are
-	// deterministic per seed.
-	Flight *flight.Recorder
+	// Planes arms the observability planes; the zero value leaves them
+	// all off.
+	Planes Planes
 }
 
-// TrackNew, when non-nil, observes every kernel New constructs. The
-// telemetry server installs it to follow the currently live kernel across
-// a bench run's many boots (so /procs always reflects the kernel running
-// now). Install it before any kernel is constructed; it must be safe to
-// call from whichever goroutine boots kernels.
-var TrackNew func(*Kernel)
+// Planes is the one way to arm observability on a kernel: New arms every
+// non-nil field before the kernel allocates its first frame, and a nil
+// field leaves that plane off. One value may be shared by every kernel a
+// run boots. Memmap and Locks restart with each kernel (frame numbers and
+// lock meters are per boot); Metrics, Flight, Causal and Profile
+// accumulate across kernels, which is how sweep-wide dumps are built.
+type Planes struct {
+	Metrics *obs.Registry
+	Flight  *flight.Recorder
+	Memmap  *memmap.Plane
+	Causal  *causal.Plane
+	Profile *profile.Plane
+	Locks   *sim.LockTable
+	// Live, when non-nil, is set to each kernel New boots, so a reader
+	// (the telemetry server's /procs, /locks and /healthz) follows the
+	// kernel running now.
+	Live *atomic.Pointer[Kernel]
+}
 
 // New boots a kernel on a fresh simulation engine.
 func New(cfg Config) *Kernel {
@@ -494,10 +504,7 @@ func New(cfg Config) *Kernel {
 	if frames == 0 {
 		frames = 1 << 19 // 2 GiB
 	}
-	fr := cfg.Flight
-	if fr == nil {
-		fr = flight.Default
-	}
+	pl := cfg.Planes
 	k := &Kernel{
 		Eng:     sim.NewEngine(cfg.Machine.Cores),
 		Machine: cfg.Machine,
@@ -507,8 +514,9 @@ func New(cfg Config) *Kernel {
 		vfs:     NewVFS(),
 		procs:   make(map[PID]*Proc),
 		next:    1,
-		Metrics: obs.Default,
-		Flight:  fr,
+		Metrics: pl.Metrics,
+		Flight:  pl.Flight,
+		Causal:  pl.Causal,
 	}
 	// Frame alloc/free flight events: timestamped from the running task's
 	// virtual clock (zero during pre-Run setup) and attributed to the
@@ -579,29 +587,31 @@ func New(cfg Config) *Kernel {
 		panic("kernel: cannot seal syscall entry: " + err.Error())
 	}
 	k.sentry = sentry
-	if TrackNew != nil {
-		TrackNew(k)
+	if pl.Memmap != nil {
+		// Memmap restarts with the kernel and sees every frame (the
+		// invariant checker cross-checks it against the allocator): the
+		// shared address space's mutations and frame copies feed it.
+		pl.Memmap.Reset()
+		k.Memmap = pl.Memmap
+		if k.SharedAS != nil {
+			k.SharedAS.SetObserver(memObserver{k})
+		}
+		k.Mem.SetCopyObserver(func(dst, src tmem.PFN) { k.Memmap.OnCopy(dst, src) })
+	}
+	if pl.Locks != nil {
+		k.armLockstat(pl.Locks)
+	}
+	if pl.Profile != nil {
+		k.Profile = pl.Profile
+		k.Eng.OnCharge = k.profCharge
+	}
+	if pl.Live != nil {
+		pl.Live.Store(k)
 	}
 	return k
 }
 
-// ArmMemmap attaches the memory-provenance plane to this kernel: the plane
-// is reset (frame numbers restart per kernel), the shared address space's
-// mutation stream is routed into it, and frame copies feed lineage. Must
-// run before the simulation allocates frames — the invariant checker
-// cross-checks the plane against the allocator, so a late arm would
-// miscount. The telemetry server and the chaos harness both arm planes;
-// production kernels leave Memmap nil and pay only nil checks.
-func (k *Kernel) ArmMemmap(pl *memmap.Plane) {
-	pl.Reset()
-	k.Memmap = pl
-	if k.SharedAS != nil {
-		k.SharedAS.SetObserver(memObserver{k})
-	}
-	k.Mem.SetCopyObserver(func(dst, src tmem.PFN) { k.Memmap.OnCopy(dst, src) })
-}
-
-// ArmLockstat attaches a lockstat table. On BKL machines the BKL becomes a
+// armLockstat attaches a lockstat table. On BKL machines the BKL becomes a
 // named metered lock and the BKL-serialized proc-table/FD-table/tmem sites
 // get shadow meters that count entries and credited hold time (they have no
 // lock of their own to bracket — the before yardstick). On fine-grained
@@ -609,10 +619,10 @@ func (k *Kernel) ArmMemmap(pl *memmap.Plane) {
 // shadow meters' names ("proctable", "fdtable", "tmem") so pre-split
 // baselines stay comparable in /locks and the ufork_lock_* families; the
 // BKL's successor appears as the narrow "residual" lock and the new
-// per-μprocess locks share a "uproc" class meter. Also arms scheduler
-// statistics on the engine. Arm before the simulation runs; metering never
+// per-μprocess locks share a "uproc" class meter (initProcLocks attaches
+// it). Also arms scheduler statistics on the engine. Metering never
 // mutates virtual clocks, so timelines are unchanged.
-func (k *Kernel) ArmLockstat(lt *sim.LockTable) {
+func (k *Kernel) armLockstat(lt *sim.LockTable) {
 	lt.Reset()
 	k.Locks = lt
 	if k.Machine.FineGrainedLocks {
@@ -627,21 +637,13 @@ func (k *Kernel) ArmLockstat(lt *sim.LockTable) {
 		k.locks.tmem.SetMeter(lt.Meter("tmem", "tmem.Memory"))
 		k.lkUproc = lt.Meter("uproc", "kernel.Proc.lk")
 		k.lkFDT = lt.Meter("fdtable", "kernel.Proc.fdlk")
-		k.procMu.RLock()
-		for _, p := range k.procs {
-			p.lk.SetMeter(k.lkUproc)
-			p.fdlk.SetMeter(k.lkFDT)
-		}
-		k.procMu.RUnlock()
 	} else {
 		k.locks.global.SetMeter(lt.Meter("bkl", "kernel.enter"))
 		k.lkProc = lt.Meter("proctable", "kernel.procMu")
 		k.lkFD = lt.Meter("fdtable", "kernel.FDTable")
 		k.lkTmem = lt.Meter("tmem", "tmem.Memory")
 	}
-	if k.Eng.Sched() == nil {
-		k.Eng.ArmSched(sim.NewSchedStats(k.Eng.Cores()))
-	}
+	k.Eng.ArmSched(sim.NewSchedStats(k.Eng.Cores()))
 }
 
 // Lockstat returns the per-lock statistics snapshot, or nil when lockstat
@@ -741,8 +743,12 @@ func (k *Kernel) ReserveRegion(size uint64, name string) Region {
 // hierarchy is split.
 func (k *Kernel) BKLContended() uint64 { return k.locks.global.Contended() }
 
-// Run drives the simulation to completion.
-func (k *Kernel) Run() { k.Eng.Run() }
+// Run drives the simulation to completion, then passes the frames the
+// kernel freed on to the kernels booted after it (tmem.Memory.Release).
+func (k *Kernel) Run() {
+	k.Eng.Run()
+	k.Mem.Release()
+}
 
 // Spawn loads a program and creates its initial μprocess, whose entry
 // function starts at virtual time start.

@@ -14,11 +14,17 @@ import (
 )
 
 func newKernel(cores int, iso kernel.IsolationLevel) *kernel.Kernel {
+	return newKernelWith(cores, iso, kernel.Planes{})
+}
+
+// newKernelWith is newKernel with the given observability planes armed.
+func newKernelWith(cores int, iso kernel.IsolationLevel, pl kernel.Planes) *kernel.Kernel {
 	return kernel.New(kernel.Config{
 		Machine:   model.UFork(cores),
 		Engine:    core.New(core.CopyOnPointerAccess),
 		Isolation: iso,
 		Frames:    1 << 16,
+		Planes:    pl,
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"ufork/internal/cap"
-	"ufork/internal/obs"
 	"ufork/internal/obs/causal"
 	"ufork/internal/obs/flight"
 	"ufork/internal/obs/memmap"
@@ -179,7 +178,7 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFault,
 				uint64(fault.Kind), fault.VA, 0)
 		}
-		if obs.On() {
+		if p.k.Metrics != nil {
 			p.k.Metrics.Counter("vm.fault." + fault.Kind.String()).Inc()
 		}
 		// Taking the fault costs a trap + handler dispatch. Everything

@@ -6,29 +6,16 @@ import (
 )
 
 // This file is the profiler plane's only kernel coupling, mirroring
-// causal.go: ArmProfile installs the engine charge hook, and profCharge
-// assembles the synthetic sample stack — cpu / proc / syscall / phase —
-// from attribution state the kernel already maintains (curPID, the
-// in-flight syscall, fork-phase and fault-window markers). Nothing here
+// causal.go: New installs profCharge as the engine charge hook when
+// Planes.Profile is set, and profCharge assembles the synthetic sample
+// stack — cpu / proc / syscall / phase — from attribution state the
+// kernel already maintains (curPID, the in-flight syscall, fork-phase and
+// fault-window markers). Nothing here
 // advances a virtual clock, so arming the profiler cannot change the
-// simulated timeline, and the disabled path stays one atomic load.
-
-// ArmProfile attaches a profiler plane and installs the engine charge
-// hook feeding it. Like ArmCausal — and unlike ArmMemmap — arming does
-// not reset the plane: one plane may aggregate samples across several
-// kernel boots, which is how sweep-wide profiles and cross-run diffs
-// are built. Passing nil detaches the hook.
-func (k *Kernel) ArmProfile(pl *profile.Plane) {
-	k.Profile = pl
-	if k.Eng == nil {
-		return
-	}
-	if pl == nil {
-		k.Eng.OnCharge = nil
-		return
-	}
-	k.Eng.OnCharge = k.profCharge
-}
+// simulated timeline, and the disabled path stays one atomic load. Like
+// the causal plane, the profiler is not reset per kernel: one plane may
+// aggregate samples across several kernel boots, which is how sweep-wide
+// profiles and cross-run diffs are built.
 
 // profSample is one charge buffered while a fault window is open: the
 // copy mode — and with it the stack's phase frame — is only known after

@@ -23,9 +23,9 @@ func profStorm(t *testing.T, m *model.Machine, pl *profile.Plane) *kernel.Kernel
 		Engine:    core.New(core.CopyOnPointerAccess),
 		Isolation: kernel.IsolationFault,
 		Frames:    1 << 16,
+		Planes:    kernel.Planes{Profile: pl},
 	})
 	k.Eng.ArmSched(sim.NewSchedStats(k.Eng.Cores()))
-	k.ArmProfile(pl)
 	if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
 		for i := 0; i < 3; i++ {
 			if _, err := k.Fork(p, func(c *kernel.Proc) {
@@ -135,10 +135,8 @@ func TestProfileArmedTimelineInvariance(t *testing.T) {
 			Engine:    core.New(core.CopyOnPointerAccess),
 			Isolation: kernel.IsolationFault,
 			Frames:    1 << 16,
+			Planes:    kernel.Planes{Profile: pl},
 		})
-		if pl != nil {
-			k.ArmProfile(pl)
-		}
 		if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
 			for i := 0; i < 2; i++ {
 				if _, err := k.Fork(p, func(c *kernel.Proc) {

@@ -107,16 +107,15 @@ func TestSmapsSyscall(t *testing.T) {
 func TestSmapsGaugesAndPlane(t *testing.T) {
 	fr := flight.New(2, 4096)
 	fr.Enable()
+	pl := memmap.New()
+	pl.Enable()
 	k := kernel.New(kernel.Config{
 		Machine:   model.UFork(1),
 		Engine:    core.New(core.CopyOnPointerAccess),
 		Isolation: kernel.IsolationFull,
 		Frames:    1 << 16,
-		Flight:    fr,
+		Planes:    kernel.Planes{Flight: fr, Memmap: pl},
 	})
-	pl := memmap.New()
-	pl.Enable()
-	k.ArmMemmap(pl)
 
 	var childStat kernel.ProcStat
 	var planeMid memmap.Snapshot

@@ -19,14 +19,14 @@ import (
 func tortureRun(t *testing.T) (forks uint64, residualContended uint64) {
 	t.Helper()
 	const workers = 8
+	locks := sim.NewLockTable()
 	k := kernel.New(kernel.Config{
 		Machine:   model.UForkSMP(8),
 		Engine:    core.New(core.CopyOnPointerAccess),
 		Isolation: kernel.IsolationFault,
 		Frames:    1 << 14,
+		Planes:    kernel.Planes{Locks: locks},
 	})
-	locks := sim.NewLockTable()
-	k.ArmLockstat(locks)
 
 	worker := func(w *kernel.Proc, shared [2]int, writer bool) {
 		const msgs, msgSize = 8, 64

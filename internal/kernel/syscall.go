@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ufork/internal/cap"
-	"ufork/internal/obs"
 	"ufork/internal/obs/flight"
 	"ufork/internal/obs/memmap"
 	"ufork/internal/sim"
@@ -28,7 +27,7 @@ func (k *Kernel) enter(p *Proc, no SysNo, bufBytes int) {
 	if k.Flight.On() {
 		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindSyscall, uint64(no), 0, 0)
 	}
-	if obs.On() {
+	if k.Metrics != nil {
 		k.Metrics.Counter("syscall." + no.String()).Inc()
 	}
 	// Pending kills and signals are delivered at kernel entry.
@@ -128,7 +127,7 @@ func (k *Kernel) leave(p *Proc) {
 		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindSysRet,
 			uint64(p.sysNo), uint64(p.Task.Now()-p.sysEnter), 0)
 	}
-	if obs.On() {
+	if k.Metrics != nil {
 		k.Metrics.Histogram("syscall.latency").Observe(uint64(p.Task.Now() - p.sysEnter))
 	}
 	p.inSys = false
@@ -285,7 +284,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 		k.Flight.Emit(uint64(forkStart+stats.Latency), int32(p.PID), flight.KindForkDone,
 			uint64(child.PID), uint64(copiedPages), uint64(stats.CapsRelocated))
 	}
-	if obs.On() {
+	if k.Metrics != nil {
 		k.Metrics.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
 		// Per-phase latency histograms: the §6-style breakdown the
 		// telemetry server exports as fork_phase_* on /metrics.

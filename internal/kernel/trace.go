@@ -1,55 +1,12 @@
 package kernel
 
 import (
-	"fmt"
 	"io"
-	"os"
 
 	"ufork/internal/obs"
 	"ufork/internal/obs/flight"
 	"ufork/internal/vm"
 )
-
-// traceEvents is the capacity of the recorder a -trace run arms: 2^18
-// flight events of 48 bytes, 12 MiB of pointer-free memory.
-const traceEvents = 1 << 18
-
-// ArmTrace returns the recorder a -trace run dumps. When the telemetry
-// plane has armed flight.Default (-serve), that recorder is already on
-// every kernel and is reused; otherwise a fresh one is chained onto
-// TrackNew, so every kernel booted afterwards streams into it. A kernel a
-// harness handed its own recorder (the chaos runs) keeps that one.
-func ArmTrace() *flight.Recorder {
-	if flight.Default.On() {
-		return flight.Default
-	}
-	rec := flight.New(1, traceEvents)
-	rec.Enable()
-	old := TrackNew
-	TrackNew = func(k *Kernel) {
-		if old != nil {
-			old(k)
-		}
-		if k.Flight == flight.Default {
-			k.Flight = rec
-		}
-	}
-	return rec
-}
-
-// WriteTraceFile writes rec's buffered events to path as Chrome
-// trace_event JSON.
-func WriteTraceFile(path string, rec *flight.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, rec.Snapshot()); err != nil {
-		f.Close()
-		return fmt.Errorf("kernel: write trace %s: %w", path, err)
-	}
-	return f.Close()
-}
 
 // WriteChromeTrace converts flight events, in sequence order, to Chrome
 // trace_event JSON with one row per PID:

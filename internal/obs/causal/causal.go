@@ -148,7 +148,7 @@ func (tr *Trace) Dur() sim.Time { return tr.End - tr.Start }
 const DefaultK = 5
 
 // Plane is the trace-context plane. Construct with New; arm per kernel
-// via kernel.ArmCausal. Structural operations (Begin/Join/Adopt/Edge/
+// through kernel.Planes. Structural operations (Begin/Join/Adopt/Edge/
 // finish/Snapshot) lock the plane mutex because the telemetry server
 // reads counters and finished traces from an HTTP goroutine; span
 // checkpoints are lock-free, touched only by the owning task.

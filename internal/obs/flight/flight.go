@@ -188,8 +188,9 @@ func (e Event) Format() string {
 	}
 }
 
-// Defaults for the process-wide recorder: 8 shards × 4096 events bounds
-// memory at ~1.5 MiB while holding the last ~32k kernel events.
+// Default recorder geometry (the live telemetry plane, the chaos and YCSB
+// harnesses): 8 shards × 4096 events bounds memory at ~1.5 MiB while
+// holding the last ~32k kernel events.
 const (
 	DefaultShards   = 8
 	DefaultPerShard = 4096
@@ -234,12 +235,6 @@ func New(shards, perShard int) *Recorder {
 	}
 	return r
 }
-
-// Default is the process-wide recorder, shared by kernels constructed
-// without an explicit recorder. Disabled until armed (by -serve, a chaos
-// harness, or Enable): production deployments run it always-on; unit-test
-// and benchmark kernels pay only the disabled-path probe.
-var Default = New(DefaultShards, DefaultPerShard)
 
 // Enable arms the recorder.
 func (r *Recorder) Enable() { r.enabled.Store(true) }

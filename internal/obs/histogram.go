@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -55,15 +56,21 @@ func (h *Histogram) Observe(v uint64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.widen(v, v)
+}
+
+// widen lowers the recorded minimum to lo and raises the maximum to hi
+// where they extend the observed range.
+func (h *Histogram) widen(lo, hi uint64) {
 	for {
 		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
+		if lo >= cur || h.min.CompareAndSwap(cur, lo) {
 			break
 		}
 	}
 	for {
 		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		if hi <= cur || h.max.CompareAndSwap(cur, hi) {
 			break
 		}
 	}
@@ -139,6 +146,23 @@ func (h *Histogram) Reset() {
 	h.sum.Store(0)
 	h.min.Store(math.MaxUint64)
 	h.max.Store(0)
+}
+
+// Merge adds every observation of src into h. Both must share the same
+// bucket bounds.
+func (h *Histogram) Merge(src *Histogram) {
+	if !slices.Equal(h.bounds, src.bounds) {
+		panic("obs: merging histograms with different bounds")
+	}
+	if src.Count() == 0 {
+		return
+	}
+	for i := range src.counts {
+		h.counts[i].Add(src.counts[i].Load())
+	}
+	h.count.Add(src.count.Load())
+	h.sum.Add(src.sum.Load())
+	h.widen(src.min.Load(), src.max.Load())
 }
 
 // Buckets returns the bucket upper bounds and the cumulative observation

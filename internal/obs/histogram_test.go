@@ -162,3 +162,28 @@ func TestHistogramMinMaxCAS(t *testing.T) {
 		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
 	}
 }
+
+// TestHistogramMerge: merging two histograms gives the same summary as
+// observing every value into one, and mismatched bounds are refused.
+func TestHistogramMerge(t *testing.T) {
+	a, b, all := NewHistogram(nil), NewHistogram(nil), NewHistogram(nil)
+	for i, v := range []uint64{3, 70, 900, 12_000, 5, 400_000} {
+		if i%2 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+		all.Observe(v)
+	}
+	a.Merge(b)
+	a.Merge(NewHistogram(nil)) // empty: min/max untouched
+	if got, want := a.Summary(), all.Summary(); got != want {
+		t.Fatalf("merged summary = %+v, want %+v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging different bounds did not panic")
+		}
+	}()
+	a.Merge(NewHistogram([]uint64{1, 2}))
+}

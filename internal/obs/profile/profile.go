@@ -103,7 +103,7 @@ type cpuAcct struct {
 }
 
 // Plane is the profiler. One plane may aggregate across several kernel
-// boots (like the causal plane, ArmProfile does not reset it), which is
+// boots (like the causal plane, kernel.New does not reset it), which is
 // how sweep-wide profiles and cross-run diffs are built.
 type Plane struct {
 	enabled atomic.Bool

@@ -44,7 +44,8 @@ func (g *Gauge) Reset() { g.n.Store(0) }
 
 // Registry is a named collection of counters, gauges and histograms.
 // Lookups take a mutex; the returned instruments are lock-free, so hot
-// paths should hold on to them (or guard lookups behind obs.On()).
+// paths should hold on to them (or guard lookups behind a nil registry
+// check).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

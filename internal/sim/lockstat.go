@@ -151,7 +151,7 @@ func (m *LockMeter) Stat() LockStat {
 }
 
 // LockTable is the registry of named lock meters — the kernel arms one
-// via Kernel.ArmLockstat and the telemetry server snapshots it.
+// through kernel.Planes and the telemetry server snapshots it.
 type LockTable struct {
 	mu     sync.Mutex
 	meters map[string]*LockMeter

@@ -93,7 +93,7 @@ func WriteMetrics(w io.Writer, e Exposition) error {
 		}
 		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", m, cum[len(cum)-1])
 		fmt.Fprintf(bw, "%s_sum %d\n", m, h.Sum())
-		fmt.Fprintf(bw, "%s_count %d\n", m, h.Count())
+		fmt.Fprintf(bw, "%s_count %d\n", m, cum[len(cum)-1]) // one read: a live scrape stays self-consistent
 	}
 
 	writeProcMetrics(bw, e.Procs)
@@ -235,7 +235,7 @@ func writeHist(bw *bufio.Writer, name, labels string, h *obs.Histogram, val func
 	}
 	fmt.Fprintf(bw, "%s_bucket%s %d\n", name, brace(`le="+Inf"`), cum[len(cum)-1])
 	fmt.Fprintf(bw, "%s_sum%s %s\n", name, brace(""), val(h.Sum()))
-	fmt.Fprintf(bw, "%s_count%s %d\n", name, brace(""), h.Count())
+	fmt.Fprintf(bw, "%s_count%s %d\n", name, brace(""), cum[len(cum)-1])
 }
 
 // writeLockMetrics renders the lockstat families: per-lock acquisition

@@ -24,17 +24,14 @@ import (
 	"ufork/internal/sim"
 )
 
-// Server serves the telemetry endpoints. Construct with New; all handlers
-// read only atomic state, so serving concurrently with a running
-// simulation is safe.
+// Server serves the telemetry endpoints over one kernel.Planes value.
+// All handlers read only atomic state, so serving concurrently with a
+// running simulation is safe.
 type Server struct {
-	reg    *obs.Registry
-	fr     *flight.Recorder
-	pl     *memmap.Plane
-	causal *causal.Plane
-	prof   *profile.Plane
-	locks  *sim.LockTable
-	cur    atomic.Pointer[kernel.Kernel]
+	// Planes is what the server reads. Kernels booted with it
+	// (kernel.Config.Planes) record into the served planes, and the
+	// latest one becomes the kernel /procs, /locks and /sched reflect.
+	Planes kernel.Planes
 	ln     net.Listener
 
 	// Addr is the bound listen address, set by Start (useful with ":0").
@@ -42,44 +39,26 @@ type Server struct {
 }
 
 // New creates a server over the given metrics registry and flight
-// recorder. The server owns a memory-provenance plane; Track arms it on
-// each kernel it adopts.
+// recorder. The server adds an enabled memory-provenance plane, a lock
+// table, a live-kernel slot, and causal and profiler planes that start
+// disabled — Start enables them, so embedded and test servers keep a
+// genuine "not armed" /traces and /profile state.
 func New(reg *obs.Registry, fr *flight.Recorder) *Server {
-	pl := memmap.New()
-	pl.Enable()
-	// The causal and profiler planes start disabled — Start enables them
-	// when the live telemetry plane is armed, so embedded/test servers
-	// keep a genuine "not armed" /traces and /profile state.
-	return &Server{reg: reg, fr: fr, pl: pl, causal: causal.New(0),
-		prof: profile.New(0), locks: sim.NewLockTable()}
+	mm := memmap.New()
+	mm.Enable()
+	return &Server{Planes: kernel.Planes{
+		Metrics: reg,
+		Flight:  fr,
+		Memmap:  mm,
+		Causal:  causal.New(0),
+		Profile: profile.New(0),
+		Locks:   sim.NewLockTable(),
+		Live:    new(atomic.Pointer[kernel.Kernel]),
+	}}
 }
-
-// Track makes k the kernel /procs and per-proc /metrics families reflect,
-// and arms the provenance plane on it — kernels register through
-// kernel.TrackNew at construction, before their first frame allocation,
-// so the plane's ledger is complete. Installed by Start so bench runs
-// that boot many kernels always expose the current one.
-func (s *Server) Track(k *kernel.Kernel) {
-	s.cur.Store(k)
-	if k != nil && k.Mem != nil {
-		k.ArmMemmap(s.pl)
-	}
-	if k != nil && k.Eng != nil {
-		k.ArmLockstat(s.locks)
-	}
-	if k != nil {
-		k.ArmCausal(s.causal)
-		k.ArmProfile(s.prof)
-	}
-}
-
-// Profile returns the server's profiler plane. The bench -profile flag
-// writes its folded dump from here when the live plane is serving, so a
-// single plane feeds both the output file and /profile.
-func (s *Server) Profile() *profile.Plane { return s.prof }
 
 func (s *Server) procs() []kernel.ProcStat {
-	if k := s.cur.Load(); k != nil {
+	if k := s.Planes.Live.Load(); k != nil {
 		return k.ProcStats()
 	}
 	return nil
@@ -130,21 +109,21 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := Exposition{
-		Snap:          s.reg.Snapshot(),
-		Hists:         s.reg.Histograms(),
+		Snap:          s.Planes.Metrics.Snapshot(),
+		Hists:         s.Planes.Metrics.Histograms(),
 		Procs:         s.procs(),
-		FlightSeq:     s.fr.Seq(),
-		FlightDropped: s.fr.Dropped(),
+		FlightSeq:     s.Planes.Flight.Seq(),
+		FlightDropped: s.Planes.Flight.Dropped(),
 	}
-	if s.pl.On() {
-		snap := s.pl.Snapshot(0)
+	if s.Planes.Memmap.On() {
+		snap := s.Planes.Memmap.Snapshot(0)
 		e.Memmap = &snap
 	}
-	if s.causal.On() || s.causal.Started() > 0 {
-		snap := s.causal.Snapshot(0)
+	if s.Planes.Causal.On() || s.Planes.Causal.Started() > 0 {
+		snap := s.Planes.Causal.Snapshot(0)
 		e.Traces = &snap
 	}
-	if k := s.cur.Load(); k != nil {
+	if k := s.Planes.Live.Load(); k != nil {
 		if k.Locks != nil {
 			e.Locks = k.Locks.Meters()
 		}
@@ -160,7 +139,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // is stable either way.
 func (s *Server) handleLocks(w http.ResponseWriter, _ *http.Request) {
 	var stats []sim.LockStat
-	if k := s.cur.Load(); k != nil {
+	if k := s.Planes.Live.Load(); k != nil {
 		stats = k.Lockstat()
 	}
 	if stats == nil {
@@ -177,7 +156,7 @@ func (s *Server) handleLocks(w http.ResponseWriter, _ *http.Request) {
 // zero cores.
 func (s *Server) handleSched(w http.ResponseWriter, _ *http.Request) {
 	snap := &sim.SchedSnapshot{PerCore: []sim.CoreUtil{}}
-	if k := s.cur.Load(); k != nil {
+	if k := s.Planes.Live.Load(); k != nil {
 		if ks := k.SchedSnapshot(); ks != nil {
 			snap = ks
 		}
@@ -201,7 +180,7 @@ func (s *Server) handleMemmap(w http.ResponseWriter, r *http.Request) {
 		}
 		maxFrames = v
 	}
-	snap := s.pl.Snapshot(maxFrames)
+	snap := s.Planes.Memmap.Snapshot(maxFrames)
 	if snap.Procs == nil {
 		snap.Procs = []memmap.ProcNode{}
 	}
@@ -226,7 +205,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	// A recorder that was never armed and holds no events has nothing to
 	// dump; make that a clean client-visible condition instead of an
 	// empty 200 that reads like a healthy-but-idle system.
-	if !s.fr.On() && s.fr.Seq() == 0 {
+	if !s.Planes.Flight.On() && s.Planes.Flight.Seq() == 0 {
 		http.Error(w, "flight recorder not armed", http.StatusConflict)
 		return
 	}
@@ -241,11 +220,11 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
-		_ = kernel.WriteChromeTrace(w, s.fr.Tail(n))
+		_ = kernel.WriteChromeTrace(w, s.Planes.Flight.Tail(n))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = s.fr.WriteText(w, n)
+	_ = s.Planes.Flight.WriteText(w, n)
 }
 
 // handleTraces serves the causal plane's exemplar reservoirs: the K
@@ -255,7 +234,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// Like /flight: a plane that was never enabled and saw no traces is a
 	// clean client-visible condition, not a healthy-but-idle empty 200.
-	if !s.causal.On() && s.causal.Started() == 0 {
+	if !s.Planes.Causal.On() && s.Planes.Causal.Started() == 0 {
 		http.Error(w, "causal tracing not armed", http.StatusConflict)
 		return
 	}
@@ -271,12 +250,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Query().Get("format") {
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		_ = s.causal.WriteChromeTrace(w, k)
+		_ = s.Planes.Causal.WriteChromeTrace(w, k)
 	case "", "json":
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.causal.Snapshot(k))
+		_ = enc.Encode(s.Planes.Causal.Snapshot(k))
 	default:
 		http.Error(w, "bad format", http.StatusBadRequest)
 	}
@@ -290,7 +269,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	// Like /flight and /traces: a plane that was never armed and holds
 	// no samples is a clean client-visible condition, not a
 	// healthy-but-idle empty 200.
-	if !s.prof.On() && s.prof.Samples() == 0 {
+	if !s.Planes.Profile.On() && s.Planes.Profile.Samples() == 0 {
 		http.Error(w, "profiler not armed", http.StatusConflict)
 		return
 	}
@@ -303,7 +282,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	snap := s.prof.Snapshot()
+	snap := s.Planes.Profile.Snapshot()
 	switch r.URL.Query().Get("format") {
 	case "", "folded":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -329,15 +308,15 @@ type healthz struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	k := s.cur.Load()
+	k := s.Planes.Live.Load()
 	h := healthz{
 		Tracked: k != nil,
 		Planes: map[string]bool{
-			"flight":   s.fr.On(),
-			"memmap":   s.pl.On(),
+			"flight":   s.Planes.Flight.On(),
+			"memmap":   s.Planes.Memmap.On(),
 			"lockstat": k != nil && k.Locks != nil,
-			"causal":   s.causal.On(),
-			"profile":  s.prof.On(),
+			"causal":   s.Planes.Causal.On(),
+			"profile":  s.Planes.Profile.On(),
 		},
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -346,17 +325,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(h)
 }
 
-// Start arms the live telemetry plane on addr: enables the obs layer and
-// the default flight recorder, installs kernel tracking, binds the
-// listener (failing fast on a bad address), and serves in the background
-// for the life of the process. This is what the -serve flag calls.
+// Start arms the live telemetry plane on addr: a fresh registry, an
+// enabled flight recorder, and enabled causal and profiler planes. It
+// binds the listener (failing fast on a bad address) and serves in the
+// background for the life of the process. Boot kernels with the returned
+// server's Planes to serve them; this is what the -serve flag calls.
 func Start(addr string) (*Server, error) {
-	obs.Enable()
-	flight.Default.Enable()
-	s := New(obs.Default, flight.Default)
-	s.causal.Enable()
-	s.prof.Enable()
-	kernel.TrackNew = s.Track
+	fr := flight.New(flight.DefaultShards, flight.DefaultPerShard)
+	fr.Enable()
+	s := New(obs.NewRegistry(), fr)
+	s.Planes.Causal.Enable()
+	s.Planes.Profile.Enable()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)

@@ -61,9 +61,9 @@ func TestFlightEndpointNotArmed(t *testing.T) {
 		t.Fatalf("unarmed /flight body = %q", body)
 	}
 	// Once armed (even if later disabled), dumps work again.
-	s.fr.Enable()
-	s.fr.Emit(1, 1, flight.KindForkStart, 0, 0, 0)
-	s.fr.Disable()
+	s.Planes.Flight.Enable()
+	s.Planes.Flight.Emit(1, 1, flight.KindForkStart, 0, 0, 0)
+	s.Planes.Flight.Disable()
 	if res, _ := get(t, s.Handler(), "/flight"); res.StatusCode != http.StatusOK {
 		t.Fatalf("armed-then-disabled /flight status = %d, want 200", res.StatusCode)
 	}
@@ -75,7 +75,7 @@ func TestFlightEndpointNotArmed(t *testing.T) {
 // TestTracesEndpointNotArmed.
 func TestTracesEndpointErrorPaths(t *testing.T) {
 	s := testServer()
-	s.causal.Enable()
+	s.Planes.Causal.Enable()
 	cases := []struct {
 		path     string
 		status   int
@@ -114,13 +114,13 @@ func TestTracesEndpointNotArmed(t *testing.T) {
 	if !strings.Contains(body, "not armed") {
 		t.Fatalf("unarmed /traces body = %q", body)
 	}
-	s.causal.Enable()
+	s.Planes.Causal.Enable()
 	var delays [sim.NumDelayKinds]sim.Time
-	sp := s.causal.Begin("g", "op", 1, "p", 0, delays)
+	sp := s.Planes.Causal.Begin("g", "op", 1, "p", 0, delays)
 	delays[sim.DelayRun] = 100
 	sp.Checkpoint(100, delays)
-	s.causal.Close(sp, 100)
-	s.causal.Disable()
+	s.Planes.Causal.Close(sp, 100)
+	s.Planes.Causal.Disable()
 	res, body = get(t, s.Handler(), "/traces")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("armed-then-disabled /traces status = %d, want 200", res.StatusCode)
@@ -160,8 +160,8 @@ func TestLocksSchedEndpointsLive(t *testing.T) {
 		Engine:    core.New(core.CopyOnPointerAccess),
 		Isolation: kernel.IsolationFault,
 		Frames:    1 << 14,
+		Planes:    s.Planes,
 	})
-	s.Track(k)
 	if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
 		for i := 0; i < 2; i++ {
 			if _, err := k.Fork(p, func(c *kernel.Proc) {

@@ -19,7 +19,7 @@ import (
 // formats on good input.
 func TestProfileEndpointErrorPaths(t *testing.T) {
 	s := testServer()
-	s.prof.Enable()
+	s.Planes.Profile.Enable()
 	cases := []struct {
 		path     string
 		status   int
@@ -55,17 +55,17 @@ func TestProfileEndpointNotArmed(t *testing.T) {
 	if !strings.Contains(body, "not armed") {
 		t.Fatalf("unarmed /profile body = %q", body)
 	}
-	s.prof.Enable()
+	s.Planes.Profile.Enable()
 	k := trackedForkKernel(t, s)
 	_ = k
-	s.prof.Disable()
+	s.Planes.Profile.Disable()
 	if res, _ := get(t, s.Handler(), "/profile"); res.StatusCode != http.StatusOK {
 		t.Fatalf("armed-then-disabled /profile status = %d, want 200", res.StatusCode)
 	}
 }
 
-// trackedForkKernel boots a multicore kernel under the server's Track
-// and runs a small fork storm so every armed plane has data.
+// trackedForkKernel boots a multicore kernel armed with the server's
+// planes and runs a small fork storm so every armed plane has data.
 func trackedForkKernel(t *testing.T, s *Server) *kernel.Kernel {
 	t.Helper()
 	k := kernel.New(kernel.Config{
@@ -73,8 +73,8 @@ func trackedForkKernel(t *testing.T, s *Server) *kernel.Kernel {
 		Engine:    core.New(core.CopyOnPointerAccess),
 		Isolation: kernel.IsolationFault,
 		Frames:    1 << 14,
+		Planes:    s.Planes,
 	})
-	s.Track(k)
 	if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
 		for i := 0; i < 2; i++ {
 			if _, err := k.Fork(p, func(c *kernel.Proc) {
@@ -105,7 +105,7 @@ func trackedForkKernel(t *testing.T, s *Server) *kernel.Kernel {
 // gzip stream with protobuf content.
 func TestProfileEndpointLive(t *testing.T) {
 	s := testServer()
-	s.prof.Enable()
+	s.Planes.Profile.Enable()
 	trackedForkKernel(t, s)
 
 	_, folded := get(t, s.Handler(), "/profile?format=folded")
@@ -161,8 +161,8 @@ func TestHealthzEndpoint(t *testing.T) {
 	if !h.Planes["memmap"] {
 		t.Fatalf("memmap plane should be armed at construction: %+v", h)
 	}
-	s.causal.Enable()
-	s.prof.Enable()
+	s.Planes.Causal.Enable()
+	s.Planes.Profile.Enable()
 	trackedForkKernel(t, s)
 	h = parse()
 	if !h.Tracked || !h.Planes["causal"] || !h.Planes["profile"] || !h.Planes["lockstat"] {

@@ -80,7 +80,7 @@ func TestProcsEndpointEmpty(t *testing.T) {
 
 func TestProcsEndpointTracked(t *testing.T) {
 	s := testServer()
-	s.Track(&kernel.Kernel{}) // quiescent kernel: no procs, but tracked
+	s.Planes.Live.Store(&kernel.Kernel{}) // quiescent kernel: no procs, but tracked
 	_, body := get(t, s.Handler(), "/procs")
 	var procs []kernel.ProcStat
 	if err := json.Unmarshal([]byte(body), &procs); err != nil {
@@ -144,14 +144,14 @@ func TestIndexAndNotFound(t *testing.T) {
 // breakdown, and the bounded frame-lineage sample.
 func TestMemmapEndpoint(t *testing.T) {
 	s := testServer()
-	s.pl.OnSpawn(1, 0, "init", 0)
-	s.pl.OnSpawn(2, 1, "child", 1)
-	s.pl.OnAlloc(5, 1, 0, memmap.OriginImage)
-	s.pl.OnMap(1, 5) // shared by both after fork
-	s.pl.OnMap(2, 5)
-	s.pl.OnAlloc(6, 2, 1, memmap.OriginCoW)
-	s.pl.OnCopy(6, 5)
-	s.pl.OnMap(2, 6)
+	s.Planes.Memmap.OnSpawn(1, 0, "init", 0)
+	s.Planes.Memmap.OnSpawn(2, 1, "child", 1)
+	s.Planes.Memmap.OnAlloc(5, 1, 0, memmap.OriginImage)
+	s.Planes.Memmap.OnMap(1, 5) // shared by both after fork
+	s.Planes.Memmap.OnMap(2, 5)
+	s.Planes.Memmap.OnAlloc(6, 2, 1, memmap.OriginCoW)
+	s.Planes.Memmap.OnCopy(6, 5)
+	s.Planes.Memmap.OnMap(2, 6)
 
 	res, body := get(t, s.Handler(), "/memmap")
 	if ct := res.Header.Get("Content-Type"); ct != "application/json" {
@@ -220,9 +220,9 @@ func TestMemmapEndpointEmpty(t *testing.T) {
 // as the ufork_memmap_* families, and the result still lints clean.
 func TestMetricsIncludesMemmap(t *testing.T) {
 	s := testServer()
-	s.pl.OnSpawn(1, 0, "init", 0)
-	s.pl.OnAlloc(9, 1, 0, memmap.OriginEager)
-	s.pl.OnMap(1, 9)
+	s.Planes.Memmap.OnSpawn(1, 0, "init", 0)
+	s.Planes.Memmap.OnAlloc(9, 1, 0, memmap.OriginEager)
+	s.Planes.Memmap.OnMap(1, 9)
 	_, body := get(t, s.Handler(), "/metrics")
 	for _, want := range []string{
 		"ufork_memmap_frames_live 1",
@@ -243,9 +243,6 @@ func TestMetricsIncludesMemmap(t *testing.T) {
 // returned to the caller (not a background panic), and Close must release
 // the address for rebinding.
 func TestCloseReleasesAddr(t *testing.T) {
-	defer obs.Disable()
-	defer flight.Default.Disable()
-	defer func() { kernel.TrackNew = nil }()
 	s1, err := Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -273,15 +270,14 @@ func TestCloseReleasesAddr(t *testing.T) {
 // TestStartServesLive binds a real listener on :0 and scrapes it — the
 // exact path the -serve flag takes, minus the simulation.
 func TestStartServesLive(t *testing.T) {
-	defer obs.Disable()
-	defer flight.Default.Disable()
-	defer func() { kernel.TrackNew = nil }()
 	s, err := Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !obs.On() || !flight.Default.On() {
-		t.Fatal("Start must arm obs and the flight recorder")
+	defer s.Close()
+	pl := s.Planes
+	if pl.Metrics == nil || !pl.Flight.On() || !pl.Causal.On() || !pl.Profile.On() || pl.Live == nil {
+		t.Fatalf("Start must arm every plane it serves: %+v", pl)
 	}
 	resp, err := http.Get("http://" + s.Addr + "/metrics")
 	if err != nil {

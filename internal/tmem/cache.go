@@ -83,9 +83,11 @@ func (m *Memory) RefillCache() {
 		return
 	}
 	moved := false
-	for len(c.stacks[c.cpu]) < c.batch && len(m.freeList) > 0 {
-		pfn := m.freeList[len(m.freeList)-1]
-		m.freeList = m.freeList[:len(m.freeList)-1]
+	for len(c.stacks[c.cpu]) < c.batch {
+		pfn, ok := m.popFree()
+		if !ok {
+			break
+		}
 		c.stacks[c.cpu] = append(c.stacks[c.cpu], pfn)
 		moved = true
 	}

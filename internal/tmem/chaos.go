@@ -66,7 +66,7 @@ func LiveFrames() int64 { return liveFrames.Load() }
 // Allocated()+FreeFrames() == NumFrames() is the conservation law the
 // invariant checker audits.
 func (m *Memory) FreeFrames() int {
-	n := len(m.freeList)
+	n := m.freeCount()
 	if m.caches != nil {
 		for _, s := range m.caches.stacks {
 			n += len(s)

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"ufork/internal/cap"
@@ -127,13 +128,28 @@ func (f *Frame) reset() {
 	f.ntags = 0
 }
 
+// framePool passes freed Frames from finished banks (Release) to the
+// banks booted after them: a sweep boots hundreds of kernels, and each would
+// otherwise allocate its frames afresh. Pooled frames carry their caps
+// storage but no data, and are reset on reuse, so nothing a kernel can
+// observe crosses banks.
+var framePool sync.Pool
+
 // Memory is a bank of tagged physical frames with a free-list allocator.
 // Freed Frames are pooled and reset on reuse rather than handed to the
 // garbage collector: fork-heavy workloads recycle tens of thousands of
 // frames per fork and the allocation churn dominated host wall-clock time.
 type Memory struct {
-	frames    []*Frame
+	// frames is indexed by PFN. It grows as frames are first handed out,
+	// so a bank costs host memory in proportion to the frames it has
+	// used, not to its size: len(frames) == fresh.
+	frames  []*Frame
+	nframes int
+	// freeList holds freed frames, the most recent on top. Frames
+	// [fresh, nframes) have never been handed out and sit logically
+	// below it, lowest first (see popFree).
 	freeList  []PFN
+	fresh     PFN
 	pool      []*Frame
 	allocated int
 	peak      int
@@ -159,18 +175,32 @@ type Memory struct {
 }
 
 // New creates a memory bank with the given number of physical frames.
-func New(nframes int) *Memory {
-	m := &Memory{frames: make([]*Frame, nframes)}
-	m.freeList = make([]PFN, 0, nframes)
-	// Hand out low frames first for reproducibility.
-	for i := nframes - 1; i >= 0; i-- {
-		m.freeList = append(m.freeList, PFN(i))
-	}
-	return m
-}
+func New(nframes int) *Memory { return &Memory{nframes: nframes} }
 
 // NumFrames returns the total number of physical frames.
-func (m *Memory) NumFrames() int { return len(m.frames) }
+func (m *Memory) NumFrames() int { return m.nframes }
+
+// freeCount returns the number of frames on the shared free list,
+// counting the never-allocated ones.
+func (m *Memory) freeCount() int { return len(m.freeList) + m.nframes - int(m.fresh) }
+
+// popFree takes the top of the shared free list: the most recently freed
+// frame, else the lowest never-allocated one — low frames go out first,
+// for reproducibility. It reports false when the list is empty.
+func (m *Memory) popFree() (PFN, bool) {
+	if n := len(m.freeList); n > 0 {
+		pfn := m.freeList[n-1]
+		m.freeList = m.freeList[:n-1]
+		return pfn, true
+	}
+	if int(m.fresh) == m.nframes {
+		return NoFrame, false
+	}
+	pfn := m.fresh
+	m.fresh++
+	m.frames = append(m.frames, nil)
+	return pfn, true
+}
 
 // Allocated returns the number of frames currently allocated.
 func (m *Memory) Allocated() int { return m.allocated }
@@ -192,18 +222,15 @@ func (m *Memory) alloc(zero bool) (PFN, error) {
 	if m.hooks != nil && m.hooks.FailAlloc != nil && m.hooks.FailAlloc() {
 		return NoFrame, fmt.Errorf("%w (injected)", ErrOutOfMemory)
 	}
-	pfn, cached := m.takeCached()
-	if !cached {
-		if len(m.freeList) == 0 && !m.stealCaches() {
+	pfn, ok := m.takeCached()
+	if !ok {
+		if m.freeCount() == 0 && !m.stealCaches() {
 			return NoFrame, ErrOutOfMemory
 		}
-		pfn = m.freeList[len(m.freeList)-1]
-		m.freeList = m.freeList[:len(m.freeList)-1]
+		pfn, _ = m.popFree()
 	}
-	if n := len(m.pool); n > 0 {
-		f := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
+	f, pooled := m.takePooled()
+	if pooled {
 		if zero {
 			f.reset()
 		} else {
@@ -225,6 +252,32 @@ func (m *Memory) alloc(zero bool) (PFN, error) {
 	return pfn, nil
 }
 
+// takePooled returns a recycled Frame, from this bank's pool or else from
+// framePool, reporting false when there is none.
+func (m *Memory) takePooled() (*Frame, bool) {
+	if n := len(m.pool); n > 0 {
+		f := m.pool[n-1]
+		m.pool[n-1] = nil
+		m.pool = m.pool[:n-1]
+		return f, true
+	}
+	f, ok := framePool.Get().(*Frame)
+	return f, ok
+}
+
+// Release hands the bank's recycled frames to framePool for the banks
+// booted after it, dropping their data: a frame a bank has never written
+// holds no data storage. The bank stays usable. kernel.Run calls it once
+// every task has finished.
+func (m *Memory) Release() {
+	for i, f := range m.pool {
+		f.Data = nil
+		framePool.Put(f)
+		m.pool[i] = nil
+	}
+	m.pool = m.pool[:0]
+}
+
 // SetFrameObserver installs fn as the alloc/free observer; nil removes it.
 // Allocation is confined to the simulation goroutine, so the observer need
 // not be safe for concurrent use.
@@ -240,13 +293,13 @@ func (m *Memory) SetCopyObserver(fn func(dst, src PFN)) { m.copyObserver = fn }
 // currently allocated reports ErrFreeFree; the frame's storage is retained
 // in the pool for the next AllocFrame.
 func (m *Memory) FreeFrame(pfn PFN) error {
-	if pfn == NoFrame || int(pfn) >= len(m.frames) {
+	if pfn == NoFrame || int(pfn) >= m.nframes {
 		return fmt.Errorf("%w: pfn %d", ErrBadFrame, pfn)
 	}
-	f := m.frames[pfn]
-	if f == nil {
+	if int(pfn) >= len(m.frames) || m.frames[pfn] == nil {
 		return fmt.Errorf("%w: pfn %d", ErrFreeFree, pfn)
 	}
+	f := m.frames[pfn]
 	if m.hooks != nil && m.hooks.PoisonFreed {
 		poisonFrame(f)
 	}

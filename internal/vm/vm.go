@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"ufork/internal/obs"
 	"ufork/internal/tmem"
@@ -150,6 +151,11 @@ const (
 	dirMask = dirSize - 1
 )
 
+// dirPool recycles emptied directory nodes across every address space:
+// fork/exit churn maps and unmaps tens of thousands of pages, a sweep
+// boots hundreds of kernels, and the node allocations dominated.
+var dirPool sync.Pool
+
 // pageDir is one directory node. A slot is live iff its Page is non-nil;
 // live counts them so the node can be pooled the moment it empties. A
 // pooled node is always all-zero: every Unmap clears its slot.
@@ -168,9 +174,6 @@ type AddressSpace struct {
 	dirs map[VPN]*pageDir
 	// mapped counts live PTEs across all directories.
 	mapped int
-	// dirPool recycles emptied directory nodes: fork/exit churn maps and
-	// unmaps tens of thousands of pages and the node allocations dominated.
-	dirPool []*pageDir
 	// scratch is the reusable VPN snapshot buffer for range walks.
 	scratch []VPN
 	// lastKey/lastDir cache the most recent directory hit; sequential page
@@ -291,11 +294,7 @@ func (as *AddressSpace) dir(key VPN, create bool) *pageDir {
 		if !create {
 			return nil
 		}
-		if n := len(as.dirPool); n > 0 {
-			d = as.dirPool[n-1]
-			as.dirPool[n-1] = nil
-			as.dirPool = as.dirPool[:n-1]
-		} else {
+		if d, _ = dirPool.Get().(*pageDir); d == nil {
 			d = &pageDir{}
 		}
 		as.dirs[key] = d
@@ -356,7 +355,7 @@ func (as *AddressSpace) Unmap(vpn VPN) error {
 	as.mapped--
 	if d.live == 0 {
 		delete(as.dirs, key)
-		as.dirPool = append(as.dirPool, d)
+		dirPool.Put(d)
 		if as.lastDir == d {
 			as.lastDir = nil
 		}

@@ -58,6 +58,8 @@ type (
 	ForkStats = kernel.ForkStats
 	// Time is virtual time in nanoseconds.
 	Time = sim.Time
+	// Planes arms a kernel's observability planes.
+	Planes = kernel.Planes
 )
 
 // CopyStrategy selects μFork's state-transfer strategy (§3.8).
@@ -119,6 +121,9 @@ type Options struct {
 	Frames int
 	// Spec overrides the root program image (default HelloWorldSpec).
 	Spec *ProgramSpec
+	// Planes arms the observability planes on the kernel (default: all
+	// off).
+	Planes Planes
 }
 
 // System is a booted simulated machine plus its kernel.
@@ -156,6 +161,7 @@ func NewSystem(opts Options) *System {
 		Engine:    eng,
 		Isolation: iso,
 		Frames:    opts.Frames,
+		Planes:    opts.Planes,
 	})
 	spec := kernel.HelloWorldSpec()
 	if opts.Spec != nil {
