@@ -31,7 +31,6 @@ func armEverywhere(t *testing.T, pl kernel.Planes) {
 // extra Advance, a reordered lock wait — fails the byte comparison.
 func TestGoldenForkHistProfilerArmed(t *testing.T) {
 	pl := profile.New(0)
-	pl.Enable()
 	armEverywhere(t, kernel.Planes{Profile: pl})
 	rows, err := ForkHist(ForkHistItersQuick)
 	if err != nil {
@@ -51,7 +50,6 @@ func TestGoldenForkHistProfilerArmed(t *testing.T) {
 // lock-wait sampling runs hot on the exact workload the golden freezes.
 func TestGoldenContentionProfilerArmed(t *testing.T) {
 	pl := profile.New(0)
-	pl.Enable()
 	armEverywhere(t, kernel.Planes{Profile: pl})
 	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
 	if err != nil {
@@ -101,20 +99,12 @@ func TestGoldenContentionTraceArmed(t *testing.T) {
 // -profile do — and the contention golden must stay byte-identical while
 // each plane fills.
 func TestGoldenContentionAllPlanesArmed(t *testing.T) {
-	rec := flight.New(flight.DefaultShards, flight.DefaultPerShard)
-	rec.Enable()
-	mm := memmap.New()
-	mm.Enable()
-	cp := causal.New(0)
-	cp.Enable()
-	pp := profile.New(0)
-	pp.Enable()
 	pl := kernel.Planes{
 		Metrics: obs.NewRegistry(),
-		Flight:  rec,
-		Memmap:  mm,
-		Causal:  cp,
-		Profile: pp,
+		Flight:  flight.New(flight.DefaultShards, flight.DefaultPerShard),
+		Memmap:  memmap.New(),
+		Causal:  causal.New(0),
+		Profile: profile.New(0),
 		Locks:   sim.NewLockTable(),
 		Live:    new(atomic.Pointer[kernel.Kernel]),
 	}
@@ -124,11 +114,11 @@ func TestGoldenContentionAllPlanesArmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, RenderContention(rows), "golden_contention.txt")
-	if len(pl.Metrics.Snapshot().Counters) == 0 || rec.Seq() == 0 || pp.Samples() == 0 ||
-		len(mm.Snapshot(0).AllocsByOrigin) == 0 || len(pl.Locks.Snapshot()) == 0 || pl.Live.Load() == nil {
+	if len(pl.Metrics.Snapshot().Counters) == 0 || pl.Flight.Seq() == 0 || pl.Profile.Samples() == 0 ||
+		len(pl.Memmap.Snapshot(0).AllocsByOrigin) == 0 || len(pl.Locks.Snapshot()) == 0 || pl.Live.Load() == nil {
 		t.Fatal("an armed plane recorded nothing over the sweep")
 	}
-	if err := pp.CheckExact(); err != nil {
+	if err := pl.Profile.CheckExact(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +127,6 @@ func TestGoldenContentionAllPlanesArmed(t *testing.T) {
 func armTraceEverywhere(t *testing.T) *flight.Recorder {
 	t.Helper()
 	rec := flight.New(1, 1<<18)
-	rec.Enable()
 	armEverywhere(t, kernel.Planes{Flight: rec})
 	return rec
 }
@@ -164,7 +153,6 @@ func TestProfDiffFoldedDeterministic(t *testing.T) {
 	}
 	fold := func() string {
 		pl := profile.New(0)
-		pl.Enable()
 		if err := profDiffSweep(LocksBKL, YCSBKeysQuick, YCSBOpsQuick, pl); err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,6 @@ func ProfDiffSnapshots(keys, ops int) (bkl, smp profile.Snapshot, err error) {
 		out   *profile.Snapshot
 	}{{LocksBKL, &bkl}, {LocksSMP, &smp}} {
 		pl := profile.New(0)
-		pl.Enable()
 		if err = profDiffSweep(side.locks, keys, ops, pl); err != nil {
 			return
 		}

@@ -258,11 +258,9 @@ func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
 func ycsbPlanes(pl kernel.Planes) kernel.Planes {
 	if pl.Flight == nil {
 		pl.Flight = flight.New(flight.DefaultShards, flight.DefaultPerShard)
-		pl.Flight.Enable()
 	}
 	if pl.Causal == nil {
 		pl.Causal = causal.New(0)
-		pl.Causal.Enable()
 	}
 	return pl
 }

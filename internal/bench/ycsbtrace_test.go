@@ -20,7 +20,6 @@ func TestYCSBTraceExemplarBGSave(t *testing.T) {
 	// telemetry server does, so the cell's private-plane fallback is
 	// bypassed and the test can read the reservoir afterwards.
 	pl := causal.New(0)
-	pl.Enable()
 	c := ycsbCell{
 		workload: "kvstore", mix: ycsb.MixA, locks: LocksBKL, cores: 2,
 		keys: 512, ops: 800, seed: 11, slo: DefaultYCSBSLO("kvstore", false),

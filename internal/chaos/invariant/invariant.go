@@ -309,7 +309,7 @@ func (c *checker) pssConservation(entries []walkEntry, procs []*kernel.Proc) {
 // the allocator, and per-frame mapping counts equal to the page tables'.
 func (c *checker) memmapPlane(entries []walkEntry) {
 	pl := c.k.Memmap
-	if !pl.On() || !c.k.Machine.SingleAddressSpace {
+	if pl == nil || !c.k.Machine.SingleAddressSpace {
 		return
 	}
 	if live := pl.LiveFrames(); live != c.k.Mem.Allocated() {

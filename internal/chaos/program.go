@@ -142,20 +142,16 @@ func Run(cfg Config, prog []byte) (Result, error) {
 	// planes, else get private ones, so a failure dump always carries
 	// trace trees and stacks.
 	fr := flight.New(flight.DefaultShards, flight.DefaultPerShard)
-	fr.Enable()
 	pl := cfg.Planes
 	pl.Flight = fr
 	if pl.Memmap == nil {
 		pl.Memmap = memmap.New()
-		pl.Memmap.Enable()
 	}
 	if pl.Causal == nil {
 		pl.Causal = causal.New(0)
-		pl.Causal.Enable()
 	}
 	if pl.Profile == nil {
 		pl.Profile = profile.New(0)
-		pl.Profile.Enable()
 	}
 
 	eng := core.New(cfg.Mode)

@@ -40,7 +40,7 @@ func (k *Kernel) causalSpan(p *Proc) *causal.Span {
 // per YCSB cell or stress window). A live adopted span is superseded —
 // a fresh origin on this μprocess always wins.
 func (k *Kernel) TraceBegin(p *Proc, group, name string) {
-	if !k.Causal.On() {
+	if k.Causal == nil {
 		return
 	}
 	p.cspan = nil
@@ -50,7 +50,7 @@ func (k *Kernel) TraceBegin(p *Proc, group, name string) {
 		return
 	}
 	p.cspan = s
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindTraceStart, uint64(s.Trace()), 0, 0)
 	}
 }
@@ -70,7 +70,7 @@ func (k *Kernel) TraceEnd(p *Proc) {
 	s.Checkpoint(t.Now(), t.Delays())
 	k.Causal.Close(s, t.Now())
 	p.cspan = nil
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindTraceEnd, id, uint64(t.Now()-start), 0)
 	}
 }
@@ -103,7 +103,7 @@ func (k *Kernel) causalFork(p, child *Proc, at sim.Time) {
 		return
 	}
 	child.cspan = cs
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(at), int32(p.PID), flight.KindTraceEdge,
 			uint64(s.Trace()), uint64(causal.EdgeFork), uint64(child.PID))
 	}
@@ -113,7 +113,7 @@ func (k *Kernel) causalFork(p, child *Proc, at sim.Time) {
 // recording the writer→reader (or sender→target) edge. A process with a
 // live span of its own never adopts — the op already in flight owns it.
 func (k *Kernel) causalAdopt(p *Proc, kind causal.EdgeKind, id causal.TraceID, fromPID int32) {
-	if id == 0 || !k.Causal.On() || k.causalSpan(p) != nil {
+	if id == 0 || k.Causal == nil || k.causalSpan(p) != nil {
 		return
 	}
 	t := p.Task
@@ -122,7 +122,7 @@ func (k *Kernel) causalAdopt(p *Proc, kind causal.EdgeKind, id causal.TraceID, f
 		return
 	}
 	p.cspan = s
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(t.Now()), fromPID, flight.KindTraceEdge,
 			uint64(id), uint64(kind), uint64(p.PID))
 	}

@@ -12,7 +12,6 @@ import (
 // tracedKernel boots a kernel with an armed causal plane.
 func tracedKernel(cores int) (*kernel.Kernel, *causal.Plane) {
 	pl := causal.New(0)
-	pl.Enable()
 	return newKernelWith(cores, kernel.IsolationFull, kernel.Planes{Causal: pl}), pl
 }
 
@@ -230,9 +229,7 @@ func TestTraceSignalAdoption(t *testing.T) {
 // kinds with decodable payloads when both planes are armed.
 func TestTraceFlightEvents(t *testing.T) {
 	rec := flight.New(flight.DefaultShards, 4096)
-	rec.Enable()
 	pl := causal.New(0)
-	pl.Enable()
 	k := newKernelWith(2, kernel.IsolationFull, kernel.Planes{Flight: rec, Causal: pl})
 
 	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
@@ -273,7 +270,6 @@ func TestUntracedKernelUnaffected(t *testing.T) {
 		var planes kernel.Planes
 		if arm {
 			planes.Causal = causal.New(0)
-			planes.Causal.Enable()
 		}
 		k := newKernelWith(2, kernel.IsolationFull, planes)
 		var end uint64

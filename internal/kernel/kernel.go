@@ -323,36 +323,15 @@ type Kernel struct {
 
 	Stats Stats
 
-	// Metrics is the registry kernel counters and histograms record into,
-	// or nil when metrics are off: every site is one nil check. One
-	// registry may be shared by every kernel a sweep boots, so -metrics
-	// aggregates the whole run.
-	Metrics *obs.Registry
-
-	// Flight is the flight recorder kernel events stream into, or nil when
-	// it is off (Recorder.On and Emit are nil-safe).
-	Flight *flight.Recorder
+	// Planes holds the observability planes this kernel records into;
+	// each site tests its plane against nil.
+	Planes
 
 	// Chaos, when non-nil, is consulted at the entry of fallible syscalls
 	// and may fail them with an injected error (ENOMEM/EINTR storms). Set
 	// by the chaos harness (internal/chaos); nil in production.
 	Chaos SyscallFailer
 
-	// Memmap, when non-nil, is the memory-provenance plane
-	// (internal/obs/memmap): frame lineage, per-μprocess mapping sets, and
-	// the fork-tree sharing view.
-	Memmap *memmap.Plane
-
-	// Causal, when non-nil, is the causal trace-context plane
-	// (internal/obs/causal): request origins mint trace IDs, the kernel
-	// carries them across fork/pipe/signal boundaries, and the delay hooks
-	// flush per-trace critical-path segments. Every hook pays one nil check
-	// when it is off.
-	Causal *causal.Plane
-	// Profile, when non-nil, is the virtual-time sampling profiler
-	// (internal/obs/profile): the engine charge hook feeds it stack-
-	// attributed samples at a fixed virtual-time quantum.
-	Profile *profile.Plane
 	// memPhase classifies the kernel activity frames allocated right now
 	// should be attributed to (image load, eager fork copy, fault
 	// resolution, shm). Written only from the simulation goroutine.
@@ -362,14 +341,11 @@ type Kernel struct {
 	// mappings that the provenance plane must attribute to it.
 	forkChild *Proc
 
-	// Locks, when non-nil, is the armed lockstat table. On BKL machines the
-	// BKL is a real metered lock and lkProc/lkFD/lkTmem are shadow meters
-	// for the subsystems the BKL serializes on its behalf. On fine-grained
-	// machines every lock in the hierarchy is a real metered lock: the
-	// shadow trio stays nil and lkUproc/lkFDT are the shared per-class
-	// meters the per-μprocess locks attach to. Nil in production, where
-	// every site pays one nil check.
-	Locks   *sim.LockTable
+	// Lockstat meters, set when Planes.Locks is armed. On BKL machines
+	// lkProc/lkFD/lkTmem are shadow meters for the subsystems the BKL
+	// serializes on its behalf. On fine-grained machines the shadow trio
+	// stays nil and lkUproc/lkFDT are the shared per-class meters the
+	// per-μprocess locks attach to.
 	lkProc  *sim.LockMeter
 	lkFD    *sim.LockMeter
 	lkTmem  *sim.LockMeter
@@ -479,19 +455,32 @@ type Config struct {
 	Planes Planes
 }
 
-// Planes is the one way to arm observability on a kernel: New arms every
-// non-nil field before the kernel allocates its first frame, and a nil
-// field leaves that plane off. One value may be shared by every kernel a
-// run boots. Memmap and Locks restart with each kernel (frame numbers and
-// lock meters are per boot); Metrics, Flight, Causal and Profile
-// accumulate across kernels, which is how sweep-wide dumps are built.
+// Planes is the one way to arm observability on a kernel: a plane is on
+// exactly when its field is non-nil, and New arms every non-nil field
+// before the kernel allocates its first frame. One value may be shared by
+// every kernel a run boots. Memmap and Locks restart with each kernel
+// (frame numbers and lock meters are per boot); Metrics, Flight, Causal
+// and Profile accumulate across kernels, which is how sweep-wide dumps are
+// built.
 type Planes struct {
+	// Metrics is the registry kernel counters and histograms record into.
 	Metrics *obs.Registry
-	Flight  *flight.Recorder
-	Memmap  *memmap.Plane
-	Causal  *causal.Plane
+	// Flight is the recorder kernel events stream into.
+	Flight *flight.Recorder
+	// Memmap is the memory-provenance plane: frame lineage, per-μprocess
+	// mapping sets, and the fork-tree sharing view.
+	Memmap *memmap.Plane
+	// Causal is the trace-context plane: request origins mint trace IDs,
+	// the kernel carries them across fork/pipe/signal boundaries, and the
+	// delay hooks flush per-trace critical-path segments.
+	Causal *causal.Plane
+	// Profile is the virtual-time sampling profiler the engine charge hook
+	// feeds.
 	Profile *profile.Plane
-	Locks   *sim.LockTable
+	// Locks is the lockstat table. It also arms the engine's scheduler
+	// statistics, and with them the dispatch-wait hook, so Flight records
+	// dispatch events only when Locks is armed too.
+	Locks *sim.LockTable
 	// Live, when non-nil, is set to each kernel New boots, so a reader
 	// (the telemetry server's /procs, /locks and /healthz) follows the
 	// kernel running now.
@@ -505,6 +494,9 @@ func New(cfg Config) *Kernel {
 		frames = 1 << 19 // 2 GiB
 	}
 	pl := cfg.Planes
+	// Memmap restarts with the kernel and sees every frame (the invariant
+	// checker cross-checks it against the allocator).
+	pl.Memmap.Reset()
 	k := &Kernel{
 		Eng:     sim.NewEngine(cfg.Machine.Cores),
 		Machine: cfg.Machine,
@@ -514,44 +506,16 @@ func New(cfg Config) *Kernel {
 		vfs:     NewVFS(),
 		procs:   make(map[PID]*Proc),
 		next:    1,
-		Metrics: pl.Metrics,
-		Flight:  pl.Flight,
-		Causal:  pl.Causal,
+		Planes:  pl,
 	}
-	// Frame alloc/free flight events: timestamped from the running task's
-	// virtual clock (zero during pre-Run setup) and attributed to the
-	// process the kernel is currently serving. Allocation only ever happens
-	// on the simulation goroutine — parallel fork workers copy into frames
-	// allocated before the fan-out — so curPID is stable here.
-	k.Mem.SetFrameObserver(func(alloc bool, pfn tmem.PFN) {
-		if pl := k.Memmap; pl.On() {
-			if alloc {
-				pid, gen := k.curPID, 0
-				if c := k.forkChild; c != nil {
-					// Eager fork copies run on the parent's behalf but
-					// materialize the child's image.
-					pid, gen = c.PID, c.Gen
-				} else if p, ok := k.procs[pid]; ok {
-					gen = p.Gen
-				}
-				pl.OnAlloc(pfn, int32(pid), gen, k.memPhase)
-			} else {
-				pl.OnFree(pfn)
-			}
-		}
-		if !k.Flight.On() {
-			return
-		}
-		kind := flight.KindFrameAlloc
-		if !alloc {
-			kind = flight.KindFrameFree
-		}
-		k.Flight.Emit(uint64(k.Eng.Now()), int32(k.curPID), kind, uint64(pfn), 0, 0)
-	})
-	// Dispatch-queueing flight events: the engine consults this hook only
-	// when scheduler stats are armed, and only for grants that waited.
-	k.Eng.OnDispatch = func(t *sim.Task, wait sim.Time) {
-		if k.Flight.On() {
+	if pl.Memmap != nil || pl.Flight != nil {
+		k.Mem.SetFrameObserver(k.observeFrame)
+	}
+	if pl.Flight != nil {
+		// Dispatch-queueing flight events: the engine consults this hook
+		// only when scheduler stats are armed, and only for grants that
+		// waited.
+		k.Eng.OnDispatch = func(t *sim.Task, wait sim.Time) {
 			k.Flight.Emit(uint64(t.Now()), t.Tag, flight.KindDispatch, uint64(wait), 0, 0)
 		}
 	}
@@ -588,11 +552,8 @@ func New(cfg Config) *Kernel {
 	}
 	k.sentry = sentry
 	if pl.Memmap != nil {
-		// Memmap restarts with the kernel and sees every frame (the
-		// invariant checker cross-checks it against the allocator): the
-		// shared address space's mutations and frame copies feed it.
-		pl.Memmap.Reset()
-		k.Memmap = pl.Memmap
+		// The shared address space's mutations and frame copies feed the
+		// provenance plane.
 		if k.SharedAS != nil {
 			k.SharedAS.SetObserver(memObserver{k})
 		}
@@ -602,13 +563,44 @@ func New(cfg Config) *Kernel {
 		k.armLockstat(pl.Locks)
 	}
 	if pl.Profile != nil {
-		k.Profile = pl.Profile
 		k.Eng.OnCharge = k.profCharge
 	}
 	if pl.Live != nil {
 		pl.Live.Store(k)
 	}
 	return k
+}
+
+// observeFrame feeds frame alloc/free into the provenance plane and the
+// flight recorder; New installs it only when one of them is armed. Flight
+// events are timestamped from the running task's virtual clock (zero
+// during pre-Run setup) and attributed to the process the kernel is
+// currently serving. Allocation only ever happens on the simulation
+// goroutine — parallel fork workers copy into frames allocated before the
+// fan-out — so curPID is stable here.
+func (k *Kernel) observeFrame(alloc bool, pfn tmem.PFN) {
+	if pl := k.Memmap; pl != nil {
+		if alloc {
+			pid, gen := k.curPID, 0
+			if c := k.forkChild; c != nil {
+				// Eager fork copies run on the parent's behalf but
+				// materialize the child's image.
+				pid, gen = c.PID, c.Gen
+			} else if p, ok := k.procs[pid]; ok {
+				gen = p.Gen
+			}
+			pl.OnAlloc(pfn, int32(pid), gen, k.memPhase)
+		} else {
+			pl.OnFree(pfn)
+		}
+	}
+	if k.Flight != nil {
+		kind := flight.KindFrameAlloc
+		if !alloc {
+			kind = flight.KindFrameFree
+		}
+		k.Flight.Emit(uint64(k.Eng.Now()), int32(k.curPID), kind, uint64(pfn), 0, 0)
+	}
 }
 
 // armLockstat attaches a lockstat table. On BKL machines the BKL becomes a
@@ -767,7 +759,7 @@ func (k *Kernel) startProc(p *Proc, start sim.Time, entry func(*Proc)) {
 	if p.Parent != nil {
 		parent = p.Parent.PID
 	}
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(start), int32(p.PID), flight.KindProcSpawn, uint64(parent), 0, 0)
 	}
 	k.Memmap.OnSpawn(int32(p.PID), int32(parent), p.Spec.Name, p.Gen)
@@ -831,7 +823,7 @@ func (k *Kernel) terminate(p *Proc, status int) {
 	}
 	p.exited = true
 	p.exitStatus = status
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindProcExit, uint64(status), 0, 0)
 	}
 	k.curPID = p.PID

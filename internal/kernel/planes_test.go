@@ -20,20 +20,12 @@ import (
 
 // allPlanes returns a fresh, fully armed set of observability planes.
 func allPlanes() kernel.Planes {
-	fr := flight.New(2, 1<<14)
-	fr.Enable()
-	mm := memmap.New()
-	mm.Enable()
-	cp := causal.New(0)
-	cp.Enable()
-	pp := profile.New(0)
-	pp.Enable()
 	return kernel.Planes{
 		Metrics: obs.NewRegistry(),
-		Flight:  fr,
-		Memmap:  mm,
-		Causal:  cp,
-		Profile: pp,
+		Flight:  flight.New(2, 1<<14),
+		Memmap:  memmap.New(),
+		Causal:  causal.New(0),
+		Profile: profile.New(0),
 		Locks:   sim.NewLockTable(),
 		Live:    new(atomic.Pointer[kernel.Kernel]),
 	}

@@ -174,7 +174,7 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 		p.k.Stats.PageFaults.Inc()
 		p.Acct.Faults.Inc()
 		p.k.curPID = p.PID
-		if p.k.Flight.On() {
+		if p.k.Flight != nil {
 			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFault,
 				uint64(fault.Kind), fault.VA, 0)
 		}
@@ -276,7 +276,7 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			if pte := p.AS.Lookup(vm.VPNOf(fault.VA)); pte != nil {
 				newPFN = pte.Page.PFN
 			}
-			if pl := p.k.Memmap; pl.On() {
+			if pl := p.k.Memmap; pl != nil {
 				if copied > 0 && newPFN != oldPFN {
 					origin := memmap.OriginCoW
 					if mode == 3 {
@@ -286,7 +286,7 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 				}
 				pl.OwnerChange(newPFN, int32(p.PID), p.Gen)
 			}
-			if p.k.Flight.On() {
+			if p.k.Flight != nil {
 				old := uint64(newPFN)
 				if oldPFN != tmem.NoFrame {
 					old = uint64(oldPFN)
@@ -299,7 +299,7 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 		if copied > 0 {
 			p.Acct.chargeFrames(int64(copied))
 		}
-		if p.k.Flight.On() {
+		if p.k.Flight != nil {
 			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFaultDone,
 				uint64(fault.Kind), copied, relocs)
 		}

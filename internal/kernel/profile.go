@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"ufork/internal/obs/flight"
 	"ufork/internal/obs/profile"
 	"ufork/internal/sim"
 )
@@ -10,12 +11,12 @@ import (
 // Planes.Profile is set, and profCharge assembles the synthetic sample
 // stack — cpu / proc / syscall / phase — from attribution state the
 // kernel already maintains (curPID, the in-flight syscall, fork-phase and
-// fault-window markers). Nothing here
-// advances a virtual clock, so arming the profiler cannot change the
-// simulated timeline, and the disabled path stays one atomic load. Like
-// the causal plane, the profiler is not reset per kernel: one plane may
-// aggregate samples across several kernel boots, which is how sweep-wide
-// profiles and cross-run diffs are built.
+// fault-window markers). Nothing here advances a virtual clock, so arming
+// the profiler cannot change the simulated timeline, and a kernel without
+// a profiler installs no hook at all. Like the causal plane, the profiler
+// is not reset per kernel: one plane may aggregate samples across several
+// kernel boots, which is how sweep-wide profiles and cross-run diffs are
+// built.
 
 // profSample is one charge buffered while a fault window is open: the
 // copy mode — and with it the stack's phase frame — is only known after
@@ -44,9 +45,6 @@ func (k *Kernel) profProc(t *sim.Task) *Proc {
 // the plane is armed.
 func (k *Kernel) profCharge(t *sim.Task, core int, kind sim.DelayKind, d sim.Time) {
 	pl := k.Profile
-	if !pl.On() || d == 0 {
-		return
-	}
 	var pk profile.Kind
 	switch kind {
 	case sim.DelayRun:
@@ -84,7 +82,7 @@ func (k *Kernel) profCharge(t *sim.Task, core int, kind sim.DelayKind, d sim.Tim
 // same rule the causal plane applies.
 func (k *Kernel) profLockWait(p *Proc, l *sim.VLock, w sim.Time) {
 	pl := k.Profile
-	if !pl.On() || w == 0 {
+	if pl == nil || w == 0 {
 		return
 	}
 	core := p.Task.LastCore()
@@ -128,68 +126,25 @@ func (k *Kernel) profFaultEnd(p *Proc, mark int, label string) {
 	p.profBuf = p.profBuf[:mark]
 }
 
-// forkPhase is one labeled slice of a fork's latency charge.
-type forkPhase struct {
-	label string
-	d     sim.Time
-}
-
-// phasedAdvance charges total nanoseconds of off-core latency to p as a
-// sequence of labeled per-phase Advances. Consecutive Advances are
-// arithmetically identical to one combined Advance — no scheduling
-// point sits between them — so splitting the charge cannot move the
-// simulated timeline; it only lets the profiler attribute each phase.
-// Phases are clamped to the remaining budget and any remainder is
-// charged to the fallback label, so the total advanced always equals
-// total even if an engine's phase breakdown disagrees with its latency.
-func (k *Kernel) phasedAdvance(p *Proc, total sim.Time, phases []forkPhase, fallback string) {
-	rem := total
-	for _, ph := range phases {
-		d := ph.d
-		if d > rem {
-			d = rem
-		}
-		if d == 0 {
-			continue
-		}
-		p.profPhase = ph.label
-		p.Task.Advance(d)
-		rem -= d
+// forkPhaseLabels names each fork phase's profiler frame, built once so
+// advancing a fork allocates nothing.
+var forkPhaseLabels = func() (l [len(flight.ForkPhases)]string) {
+	for i, ph := range flight.ForkPhases {
+		l[i] = "fork:" + ph
 	}
-	if rem > 0 {
-		p.profPhase = fallback
-		p.Task.Advance(rem)
+	return l
+}()
+
+// forkAdvance charges phases [from, to) of a fork's latency to the parent,
+// each under its fork:<phase> frame so profiler samples name the phase.
+// Consecutive Advances are arithmetically one combined Advance — no
+// scheduling point sits between them — so the split cannot move the
+// simulated timeline, armed profiler or not. The phases sum to Latency
+// (TestForkPhasesSumToLatency), so the whole latency is charged.
+func forkAdvance(p *Proc, phases *[len(flight.ForkPhases)]phaseStat, from, to int) {
+	for i := from; i < to; i++ {
+		p.profPhase = forkPhaseLabels[i]
+		p.Task.Advance(phases[i].dur)
 	}
 	p.profPhase = ""
-}
-
-// forkMemAdvance charges the memory-side fork latency (everything but
-// the kernel FD fixup) to the parent. With the profiler armed the
-// charge is split per engine phase so samples land under
-// phase:fork:<phase> stacks; unarmed it stays the historical single
-// Advance — the total is identical either way.
-func (k *Kernel) forkMemAdvance(p *Proc, stats ForkStats) {
-	total := stats.Latency - stats.FixupTime
-	if !k.Profile.On() {
-		p.Task.Advance(total)
-		return
-	}
-	k.phasedAdvance(p, total, []forkPhase{
-		{"fork:reserve", stats.ReserveTime},
-		{"fork:ptecopy", stats.PTECopyTime},
-		{"fork:eagercopy", stats.EagerCopyTime},
-		{"fork:scan", stats.ScanTime},
-		{"fork:reg", stats.RegTime},
-	}, "fork:other")
-}
-
-// forkFixupAdvance charges the kernel-side FD duplication + fixed fork
-// cost, labeled fork:fixup when the profiler is armed.
-func (k *Kernel) forkFixupAdvance(p *Proc, stats ForkStats) {
-	if !k.Profile.On() {
-		p.Task.Advance(stats.FixupTime)
-		return
-	}
-	k.phasedAdvance(p, stats.FixupTime,
-		[]forkPhase{{"fork:fixup", stats.FixupTime}}, "fork:fixup")
 }

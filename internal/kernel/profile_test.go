@@ -73,7 +73,6 @@ func TestProfileExactSumVsSched(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := profile.New(0)
-			pl.Enable()
 			k := profStorm(t, tc.m, pl)
 			if err := pl.CheckExact(); err != nil {
 				t.Fatal(err)
@@ -103,7 +102,6 @@ func TestProfileExactSumVsSched(t *testing.T) {
 // (under the contended BKL) lock-wait sites.
 func TestProfileStacks(t *testing.T) {
 	pl := profile.New(100) // fine quantum so every source ticks
-	pl.Enable()
 	profStorm(t, model.UFork(4), pl)
 	folded := pl.Folded()
 	for _, frag := range []string{
@@ -166,7 +164,6 @@ func TestProfileArmedTimelineInvariance(t *testing.T) {
 		return end, k.Stats.Forks.Value()
 	}
 	pl := profile.New(0)
-	pl.Enable()
 	bareEnd, bareForks := run(nil)
 	armedEnd, armedForks := run(pl)
 	if bareEnd != armedEnd || bareForks != armedForks {

@@ -106,9 +106,7 @@ func TestSmapsSyscall(t *testing.T) {
 // with the page-table walk, and the sharing break emits FrameOwnerChange.
 func TestSmapsGaugesAndPlane(t *testing.T) {
 	fr := flight.New(2, 4096)
-	fr.Enable()
 	pl := memmap.New()
-	pl.Enable()
 	k := kernel.New(kernel.Config{
 		Machine:   model.UFork(1),
 		Engine:    core.New(core.CopyOnPointerAccess),

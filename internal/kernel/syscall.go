@@ -24,7 +24,7 @@ func (k *Kernel) enter(p *Proc, no SysNo, bufBytes int) {
 	p.sysEnter = t.Now()
 	p.inSys = true
 	k.curPID = p.PID
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindSyscall, uint64(no), 0, 0)
 	}
 	if k.Metrics != nil {
@@ -85,7 +85,7 @@ func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 	if l == &k.locks.global {
 		p.Acct.BKLWaitNS.Add(uint64(w))
 	}
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindLockWait,
 			uint64(w), uint64(p.sysNo), 0)
 	}
@@ -102,7 +102,7 @@ func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 // switch with its TLB/cache maintenance (§2.2). Switches occupy the CPU,
 // so they are booked on a core rather than merely advancing the clock.
 func (k *Kernel) chargeSwitch(p *Proc) {
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindCtxSwitch,
 			uint64(k.Machine.CtxSwitch), 0, 0)
 	}
@@ -123,7 +123,7 @@ func (k *Kernel) leave(p *Proc) {
 		p.Task.ReleaseAll()
 	}
 	p.Task.Advance(k.Machine.SyscallExit)
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindSysRet,
 			uint64(p.sysNo), uint64(p.Task.Now()-p.sysEnter), 0)
 	}
@@ -171,7 +171,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	p.Forked++
 	p.Acct.Forks.Inc()
 	forkStart := p.Task.Now()
-	if k.Flight.On() {
+	if k.Flight != nil {
 		k.Flight.Emit(uint64(forkStart), int32(p.PID), flight.KindForkStart, 0, 0, 0)
 	}
 
@@ -264,7 +264,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	p.Acct.ForkCapsRelocated.Add(uint64(stats.CapsRelocated))
 	child.Acct.chargeFrames(int64(copiedPages))
 	child.Acct.noteBrk(child.BrkPages)
-	if k.Memmap.On() {
+	if k.Memmap != nil {
 		// The fork redrew both sides' sharing picture; refresh their smaps
 		// gauges so live /procs views show the post-fork footprint.
 		k.refreshMemStats(p)
@@ -272,7 +272,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	}
 
 	phases := stats.phases(child.FDs.Len())
-	if k.Flight.On() {
+	if k.Flight != nil {
 		// One event per phase, laid end to end from forkStart: kernel.Fork
 		// advances the parent's clock by stats.Latency below, so the phases
 		// tile [forkStart, forkStart+Latency) exactly.
@@ -301,16 +301,16 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	// tmem allocator lock, descriptor duplication and the fixed fixup under
 	// the parent's FD-table lock — so lockstat hold times show what each
 	// subsystem actually serializes. The total advanced is identical.
+	const fixup = len(phases) - 1
 	if fg {
 		k.lockWait(p, &k.locks.tmem)
-		k.forkMemAdvance(p, stats)
+		forkAdvance(p, &phases, 0, fixup)
 		k.locks.tmem.Unlock(p.Task)
 		k.lockWait(p, &p.fdlk)
-		k.forkFixupAdvance(p, stats)
+		forkAdvance(p, &phases, fixup, len(phases))
 		p.fdlk.Unlock(p.Task)
 	} else {
-		k.forkMemAdvance(p, stats)
-		k.forkFixupAdvance(p, stats)
+		forkAdvance(p, &phases, 0, len(phases))
 	}
 	p.LastFork = stats
 	k.startProc(child, p.Task.Now(), childEntry)

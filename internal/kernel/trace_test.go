@@ -32,7 +32,6 @@ func ns(us float64) uint64 { return uint64(math.Round(us * 1000)) }
 // stays instant.
 func TestChromeExportCoPAFork(t *testing.T) {
 	rec := flight.New(1, 1<<14)
-	rec.Enable()
 	k := newKernelWith(2, kernel.IsolationFull, kernel.Planes{Flight: rec})
 	var parent, child int
 	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {

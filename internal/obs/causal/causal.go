@@ -16,9 +16,9 @@
 //
 // Design constraints, in order:
 //
-//  1. Zero cost when off. A kernel without an armed plane pays one nil
-//     check per hook; Plane.On and Span.Active are nil-safe, and the
-//     disabled path is pinned ≤5 ns by the benchmark beside flight's.
+//  1. Zero cost when off. A kernel without the plane holds a nil one and
+//     pays one nil check per hook; Begin and Span.Active are nil-safe,
+//     and the nil path is pinned ≤5 ns by the benchmark beside flight's.
 //  2. No virtual-time perturbation. Arming the plane never advances a
 //     clock, so goldens stay byte-identical with tracing always on.
 //  3. Exact attribution. Segments are per-bucket deltas of the owning
@@ -30,7 +30,6 @@ package causal
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"ufork/internal/sim"
 )
@@ -153,8 +152,6 @@ const DefaultK = 5
 // reads counters and finished traces from an HTTP goroutine; span
 // checkpoints are lock-free, touched only by the owning task.
 type Plane struct {
-	enabled atomic.Bool
-
 	mu       sync.Mutex
 	nextID   uint64
 	started  uint64
@@ -166,7 +163,7 @@ type Plane struct {
 }
 
 // New creates a plane keeping the k slowest complete traces per group
-// (k <= 0 selects DefaultK). Disabled until Enable.
+// (k <= 0 selects DefaultK). It traces from the moment it exists.
 func New(k int) *Plane {
 	if k <= 0 {
 		k = DefaultK
@@ -178,18 +175,7 @@ func New(k int) *Plane {
 	}
 }
 
-// Enable arms the plane.
-func (pl *Plane) Enable() { pl.enabled.Store(true) }
-
-// Disable stops new trace creation (live traces still finish).
-func (pl *Plane) Disable() { pl.enabled.Store(false) }
-
-// On reports whether the plane is armed: nil-safe, one atomic load — the
-// probe every origin site pays when tracing is off.
-func (pl *Plane) On() bool { return pl != nil && pl.enabled.Load() }
-
-// Started returns the number of traces ever begun (telemetry's
-// armed-versus-idle discriminator, like flight's Seq).
+// Started returns the number of traces ever begun.
 func (pl *Plane) Started() uint64 {
 	if pl == nil {
 		return 0
@@ -200,7 +186,6 @@ func (pl *Plane) Started() uint64 {
 }
 
 // Reset drops all live and finished traces and restarts the counters.
-// The enabled switch is left as is.
 func (pl *Plane) Reset() {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -217,9 +202,9 @@ func newSpan(tr *Trace, pid int32, proc string, root bool, now sim.Time, delays 
 }
 
 // Begin mints a trace and its root span for the op starting now on pid.
-// Returns nil when the plane is disabled.
+// Returns nil on a nil plane.
 func (pl *Plane) Begin(group, op string, pid int32, proc string, now sim.Time, delays [sim.NumDelayKinds]sim.Time) *Span {
-	if !pl.On() {
+	if pl == nil {
 		return nil
 	}
 	pl.mu.Lock()

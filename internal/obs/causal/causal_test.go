@@ -28,7 +28,6 @@ func segSum(segs []Segment) uint64 {
 // adjacent same-label segments merge.
 func TestCheckpointTiling(t *testing.T) {
 	pl := New(0)
-	pl.Enable()
 	s := pl.Begin("g", "op", 1, "proc", 100, del(0, 0, 0, 0, 0))
 	if s == nil || !s.Root() || !s.Active() {
 		t.Fatal("Begin on an enabled plane must return a live root span")
@@ -69,7 +68,6 @@ func TestCheckpointTiling(t *testing.T) {
 // into one segment.
 func TestCheckpointMerge(t *testing.T) {
 	pl := New(0)
-	pl.Enable()
 	s := pl.Begin("g", "op", 1, "p", 0, del(0, 0, 0, 0, 0))
 	s.Checkpoint(10, del(10, 0, 0, 0, 0))
 	s.Checkpoint(25, del(25, 0, 0, 0, 0))
@@ -82,7 +80,6 @@ func TestCheckpointMerge(t *testing.T) {
 // bucket's delta while the others keep their defaults.
 func TestCheckpointAsSiteLabel(t *testing.T) {
 	pl := New(0)
-	pl.Enable()
 	s := pl.Begin("g", "op", 1, "p", 0, del(0, 0, 0, 0, 0))
 	s.CheckpointAs(sim.DelayLockWait, "lock:tmem", 50, del(10, 0, 0, 0, 40))
 	want := []Segment{
@@ -106,7 +103,6 @@ func TestCheckpointAsSiteLabel(t *testing.T) {
 // and nested site labels inside the window survive.
 func TestRelabelWindow(t *testing.T) {
 	pl := New(0)
-	pl.Enable()
 	s := pl.Begin("g", "op", 1, "p", 0, del(0, 0, 0, 0, 0))
 
 	// Pre-fault run time.
@@ -156,7 +152,6 @@ func TestRelabelWindow(t *testing.T) {
 // exactly the K slowest finished traces, duration-descending.
 func TestReservoirKeepsSlowest(t *testing.T) {
 	pl := New(2)
-	pl.Enable()
 	for _, d := range []sim.Time{10, 30, 20, 5} {
 		s := pl.Begin("cell", "op", 1, "p", 0, del(0, 0, 0, 0, 0))
 		s.Checkpoint(d, del(d, 0, 0, 0, 0))
@@ -179,7 +174,6 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 // its share of op latency.
 func TestClassifier(t *testing.T) {
 	pl := New(0)
-	pl.Enable()
 	s := pl.Begin("g", "op", 1, "p", 0, del(0, 0, 0, 0, 0))
 	s.CheckpointAs(sim.DelayLockWait, "lock:tmem", 70, del(30, 0, 0, 0, 40))
 	s.CheckpointAs(sim.DelayLockWait, "lock:tmem", 100, del(40, 0, 0, 0, 60))
@@ -198,7 +192,6 @@ func TestClassifier(t *testing.T) {
 // rules that keep dead contexts from resurrecting.
 func TestJoinAdoptLifecycle(t *testing.T) {
 	pl := New(0)
-	pl.Enable()
 	root := pl.Begin("g", "op", 1, "parent", 0, del(0, 0, 0, 0, 0))
 	child := pl.Join(root, EdgeFork, 2, "child", 10, del(0, 0, 0, 0, 0))
 	if child == nil || child.Root() {
@@ -247,7 +240,6 @@ func TestRenderTop(t *testing.T) {
 	if pl.RenderTop(3) != "" {
 		t.Fatal("empty plane must render empty")
 	}
-	pl.Enable()
 	root := pl.Begin("ycsb/a", "op", 1, "kv", 0, del(0, 0, 0, 0, 0))
 	child := pl.Join(root, EdgeFork, 2, "bgsave", 5, del(0, 0, 0, 0, 0))
 	child.Checkpoint(9, del(4, 0, 0, 0, 0))
@@ -274,7 +266,6 @@ func TestRenderTop(t *testing.T) {
 // complete events and a flow-arrow pair per causal edge.
 func TestChromeExport(t *testing.T) {
 	pl := New(0)
-	pl.Enable()
 	root := pl.Begin("g", "op", 1, "kv", 100, del(0, 0, 0, 0, 0))
 	child := pl.Join(root, EdgeFork, 2, "bgsave", 110, del(0, 0, 0, 0, 0))
 	child.Checkpoint(120, del(10, 0, 0, 0, 0))
@@ -313,27 +304,30 @@ func TestChromeExport(t *testing.T) {
 // every entry point tolerates nil planes and nil spans.
 func TestDisabledAndNilSafety(t *testing.T) {
 	var nilPlane *Plane
-	if nilPlane.On() || nilPlane.Started() != 0 || nilPlane.RenderTop(5) != "" {
-		t.Fatal("nil plane must read as off and empty")
+	if nilPlane.Started() != 0 || nilPlane.RenderTop(5) != "" {
+		t.Fatal("nil plane must read as empty")
 	}
-	pl := New(0)
-	if s := pl.Begin("g", "op", 1, "p", 0, del(0, 0, 0, 0, 0)); s != nil {
-		t.Fatal("Begin on a disabled plane must return nil")
+	if s := nilPlane.Begin("g", "op", 1, "p", 0, del(0, 0, 0, 0, 0)); s != nil {
+		t.Fatal("Begin on a nil plane must return nil")
 	}
 	var s *Span
 	s.Checkpoint(10, del(0, 0, 0, 0, 0)) // must not panic
 	s.CheckpointAs(sim.DelayRun, "x", 10, del(0, 0, 0, 0, 0))
 	s.RelabelWindow(s.Mark(), "x")
-	pl.Close(s, 10)
+	New(0).Close(s, 10)
 	if s.Active() || s.Trace() != 0 || s.Root() {
 		t.Fatal("nil span must be inert")
 	}
 }
 
-// TestDisabledPathUnder5ns pins the acceptance bound: with tracing off,
-// the origin-site probe (nil-safe On) and the hook-site probe (nil span
-// checkpoint) each cost ≤5 ns and zero allocations. Mirrors flight's
-// disabled-emit gate.
+// offPlane is the plane of a kernel with tracing off. It is a package
+// variable so the compiler cannot prove it nil and drop the probe.
+var offPlane *Plane
+
+// TestDisabledPathUnder5ns pins the acceptance bound: with tracing off
+// (a nil plane), the origin-site probe (the kernel's nil check before
+// Begin) and the hook-site probe (nil span checkpoint) each cost ≤5 ns
+// and zero allocations. Mirrors flight's disabled-emit gate.
 func TestDisabledPathUnder5ns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -341,34 +335,25 @@ func TestDisabledPathUnder5ns(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation breaks the timing bound")
 	}
-	pl := New(0) // constructed but never enabled
-	var sink bool
+	var sink *Span
+	d := del(0, 0, 0, 0, 0)
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink = pl.On()
+			if offPlane != nil {
+				sink = offPlane.Begin("g", "op", 1, "p", sim.Time(i), d)
+			}
 		}
 	})
 	if ns := res.NsPerOp(); ns > 5 {
-		t.Fatalf("disabled On() costs %d ns/probe, want ≤5", ns)
+		t.Fatalf("nil-plane origin probe costs %d ns/probe, want ≤5", ns)
 	}
 	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Fatalf("disabled On() allocates %d objects/probe, want 0", allocs)
+		t.Fatalf("nil-plane origin probe allocates %d objects/probe, want 0", allocs)
 	}
 	_ = sink
 
-	var nilPlane *Plane
-	res = testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink = nilPlane.On()
-		}
-	})
-	if ns := res.NsPerOp(); ns > 5 {
-		t.Fatalf("nil-plane On() costs %d ns/probe, want ≤5", ns)
-	}
-
 	// The kernel hook shape: a nil span's checkpoint guard.
 	var s *Span
-	d := del(0, 0, 0, 0, 0)
 	res = testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.Checkpoint(sim.Time(i), d)
@@ -382,12 +367,14 @@ func TestDisabledPathUnder5ns(t *testing.T) {
 	}
 }
 
-// BenchmarkDisabledOn is the origin-site probe with the plane off.
-func BenchmarkDisabledOn(b *testing.B) {
-	pl := New(0)
-	var sink bool
+// BenchmarkDisabledBegin is the origin-site probe with the plane off.
+func BenchmarkDisabledBegin(b *testing.B) {
+	var sink *Span
+	d := del(0, 0, 0, 0, 0)
 	for i := 0; i < b.N; i++ {
-		sink = pl.On()
+		if offPlane != nil {
+			sink = offPlane.Begin("g", "op", 1, "p", sim.Time(i), d)
+		}
 	}
 	_ = sink
 }

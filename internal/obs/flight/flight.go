@@ -11,9 +11,9 @@
 //
 //  1. Zero-allocation append. An Event is a fixed-size value written in
 //     place into a preallocated ring; Emit never allocates, on any path.
-//  2. Cheap when off. A disabled Emit is one atomic load and a branch —
-//     pinned under 10 ns/event by the benchmarks next to the obs
-//     disabled-path suite.
+//  2. Cheap when off. A kernel without a recorder holds a nil one, and a
+//     nil Emit is one pointer test and a branch — pinned under 10 ns/event
+//     by the benchmarks next to the obs disabled-path suite.
 //  3. Race-safe and shard-scalable. Events are sharded by PID so kernels
 //     driven from concurrent host goroutines contend only within a shard;
 //     a global atomic sequence number preserves total order across shards.
@@ -207,9 +207,10 @@ type shard struct {
 }
 
 // Recorder is a sharded fixed-capacity event ring. The zero value is not
-// usable; construct with New. All methods are safe for concurrent use.
+// usable; construct with New. A recorder records from the moment it
+// exists; a nil *Recorder is the one that is off, and Emit, Seq and
+// Dropped accept it. All methods are safe for concurrent use.
 type Recorder struct {
-	enabled atomic.Bool
 	seq     atomic.Uint64
 	dropped atomic.Uint64
 	shards  []shard
@@ -236,21 +237,11 @@ func New(shards, perShard int) *Recorder {
 	return r
 }
 
-// Enable arms the recorder.
-func (r *Recorder) Enable() { r.enabled.Store(true) }
-
-// Disable stops recording (buffered events are kept).
-func (r *Recorder) Disable() { r.enabled.Store(false) }
-
-// On reports whether the recorder is armed: one atomic load, the hot-path
-// probe call sites may use to skip argument marshalling.
-func (r *Recorder) On() bool { return r != nil && r.enabled.Load() }
-
-// Emit appends one event. When the recorder is nil or disabled this is a
-// single atomic load and branch; when enabled it is a shard-mutex
-// acquisition and an in-place 48-byte write — no allocation on any path.
+// Emit appends one event. On a nil recorder this is a pointer test and a
+// branch; otherwise it is a shard-mutex acquisition and an in-place
+// 48-byte write — no allocation on any path.
 func (r *Recorder) Emit(ts uint64, pid int32, kind Kind, a0, a1, a2 uint64) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	seq := r.seq.Add(1)
@@ -282,13 +273,22 @@ func (r *Recorder) Len() int {
 }
 
 // Dropped returns the number of events evicted by ring wrap-around.
-func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
+func (r *Recorder) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.dropped.Load()
+}
 
 // Seq returns the number of events ever emitted.
-func (r *Recorder) Seq() uint64 { return r.seq.Load() }
+func (r *Recorder) Seq() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.seq.Load()
+}
 
 // Reset discards all buffered events and restarts the sequence counter.
-// The enabled switch is left as is.
 func (r *Recorder) Reset() {
 	for i := range r.shards {
 		s := &r.shards[i]

@@ -15,22 +15,18 @@ func seqs(evs []Event) []uint64 {
 	return out
 }
 
+// TestEmitDisabledRecordsNothing: a nil recorder is the one that is off;
+// emitting into it and reading its counters must not panic.
 func TestEmitDisabledRecordsNothing(t *testing.T) {
-	r := New(2, 8)
-	r.Emit(1, 1, KindSyscall, 0, 0, 0)
-	if r.Len() != 0 || r.Seq() != 0 {
-		t.Fatalf("disabled recorder buffered events: len=%d seq=%d", r.Len(), r.Seq())
-	}
 	var nilRec *Recorder
-	nilRec.Emit(1, 1, KindSyscall, 0, 0, 0) // must not panic
-	if nilRec.On() {
-		t.Fatal("nil recorder reports On")
+	nilRec.Emit(1, 1, KindSyscall, 0, 0, 0)
+	if nilRec.Seq() != 0 || nilRec.Dropped() != 0 {
+		t.Fatalf("nil recorder counted events: seq=%d dropped=%d", nilRec.Seq(), nilRec.Dropped())
 	}
 }
 
 func TestSnapshotGlobalOrder(t *testing.T) {
 	r := New(4, 16)
-	r.Enable()
 	// Interleave emits across pids (→ different shards); the snapshot must
 	// come back in emission order regardless of shard layout.
 	for i := 0; i < 32; i++ {
@@ -52,7 +48,6 @@ func TestSnapshotGlobalOrder(t *testing.T) {
 
 func TestWraparoundKeepsNewest(t *testing.T) {
 	r := New(1, 8) // single shard, tiny ring
-	r.Enable()
 	for i := 0; i < 20; i++ {
 		r.Emit(uint64(i), 1, KindMark, uint64(i), 0, 0)
 	}
@@ -72,7 +67,6 @@ func TestWraparoundKeepsNewest(t *testing.T) {
 
 func TestTail(t *testing.T) {
 	r := New(2, 32)
-	r.Enable()
 	for i := 0; i < 10; i++ {
 		r.Emit(uint64(i), int32(i), KindMark, uint64(i), 0, 0)
 	}
@@ -90,16 +84,12 @@ func TestTail(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	r := New(2, 8)
-	r.Enable()
 	for i := 0; i < 20; i++ {
 		r.Emit(0, int32(i), KindMark, 0, 0, 0)
 	}
 	r.Reset()
 	if r.Len() != 0 || r.Seq() != 0 || r.Dropped() != 0 {
 		t.Fatalf("Reset left state: len=%d seq=%d dropped=%d", r.Len(), r.Seq(), r.Dropped())
-	}
-	if !r.On() {
-		t.Fatal("Reset cleared the enable switch")
 	}
 	r.Emit(1, 1, KindSyscall, 2, 0, 0)
 	if r.Len() != 1 || r.Snapshot()[0].Seq != 1 {
@@ -112,7 +102,6 @@ func TestReset(t *testing.T) {
 // strict and gap-free over the surviving window.
 func TestConcurrentWriters(t *testing.T) {
 	r := New(4, 256)
-	r.Enable()
 	const writers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -141,7 +130,6 @@ func TestShardRoundsToPowerOfTwo(t *testing.T) {
 	if len(r.shards) != 8 {
 		t.Fatalf("New(5, _) made %d shards, want 8", len(r.shards))
 	}
-	r.Enable()
 	// Negative pids must hash to a valid shard, not panic.
 	r.Emit(0, -3, KindMark, 0, 0, 0)
 	if r.Len() != 1 {
@@ -151,7 +139,6 @@ func TestShardRoundsToPowerOfTwo(t *testing.T) {
 
 func TestTextDumpFormat(t *testing.T) {
 	r := New(1, 64)
-	r.Enable()
 	r.Emit(100, 1, KindSyscall, 3, 0, 0)
 	r.Emit(250, 1, KindFault, 2, 0xdeadb000, 0)
 	r.Emit(300, 1, KindFaultDone, 2, 1, 4)

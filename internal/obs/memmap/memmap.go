@@ -22,14 +22,13 @@
 // Everything is guarded by one mutex: most events arrive from the kernel's
 // simulation goroutine, but CopyFrame fans out across host worker
 // goroutines on the fork eager-copy path, and the telemetry server
-// snapshots from an HTTP goroutine mid-run. A disabled plane costs its
-// callers one atomic load per probe.
+// snapshots from an HTTP goroutine mid-run. A kernel without the plane
+// holds a nil one, and every probe method returns at once on nil.
 package memmap
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ufork/internal/tmem"
 )
@@ -93,12 +92,10 @@ type procRec struct {
 	frames map[tmem.PFN]int32 // pfn → this process's mapping count
 }
 
-// Plane is the provenance store. The zero value is usable and disabled;
-// Enable arms it. All methods are safe for concurrent use and no-ops while
-// disabled.
+// Plane is the provenance store. Construct with New; it records from the
+// moment it exists. All methods are safe for concurrent use and no-ops on
+// a nil plane.
 type Plane struct {
-	enabled atomic.Bool
-
 	mu     sync.Mutex
 	frames map[tmem.PFN]*frameRec
 	procs  map[int32]*procRec
@@ -108,7 +105,7 @@ type Plane struct {
 	ownerChanges   uint64
 }
 
-// New creates an empty, disabled plane.
+// New creates an empty plane.
 func New() *Plane {
 	return &Plane{
 		frames: make(map[tmem.PFN]*frameRec),
@@ -116,16 +113,9 @@ func New() *Plane {
 	}
 }
 
-// Enable arms the plane.
-func (pl *Plane) Enable() { pl.enabled.Store(true) }
-
-// On reports whether the plane is armed: the one-atomic-load probe call
-// sites use to skip argument marshalling.
-func (pl *Plane) On() bool { return pl != nil && pl.enabled.Load() }
-
-// Reset discards all state (the enabled switch is untouched). The kernel
-// calls it when the plane is re-armed onto a freshly booted kernel, whose
-// frame numbers restart from zero.
+// Reset discards all state. The kernel calls it when the plane is
+// re-armed onto a freshly booted kernel, whose frame numbers restart from
+// zero.
 func (pl *Plane) Reset() {
 	if pl == nil {
 		return
@@ -142,7 +132,7 @@ func (pl *Plane) Reset() {
 // OnAlloc records a frame allocation attributed to pid at fork generation
 // gen, materialized by origin.
 func (pl *Plane) OnAlloc(pfn tmem.PFN, pid int32, gen int, origin Origin) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -154,7 +144,7 @@ func (pl *Plane) OnAlloc(pfn tmem.PFN, pid int32, gen int, origin Origin) {
 
 // OnFree retires a frame's record.
 func (pl *Plane) OnFree(pfn tmem.PFN) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -168,7 +158,7 @@ func (pl *Plane) OnFree(pfn tmem.PFN) {
 // OnCopy records lineage: dst was materialized by physically copying src.
 // Called from parallel fork workers, hence under the mutex.
 func (pl *Plane) OnCopy(dst, src tmem.PFN) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -180,7 +170,7 @@ func (pl *Plane) OnCopy(dst, src tmem.PFN) {
 
 // OnMap records that pid gained a PTE reference to pfn.
 func (pl *Plane) OnMap(pid int32, pfn tmem.PFN) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -198,7 +188,7 @@ func (pl *Plane) OnMap(pid int32, pfn tmem.PFN) {
 
 // OnUnmap records that pid dropped a PTE reference to pfn.
 func (pl *Plane) OnUnmap(pid int32, pfn tmem.PFN) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -219,7 +209,7 @@ func (pl *Plane) OnUnmap(pid int32, pfn tmem.PFN) {
 // fault-time allocations are provisionally OriginDemand until the kernel
 // classifies the resolution as CoW or CoPA.
 func (pl *Plane) Reclassify(pfn tmem.PFN, origin Origin) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -236,7 +226,7 @@ func (pl *Plane) Reclassify(pfn tmem.PFN, origin Origin) {
 // OwnerChange records that a CoW/CoA/CoPA break transferred exclusive
 // ownership of pfn to pid at generation gen.
 func (pl *Plane) OwnerChange(pfn tmem.PFN, pid int32, gen int) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -249,7 +239,7 @@ func (pl *Plane) OwnerChange(pfn tmem.PFN, pid int32, gen int) {
 
 // OnSpawn records a μprocess entering the fork tree.
 func (pl *Plane) OnSpawn(pid, ppid int32, name string, gen int) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
@@ -265,7 +255,7 @@ func (pl *Plane) OnSpawn(pid, ppid int32, name string, gen int) {
 // OnExit drops a μprocess from the tree (its mappings are gone by the time
 // the kernel's terminate path reports the exit).
 func (pl *Plane) OnExit(pid int32) {
-	if !pl.On() {
+	if pl == nil {
 		return
 	}
 	pl.mu.Lock()

@@ -7,28 +7,24 @@ import (
 	"ufork/internal/tmem"
 )
 
+// TestDisabledIsNoOp: a nil plane is the one that is off; every probe on
+// it returns without panicking and it reports no state.
 func TestDisabledIsNoOp(t *testing.T) {
-	pl := New()
-	pl.OnAlloc(1, 1, 0, OriginImage)
-	pl.OnMap(1, 1)
-	pl.OnCopy(2, 1)
-	pl.OwnerChange(1, 2, 1)
-	if pl.LiveFrames() != 0 {
-		t.Fatalf("disabled plane tracked %d frames", pl.LiveFrames())
-	}
-	if _, ok := pl.FrameRefs(1); ok {
-		t.Fatal("disabled plane tracked a frame ref")
-	}
 	var nilPlane *Plane
-	nilPlane.OnAlloc(1, 1, 0, OriginImage) // must not panic
+	nilPlane.OnAlloc(1, 1, 0, OriginImage)
+	nilPlane.OnMap(1, 1)
+	nilPlane.OnCopy(2, 1)
+	nilPlane.OwnerChange(1, 2, 1)
 	if nilPlane.LiveFrames() != 0 || nilPlane.OwnerChanges() != 0 {
 		t.Fatal("nil plane reported state")
+	}
+	if _, ok := nilPlane.FrameRefs(1); ok {
+		t.Fatal("nil plane tracked a frame ref")
 	}
 }
 
 func TestLifecycleAndOrigins(t *testing.T) {
 	pl := New()
-	pl.Enable()
 	pl.OnAlloc(10, 1, 0, OriginImage)
 	pl.OnAlloc(11, 2, 1, OriginEager)
 	pl.OnAlloc(12, 2, 1, OriginDemand)
@@ -64,7 +60,6 @@ func TestLifecycleAndOrigins(t *testing.T) {
 
 func TestRSSPSSUSSDerivation(t *testing.T) {
 	pl := New()
-	pl.Enable()
 	pl.OnSpawn(1, 0, "parent", 0)
 	pl.OnSpawn(2, 1, "child", 1)
 	// Frame 100: shared by both. Frame 101: exclusive to pid 1.
@@ -123,7 +118,6 @@ func TestRSSPSSUSSDerivation(t *testing.T) {
 
 func TestConcurrentCopyObservers(t *testing.T) {
 	pl := New()
-	pl.Enable()
 	for i := tmem.PFN(0); i < 128; i++ {
 		pl.OnAlloc(i, 1, 0, OriginEager)
 	}

@@ -12,8 +12,9 @@
 //
 // Design constraints, shared with the flight/causal planes:
 //
-//  1. The disabled path is one atomic load — no locks, no allocation —
-//     pinned ≤5ns / 0 allocs by tests.
+//  1. A kernel without a profiler holds a nil plane; the nil path is one
+//     pointer test — no locks, no allocation — pinned ≤5ns / 0 allocs by
+//     tests.
 //  2. Sampling never advances a virtual clock; goldens stay
 //     byte-identical whether the plane is armed or not.
 //  3. Accounting is exact: per (cpu, kind), sampled time plus the
@@ -104,10 +105,10 @@ type cpuAcct struct {
 
 // Plane is the profiler. One plane may aggregate across several kernel
 // boots (like the causal plane, kernel.New does not reset it), which is
-// how sweep-wide profiles and cross-run diffs are built.
+// how sweep-wide profiles and cross-run diffs are built. A plane samples
+// from the moment it exists; a nil *Plane is the one that is off.
 type Plane struct {
-	enabled atomic.Bool
-	samples atomic.Uint64 // total ticks emitted; the armed-vs-idle discriminator
+	samples atomic.Uint64 // total ticks emitted
 	quantum sim.Time
 
 	mu      sync.Mutex
@@ -115,7 +116,7 @@ type Plane struct {
 	buckets map[Stack]uint64 // tick counts per stack
 }
 
-// New creates a disabled plane sampling every quantum nanoseconds of
+// New creates a plane sampling every quantum nanoseconds of
 // charged virtual time; quantum 0 selects DefaultQuantum.
 func New(quantum sim.Time) *Plane {
 	if quantum == 0 {
@@ -123,16 +124,6 @@ func New(quantum sim.Time) *Plane {
 	}
 	return &Plane{quantum: quantum, buckets: make(map[Stack]uint64)}
 }
-
-// On reports whether the plane is armed. Nil-safe: the disabled and
-// nil-plane paths are a pointer test plus one atomic load.
-func (pl *Plane) On() bool { return pl != nil && pl.enabled.Load() }
-
-// Enable arms the plane.
-func (pl *Plane) Enable() { pl.enabled.Store(true) }
-
-// Disable stops sampling; accumulated samples remain exportable.
-func (pl *Plane) Disable() { pl.enabled.Store(false) }
 
 // Quantum returns the sampling period.
 func (pl *Plane) Quantum() sim.Time { return pl.quantum }
@@ -147,11 +138,17 @@ func (pl *Plane) Samples() uint64 {
 
 // Add charges d nanoseconds of kind time on cpu to stack st, emitting
 // one sample per quantum boundary the (cpu, kind) accumulator crosses.
-// The stack on the CPU at the crossing owns the whole tick.
+// The stack on the CPU at the crossing owns the whole tick. A nil plane
+// ignores the charge.
 func (pl *Plane) Add(st Stack, kind Kind, cpu int, d sim.Time) {
-	if !pl.On() || d == 0 {
-		return
+	if pl != nil && d != 0 {
+		pl.add(st, kind, cpu, d)
 	}
+}
+
+// add is Add's armed path, split out so the nil check inlines at every
+// call site.
+func (pl *Plane) add(st Stack, kind Kind, cpu int, d sim.Time) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	for cpu >= len(pl.cpus) {
@@ -169,7 +166,7 @@ func (pl *Plane) Add(st Stack, kind Kind, cpu int, d sim.Time) {
 	}
 }
 
-// Reset clears all samples and accounting; the armed state is kept.
+// Reset clears all samples and accounting.
 func (pl *Plane) Reset() {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()

@@ -20,7 +20,6 @@ func testStack(cpu int32, pid int32, sys, phase string) Stack {
 // crossing owns the whole tick.
 func TestQuantization(t *testing.T) {
 	pl := New(100)
-	pl.Enable()
 	a := testStack(0, 1, "fork", "fork:ptecopy")
 	b := testStack(0, 1, "", "")
 	pl.Add(a, KindRun, 0, 70)  // residual 70
@@ -50,7 +49,6 @@ func TestQuantization(t *testing.T) {
 // identity charged == sampled + residual holds per (cpu, kind).
 func TestExactSumPerKind(t *testing.T) {
 	pl := New(1000)
-	pl.Enable()
 	st := testStack(1, 2, "read", "")
 	pl.Add(st, KindRun, 1, 2500)
 	pl.Add(st, KindLatency, 1, 999)
@@ -72,7 +70,6 @@ func TestExactSumPerKind(t *testing.T) {
 func TestCheckExactSabotage(t *testing.T) {
 	mk := func() *Plane {
 		pl := New(100)
-		pl.Enable()
 		pl.Add(testStack(0, 1, "", ""), KindRun, 0, 250)
 		return pl
 	}
@@ -117,7 +114,6 @@ func TestFoldedDeterministic(t *testing.T) {
 	}
 	build := func(order []int) *Plane {
 		pl := New(10)
-		pl.Enable()
 		for _, i := range order {
 			pl.Add(stacks[i], KindRun, int(stacks[i].CPU), 100)
 		}
@@ -140,7 +136,6 @@ func TestFoldedDeterministic(t *testing.T) {
 // TestTopRender: hottest stack first, shares sum to 100%.
 func TestTopRender(t *testing.T) {
 	pl := New(10)
-	pl.Enable()
 	pl.Add(testStack(0, 1, "fork", ""), KindRun, 0, 30)
 	pl.Add(testStack(0, 2, "", ""), KindRun, 0, 10)
 	out := pl.RenderTop(1)
@@ -159,9 +154,7 @@ func TestTopRender(t *testing.T) {
 // to either side included.
 func TestDiff(t *testing.T) {
 	before := New(10)
-	before.Enable()
 	after := New(10)
-	after.Enable()
 	shrink := testStack(0, 1, "fork", "fork:eagercopy")
 	grow := testStack(0, 1, "fork", "fork:ptecopy")
 	gone := testStack(0, 2, "read", "")
@@ -196,7 +189,6 @@ func TestDiff(t *testing.T) {
 func TestPprofDeterministic(t *testing.T) {
 	mk := func() []byte {
 		pl := New(10)
-		pl.Enable()
 		pl.Add(testStack(0, 1, "fork", "fork:reserve"), KindRun, 0, 100)
 		pl.Add(testStack(1, 2, "", ""), KindLatency, 1, 40)
 		var b bytes.Buffer
@@ -219,7 +211,6 @@ func TestPprofParses(t *testing.T) {
 		t.Skip("go tool not on PATH")
 	}
 	pl := New(10)
-	pl.Enable()
 	pl.Add(testStack(0, 1, "fork", "fork:ptecopy"), KindRun, 0, 300)
 	pl.Add(testStack(0, 1, "", ""), KindRun, 0, 100)
 	dir := t.TempDir()
@@ -244,8 +235,13 @@ func TestPprofParses(t *testing.T) {
 	}
 }
 
-// TestDisabledPath pins the disabled-path cost: one atomic load, ≤5ns,
-// zero allocations — same budget as the flight and causal planes.
+// offPlane is the profiler of a kernel without one. It is a package
+// variable so the compiler cannot prove it nil and drop the probe.
+var offPlane *Plane
+
+// TestDisabledPath pins the nil-plane cost: ≤5ns, zero allocations —
+// same budget as the flight and causal planes. The kernel's probe is a
+// nil check before Add; Add itself must also accept the nil plane.
 func TestDisabledPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing bound, skipped in -short")
@@ -253,30 +249,21 @@ func TestDisabledPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing bound meaningless under the race detector")
 	}
-	pl := New(0)
 	st := testStack(0, 1, "fork", "")
 	cases := []struct {
 		name string
 		f    func(b *testing.B)
 	}{
-		{"disabled On", func(b *testing.B) {
+		{"nil-plane probe", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if pl.On() {
-					b.Fatal("plane should be disabled")
+				if offPlane != nil {
+					offPlane.Add(st, KindRun, 0, 100)
 				}
 			}
 		}},
-		{"nil-plane On", func(b *testing.B) {
-			var nilPl *Plane
+		{"nil-plane Add", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if nilPl.On() {
-					b.Fatal("nil plane should be off")
-				}
-			}
-		}},
-		{"disabled Add", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pl.Add(st, KindRun, 0, 100)
+				offPlane.Add(st, KindRun, 0, 100)
 			}
 		}},
 	}
@@ -289,23 +276,21 @@ func TestDisabledPath(t *testing.T) {
 			t.Errorf("%s: %d allocs/op, budget is 0", c.name, a)
 		}
 	}
-	if pl.Samples() != 0 {
-		t.Fatal("disabled plane recorded samples")
+	if offPlane.Samples() != 0 {
+		t.Fatal("nil plane reported samples")
 	}
 }
 
 func BenchmarkDisabledAdd(b *testing.B) {
-	pl := New(0)
 	st := testStack(0, 1, "", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pl.Add(st, KindRun, 0, 100)
+		offPlane.Add(st, KindRun, 0, 100)
 	}
 }
 
 func BenchmarkArmedAdd(b *testing.B) {
 	pl := New(sim.Time(100))
-	pl.Enable()
 	st := testStack(0, 1, "read", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

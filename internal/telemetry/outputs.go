@@ -42,11 +42,9 @@ func (o Outputs) Arm(serve string) (kernel.Planes, *Server, error) {
 	}
 	if o.Trace != "" && pl.Flight == nil {
 		pl.Flight = flight.New(1, traceEvents)
-		pl.Flight.Enable()
 	}
 	if o.Profile != "" && pl.Profile == nil {
 		pl.Profile = profile.New(0)
-		pl.Profile.Enable()
 	}
 	return pl, srv, nil
 }

@@ -39,19 +39,15 @@ type Server struct {
 }
 
 // New creates a server over the given metrics registry and flight
-// recorder. The server adds an enabled memory-provenance plane, a lock
-// table, a live-kernel slot, and causal and profiler planes that start
-// disabled — Start enables them, so embedded and test servers keep a
-// genuine "not armed" /traces and /profile state.
+// recorder (either may be nil). The server adds a memory-provenance
+// plane, a lock table and a live-kernel slot, and leaves the causal and
+// profiler planes nil — Start fills them — so embedded and test servers
+// keep a genuine "not armed" /traces and /profile state.
 func New(reg *obs.Registry, fr *flight.Recorder) *Server {
-	mm := memmap.New()
-	mm.Enable()
 	return &Server{Planes: kernel.Planes{
 		Metrics: reg,
 		Flight:  fr,
-		Memmap:  mm,
-		Causal:  causal.New(0),
-		Profile: profile.New(0),
+		Memmap:  memmap.New(),
 		Locks:   sim.NewLockTable(),
 		Live:    new(atomic.Pointer[kernel.Kernel]),
 	}}
@@ -115,11 +111,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		FlightSeq:     s.Planes.Flight.Seq(),
 		FlightDropped: s.Planes.Flight.Dropped(),
 	}
-	if s.Planes.Memmap.On() {
+	if s.Planes.Memmap != nil {
 		snap := s.Planes.Memmap.Snapshot(0)
 		e.Memmap = &snap
 	}
-	if s.Planes.Causal.On() || s.Planes.Causal.Started() > 0 {
+	if s.Planes.Causal != nil {
 		snap := s.Planes.Causal.Snapshot(0)
 		e.Traces = &snap
 	}
@@ -202,10 +198,10 @@ func (s *Server) handleProcs(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	// A recorder that was never armed and holds no events has nothing to
-	// dump; make that a clean client-visible condition instead of an
-	// empty 200 that reads like a healthy-but-idle system.
-	if !s.Planes.Flight.On() && s.Planes.Flight.Seq() == 0 {
+	// A server without a recorder has nothing to dump; make that a clean
+	// client-visible condition instead of an empty 200 that reads like a
+	// healthy-but-idle system.
+	if s.Planes.Flight == nil {
 		http.Error(w, "flight recorder not armed", http.StatusConflict)
 		return
 	}
@@ -232,9 +228,9 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 // trace_event format (?format=chrome), each with critical-path segments,
 // flow edges, and the classifier's root-cause verdict.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	// Like /flight: a plane that was never enabled and saw no traces is a
-	// clean client-visible condition, not a healthy-but-idle empty 200.
-	if !s.Planes.Causal.On() && s.Planes.Causal.Started() == 0 {
+	// Like /flight: a server without the plane is a clean client-visible
+	// condition, not a healthy-but-idle empty 200.
+	if s.Planes.Causal == nil {
 		http.Error(w, "causal tracing not armed", http.StatusConflict)
 		return
 	}
@@ -266,10 +262,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // (?format=pprof; `go tool pprof`-parseable), or a top-N table
 // (?format=top&n=20).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	// Like /flight and /traces: a plane that was never armed and holds
-	// no samples is a clean client-visible condition, not a
-	// healthy-but-idle empty 200.
-	if !s.Planes.Profile.On() && s.Planes.Profile.Samples() == 0 {
+	// Like /flight and /traces: a server without the plane is a clean
+	// client-visible condition, not a healthy-but-idle empty 200.
+	if s.Planes.Profile == nil {
 		http.Error(w, "profiler not armed", http.StatusConflict)
 		return
 	}
@@ -312,11 +307,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := healthz{
 		Tracked: k != nil,
 		Planes: map[string]bool{
-			"flight":   s.Planes.Flight.On(),
-			"memmap":   s.Planes.Memmap.On(),
+			"flight":   s.Planes.Flight != nil,
+			"memmap":   s.Planes.Memmap != nil,
 			"lockstat": k != nil && k.Locks != nil,
-			"causal":   s.Planes.Causal.On(),
-			"profile":  s.Planes.Profile.On(),
+			"causal":   s.Planes.Causal != nil,
+			"profile":  s.Planes.Profile != nil,
 		},
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -325,17 +320,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(h)
 }
 
-// Start arms the live telemetry plane on addr: a fresh registry, an
-// enabled flight recorder, and enabled causal and profiler planes. It
+// Start arms the live telemetry plane on addr: a fresh registry, a flight
+// recorder, and causal and profiler planes. It
 // binds the listener (failing fast on a bad address) and serves in the
 // background for the life of the process. Boot kernels with the returned
 // server's Planes to serve them; this is what the -serve flag calls.
 func Start(addr string) (*Server, error) {
-	fr := flight.New(flight.DefaultShards, flight.DefaultPerShard)
-	fr.Enable()
-	s := New(obs.NewRegistry(), fr)
-	s.Planes.Causal.Enable()
-	s.Planes.Profile.Enable()
+	s := New(obs.NewRegistry(), flight.New(flight.DefaultShards, flight.DefaultPerShard))
+	s.Planes.Causal = causal.New(0)
+	s.Planes.Profile = profile.New(0)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)

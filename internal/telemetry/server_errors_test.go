@@ -10,6 +10,7 @@ import (
 	"ufork/internal/kernel"
 	"ufork/internal/model"
 	"ufork/internal/obs"
+	"ufork/internal/obs/causal"
 	"ufork/internal/obs/flight"
 	"ufork/internal/sim"
 )
@@ -49,10 +50,11 @@ func TestHandlerErrorPaths(t *testing.T) {
 	}
 }
 
-// TestFlightEndpointNotArmed: a recorder that was never enabled and holds
-// no events is a 409, not an empty success.
+// TestFlightEndpointNotArmed: a server without a recorder is a 409, not
+// an empty success, and still serves /metrics; a fresh recorder, even one
+// holding no events, serves.
 func TestFlightEndpointNotArmed(t *testing.T) {
-	s := New(obs.NewRegistry(), flight.New(2, 64))
+	s := New(obs.NewRegistry(), nil)
 	res, body := get(t, s.Handler(), "/flight")
 	if res.StatusCode != http.StatusConflict {
 		t.Fatalf("unarmed /flight status = %d, want 409", res.StatusCode)
@@ -60,12 +62,12 @@ func TestFlightEndpointNotArmed(t *testing.T) {
 	if !strings.Contains(body, "not armed") {
 		t.Fatalf("unarmed /flight body = %q", body)
 	}
-	// Once armed (even if later disabled), dumps work again.
-	s.Planes.Flight.Enable()
-	s.Planes.Flight.Emit(1, 1, flight.KindForkStart, 0, 0, 0)
-	s.Planes.Flight.Disable()
+	if res, _ := get(t, s.Handler(), "/metrics"); res.StatusCode != http.StatusOK {
+		t.Fatalf("recorder-less /metrics status = %d, want 200", res.StatusCode)
+	}
+	s.Planes.Flight = flight.New(2, 64)
 	if res, _ := get(t, s.Handler(), "/flight"); res.StatusCode != http.StatusOK {
-		t.Fatalf("armed-then-disabled /flight status = %d, want 200", res.StatusCode)
+		t.Fatalf("fresh-recorder /flight status = %d, want 200", res.StatusCode)
 	}
 }
 
@@ -75,7 +77,7 @@ func TestFlightEndpointNotArmed(t *testing.T) {
 // TestTracesEndpointNotArmed.
 func TestTracesEndpointErrorPaths(t *testing.T) {
 	s := testServer()
-	s.Planes.Causal.Enable()
+	s.Planes.Causal = causal.New(0)
 	cases := []struct {
 		path     string
 		status   int
@@ -103,8 +105,8 @@ func TestTracesEndpointErrorPaths(t *testing.T) {
 }
 
 // TestTracesEndpointNotArmed mirrors the flight recorder's contract: a
-// plane that never traced is a 409, but once it has finished a trace the
-// exemplars stay servable even after the plane is disabled.
+// server without a causal plane is a 409; a fresh plane, even one that
+// never traced, serves.
 func TestTracesEndpointNotArmed(t *testing.T) {
 	s := testServer()
 	res, body := get(t, s.Handler(), "/traces")
@@ -114,19 +116,9 @@ func TestTracesEndpointNotArmed(t *testing.T) {
 	if !strings.Contains(body, "not armed") {
 		t.Fatalf("unarmed /traces body = %q", body)
 	}
-	s.Planes.Causal.Enable()
-	var delays [sim.NumDelayKinds]sim.Time
-	sp := s.Planes.Causal.Begin("g", "op", 1, "p", 0, delays)
-	delays[sim.DelayRun] = 100
-	sp.Checkpoint(100, delays)
-	s.Planes.Causal.Close(sp, 100)
-	s.Planes.Causal.Disable()
-	res, body = get(t, s.Handler(), "/traces")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("armed-then-disabled /traces status = %d, want 200", res.StatusCode)
-	}
-	if !strings.Contains(body, `"op": "op"`) {
-		t.Fatalf("retained exemplar missing from /traces body:\n%s", body)
+	s.Planes.Causal = causal.New(0)
+	if res, _ := get(t, s.Handler(), "/traces"); res.StatusCode != http.StatusOK {
+		t.Fatalf("fresh-plane /traces status = %d, want 200", res.StatusCode)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"ufork/internal/core"
 	"ufork/internal/kernel"
 	"ufork/internal/model"
+	"ufork/internal/obs/causal"
+	"ufork/internal/obs/profile"
 )
 
 // TestProfileEndpointErrorPaths is the /profile format table: an armed
@@ -19,7 +21,7 @@ import (
 // formats on good input.
 func TestProfileEndpointErrorPaths(t *testing.T) {
 	s := testServer()
-	s.Planes.Profile.Enable()
+	s.Planes.Profile = profile.New(0)
 	cases := []struct {
 		path     string
 		status   int
@@ -44,8 +46,9 @@ func TestProfileEndpointErrorPaths(t *testing.T) {
 	}
 }
 
-// TestProfileEndpointNotArmed mirrors the flight/traces contract: never
-// armed is 409; armed-then-disabled with samples keeps serving.
+// TestProfileEndpointNotArmed mirrors the flight/traces contract: a
+// server without a profiler is a 409; a fresh plane, even one holding no
+// samples, serves.
 func TestProfileEndpointNotArmed(t *testing.T) {
 	s := testServer()
 	res, body := get(t, s.Handler(), "/profile")
@@ -55,12 +58,9 @@ func TestProfileEndpointNotArmed(t *testing.T) {
 	if !strings.Contains(body, "not armed") {
 		t.Fatalf("unarmed /profile body = %q", body)
 	}
-	s.Planes.Profile.Enable()
-	k := trackedForkKernel(t, s)
-	_ = k
-	s.Planes.Profile.Disable()
+	s.Planes.Profile = profile.New(0)
 	if res, _ := get(t, s.Handler(), "/profile"); res.StatusCode != http.StatusOK {
-		t.Fatalf("armed-then-disabled /profile status = %d, want 200", res.StatusCode)
+		t.Fatalf("fresh-plane /profile status = %d, want 200", res.StatusCode)
 	}
 }
 
@@ -105,7 +105,7 @@ func trackedForkKernel(t *testing.T, s *Server) *kernel.Kernel {
 // gzip stream with protobuf content.
 func TestProfileEndpointLive(t *testing.T) {
 	s := testServer()
-	s.Planes.Profile.Enable()
+	s.Planes.Profile = profile.New(0)
 	trackedForkKernel(t, s)
 
 	_, folded := get(t, s.Handler(), "/profile?format=folded")
@@ -161,8 +161,8 @@ func TestHealthzEndpoint(t *testing.T) {
 	if !h.Planes["memmap"] {
 		t.Fatalf("memmap plane should be armed at construction: %+v", h)
 	}
-	s.Planes.Causal.Enable()
-	s.Planes.Profile.Enable()
+	s.Planes.Causal = causal.New(0)
+	s.Planes.Profile = profile.New(0)
 	trackedForkKernel(t, s)
 	h = parse()
 	if !h.Tracked || !h.Planes["causal"] || !h.Planes["profile"] || !h.Planes["lockstat"] {

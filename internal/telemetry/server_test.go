@@ -24,7 +24,6 @@ func testServer() *Server {
 	h.Observe(120)
 	h.Observe(340)
 	fr := flight.New(2, 64)
-	fr.Enable()
 	fr.Emit(100, 1, flight.KindForkStart, 0, 0, 0)
 	fr.Emit(900, 1, flight.KindForkDone, 2, 8, 3)
 	return New(reg, fr)
@@ -276,7 +275,7 @@ func TestStartServesLive(t *testing.T) {
 	}
 	defer s.Close()
 	pl := s.Planes
-	if pl.Metrics == nil || !pl.Flight.On() || !pl.Causal.On() || !pl.Profile.On() || pl.Live == nil {
+	if pl.Metrics == nil || pl.Flight == nil || pl.Causal == nil || pl.Profile == nil || pl.Live == nil {
 		t.Fatalf("Start must arm every plane it serves: %+v", pl)
 	}
 	resp, err := http.Get("http://" + s.Addr + "/metrics")

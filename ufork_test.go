@@ -1,9 +1,12 @@
 package ufork_test
 
 import (
+	"strings"
 	"testing"
 
 	"ufork"
+	"ufork/internal/obs/flight"
+	"ufork/internal/obs/profile"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -92,5 +95,39 @@ func TestCopyStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Run()
+	}
+}
+
+// TestPlanesRecordWithoutArming: presence in Options.Planes is the only
+// switch. A flight recorder and a profiler placed there record a fork run
+// with no further call.
+func TestPlanesRecordWithoutArming(t *testing.T) {
+	fr := flight.New(1, 1<<12)
+	prof := profile.New(0)
+	sys := ufork.NewSystem(ufork.Options{Cores: 2, Planes: ufork.Planes{Flight: fr, Profile: prof}})
+	if _, err := sys.Main(func(p *ufork.Proc) {
+		k := p.Kernel()
+		if _, err := k.Fork(p, func(*ufork.Proc) {}); err != nil {
+			t.Errorf("fork: %v", err)
+			return
+		}
+		if _, _, err := k.Wait(p); err != nil {
+			t.Errorf("wait: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	forks := 0
+	for _, e := range fr.Snapshot() {
+		if e.Kind == flight.KindForkDone {
+			forks++
+		}
+	}
+	if forks != 1 {
+		t.Errorf("flight recorder saw %d fork events, want 1", forks)
+	}
+	if prof.Samples() == 0 || !strings.Contains(prof.Folded(), "phase:fork:") {
+		t.Errorf("profiler recorded %d samples and no fork-phase stack:\n%s", prof.Samples(), prof.Folded())
 	}
 }
