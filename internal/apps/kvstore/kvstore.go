@@ -541,29 +541,37 @@ func (s *Store) Reap() error {
 	return nil
 }
 
-// LoadDump parses a dump previously produced by Save (host-side check
-// utility for tests and examples).
+// LoadDump parses a dump written by Save (a host-side check utility for
+// tests, examples and benchmarks). It parses in place: each value is a
+// capacity-clipped subslice of data, so appending to one cannot overwrite
+// the next record, but every value aliases data. For a ram-disk file,
+// data is Inode.Data, and the next truncating Save to that file rewrites
+// that storage in place; a caller that keeps values past it must copy
+// them. Lengths are checked without overflow, so a hostile dump returns
+// ErrCorrupt rather than panicking.
 func LoadDump(data []byte) (map[string][]byte, error) {
 	if len(data) < 12 || string(data[:4]) != "KVD1" {
 		return nil, ErrCorrupt
 	}
 	count := binary.LittleEndian.Uint64(data[4:12])
-	out := make(map[string][]byte, count)
-	pos := uint64(12)
+	// Every record holds 16 bytes of lengths, so a larger count is corrupt
+	// and must not size the map.
+	out := make(map[string][]byte, min(count, uint64(len(data))/16))
+	rest := data[12:]
 	for i := uint64(0); i < count; i++ {
-		if pos+16 > uint64(len(data)) {
+		if len(rest) < 16 {
 			return nil, ErrCorrupt
 		}
-		klen := binary.LittleEndian.Uint64(data[pos:])
-		vlen := binary.LittleEndian.Uint64(data[pos+8:])
-		pos += 16
-		if pos+klen+vlen > uint64(len(data)) {
+		klen := binary.LittleEndian.Uint64(rest)
+		vlen := binary.LittleEndian.Uint64(rest[8:])
+		rest = rest[16:]
+		if klen > uint64(len(rest)) || vlen > uint64(len(rest))-klen {
 			return nil, ErrCorrupt
 		}
-		key := string(data[pos : pos+klen])
-		pos += klen
-		out[key] = append([]byte(nil), data[pos:pos+vlen]...)
-		pos += vlen
+		key := string(rest[:klen])
+		rest = rest[klen:]
+		out[key] = rest[:vlen:vlen]
+		rest = rest[vlen:]
 	}
 	return out, nil
 }

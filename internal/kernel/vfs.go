@@ -91,8 +91,11 @@ func (f *regularFile) readAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
 	return n
 }
 
-// writeAt grows the file by amortised doubling, so a file written
-// sequentially costs host time in proportion to its length. Truncation
+// writeAt grows the file geometrically through slices.Grow, so a file
+// written sequentially costs amortised host time in proportion to its
+// length. The growth factor is append's: about 1.25x once the file is
+// large, so the first 16.9 MB dump written to a path allocates about
+// 95 MiB of backing arrays on its way up. Truncation
 // keeps the backing array, so any hole between the old end and off is
 // zeroed: otherwise it would expose the bytes from before the truncate.
 func (f *regularFile) writeAt(k *Kernel, p *Proc, off uint64, buf []byte) int {

@@ -351,6 +351,9 @@ func (s *Span) Root() bool { return s != nil && s.root }
 // exactly because the engine attributes every clock advance to exactly
 // one bucket.
 func (s *Span) Checkpoint(now sim.Time, delays [sim.NumDelayKinds]sim.Time) {
+	if s == nil || s.closed {
+		return
+	}
 	s.flush(now, delays, -1, "")
 }
 
@@ -359,13 +362,15 @@ func (s *Span) Checkpoint(now sim.Time, delays [sim.NumDelayKinds]sim.Time) {
 // as "lock:tmem", a pipe sleep's blocked delta as "block:pipe"). The
 // other buckets keep their defaults.
 func (s *Span) CheckpointAs(kind sim.DelayKind, label string, now sim.Time, delays [sim.NumDelayKinds]sim.Time) {
-	s.flush(now, delays, kind, label)
-}
-
-func (s *Span) flush(now sim.Time, delays [sim.NumDelayKinds]sim.Time, kind sim.DelayKind, label string) {
 	if s == nil || s.closed {
 		return
 	}
+	s.flush(now, delays, kind, label)
+}
+
+// flush is the checkpoints' live-span path, split out so their nil check
+// inlines at every hook site.
+func (s *Span) flush(now sim.Time, delays [sim.NumDelayKinds]sim.Time, kind sim.DelayKind, label string) {
 	for k := sim.DelayKind(0); k < sim.NumDelayKinds; k++ {
 		d := delays[k] - s.lastDel[k]
 		if d <= 0 {

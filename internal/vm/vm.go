@@ -176,10 +176,12 @@ type AddressSpace struct {
 	mapped int
 	// scratch is the reusable VPN snapshot buffer for range walks.
 	scratch []VPN
-	// lastKey/lastDir cache the most recent directory hit; sequential page
-	// walks (copies, region scans) then skip the map lookup entirely.
-	lastKey VPN
-	lastDir *pageDir
+	// lastKey/lastDir cache the most recent directory hit and prevKey/
+	// prevDir the one before it. Sequential page walks (region scans) and
+	// walks that alternate between two directories (fork's parent→child
+	// PTE copy) then skip the map lookup entirely.
+	lastKey, prevKey VPN
+	lastDir, prevDir *pageDir
 
 	// Stats counts fault activity for experiment accounting.
 	Stats Stats
@@ -289,6 +291,9 @@ func (as *AddressSpace) dir(key VPN, create bool) *pageDir {
 	if as.lastDir != nil && as.lastKey == key {
 		return as.lastDir
 	}
+	if as.prevDir != nil && as.prevKey == key {
+		return as.prevDir
+	}
 	d := as.dirs[key]
 	if d == nil {
 		if !create {
@@ -299,6 +304,7 @@ func (as *AddressSpace) dir(key VPN, create bool) *pageDir {
 		}
 		as.dirs[key] = d
 	}
+	as.prevKey, as.prevDir = as.lastKey, as.lastDir
 	as.lastKey, as.lastDir = key, d
 	return d
 }
@@ -356,8 +362,12 @@ func (as *AddressSpace) Unmap(vpn VPN) error {
 	if d.live == 0 {
 		delete(as.dirs, key)
 		dirPool.Put(d)
+		// The pooled node can come back under another key: evict it.
 		if as.lastDir == d {
 			as.lastDir = nil
+		}
+		if as.prevDir == d {
+			as.prevDir = nil
 		}
 	}
 	page.Refs--

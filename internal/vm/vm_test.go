@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -328,5 +329,76 @@ func TestRefcountInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirCacheEvictsReleasedDir drives the two-slot directory cache the
+// way fork's PTE copy does (alternating between directories A and B), then
+// empties B while it sits in either slot. B's node goes back to the pool,
+// so a stale slot would hand it out under key B while the pool also gives
+// it to directory C: a Map into B would vanish from the page table and
+// collide with C's mappings.
+func TestDirCacheEvictsReleasedDir(t *testing.T) {
+	const n = 4
+	a, b, c, d := VPN(0), VPN(dirSize), VPN(2*dirSize), VPN(3*dirSize)
+	for _, tc := range []struct {
+		name string
+		mapD bool // a miss on D pushes B from the last slot to the previous one
+	}{{"B-in-last-slot", false}, {"B-in-prev-slot", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			as := newAS(t, 16)
+			want := []VPN{a, a + 1, a + 2, a + 3, b, c}
+			for i := VPN(0); i < n; i++ {
+				if _, err := as.MapNew(a+i, ProtRW); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := as.MapNew(b+i, ProtRW); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := VPN(0); i < n; i++ {
+				if as.Lookup(a+i) == nil || as.Lookup(b+i) == nil {
+					t.Fatalf("page %d unmapped after alternating maps", i)
+				}
+			}
+			slot := &as.lastDir
+			if tc.mapD {
+				if _, err := as.MapNew(d, ProtRW); err != nil {
+					t.Fatal(err)
+				}
+				slot, want = &as.prevDir, append(want, d)
+			}
+			if *slot != as.dirs[b>>dirBits] {
+				t.Fatalf("setup: B is not in the %s", tc.name)
+			}
+			for i := VPN(0); i < n; i++ {
+				if err := as.Unmap(b + i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pte := as.Lookup(b); pte != nil {
+				t.Fatalf("lookup in emptied B = %+v, want nil", *pte)
+			}
+			pb, err := as.MapNew(b, ProtRW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pc, err := as.MapNew(c, ProtRead)
+			if err != nil {
+				t.Fatalf("map C: %v", err)
+			}
+			if pte := as.Lookup(b); pte == nil || pte.Page != pb {
+				t.Fatalf("lookup B = %v, want the page remapped there", pte)
+			}
+			if pte := as.Lookup(b + 1); pte != nil {
+				t.Fatalf("lookup B+1 = %+v, want nil", *pte)
+			}
+			if pte := as.Lookup(c); pte == nil || pte.Page != pc || pte.Prot != ProtRead {
+				t.Fatalf("lookup C = %v, want its own read-only page", pte)
+			}
+			if got := as.VPNs(); !slices.Equal(got, want) || as.MappedPages() != len(want) {
+				t.Fatalf("VPNs = %v (mapped %d), want %v", got, as.MappedPages(), want)
+			}
+		})
 	}
 }
