@@ -11,9 +11,12 @@
 package httpd
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"ufork/internal/kernel"
 	"ufork/internal/sim"
@@ -55,6 +58,37 @@ func Start(p *kernel.Proc, n int) (*Server, error) {
 	return s, nil
 }
 
+// Request-path byte counts. Each is one syscall's buffer length, and pipe
+// and ram-disk reads charge per byte moved, so changing any of them moves
+// virtual time.
+const (
+	reqBytes   = 1024      // the request read, and each later PUT body read
+	chunkBytes = 16 * 1024 // each file read of a GET
+	recvBytes  = 4096      // each client receive
+)
+
+// Constant replies.
+var (
+	replyBadRequest = []byte("HTTP/1.0 400 Bad Request\r\n\r\n")
+	replyNotFound   = []byte("HTTP/1.0 404 Not Found\r\n\r\n")
+	replyServerErr  = []byte("HTTP/1.0 500 Internal Server Error\r\n\r\n")
+	replyCreated    = []byte("HTTP/1.0 201 Created\r\nContent-Length: 0\r\n\r\n")
+)
+
+var (
+	errEmptyRequest = errors.New("httpd: empty request")
+	errTruncatedPut = errors.New("httpd: truncated PUT body")
+)
+
+// scratch is one worker's request buffers. A worker serves one request at
+// a time and every syscall copies what it is handed, so nothing in them
+// outlives the request that filled them.
+type scratch struct {
+	req  [reqBytes]byte
+	body []byte // the GET response body or the PUT request body
+	head []byte // the GET response header
+}
+
 // workerLoop accepts and serves connections until the listener closes.
 // Returns the number of requests served. Injected EINTR on the accept
 // path is retried — a worker dropping out of the fleet on a chaos-
@@ -62,6 +96,7 @@ func Start(p *kernel.Proc, n int) (*Server, error) {
 // run, which is not how a real pre-fork server treats EINTR.
 func workerLoop(w *kernel.Proc, lfd int) int {
 	k := w.Kernel()
+	s := new(scratch)
 	served := 0
 	for {
 		cfd, err := k.Accept(w, lfd)
@@ -71,7 +106,7 @@ func workerLoop(w *kernel.Proc, lfd int) int {
 			}
 			return served // listener shut down
 		}
-		if err := serveConn(w, cfd); err == nil {
+		if err := s.serveConn(w, cfd); err == nil {
 			served++
 		}
 		_ = k.Close(w, cfd)
@@ -81,43 +116,47 @@ func workerLoop(w *kernel.Proc, lfd int) int {
 // serveConn reads one request from the connection descriptor, resolves
 // the path and writes the response. GET serves the file; PUT replaces
 // it (the write-op half of the YCSB mixes the load harness drives).
-func serveConn(w *kernel.Proc, cfd int) error {
+func (s *scratch) serveConn(w *kernel.Proc, cfd int) error {
 	k := w.Kernel()
-	buf := make([]byte, 1024)
-	n, err := k.Read(w, cfd, buf)
+	n, err := k.Read(w, cfd, s.req[:])
 	if err != nil || n == 0 {
-		return fmt.Errorf("httpd: empty request")
+		return errEmptyRequest
 	}
 	w.Compute(parseCost)
-	method, path, ok := parseRequest(string(buf[:n]))
+	req := s.req[:n]
+	method, path, ok := parseRequest(req)
 	if !ok {
-		_, err = k.Write(w, cfd, []byte("HTTP/1.0 400 Bad Request\r\n\r\n"))
+		_, err = k.Write(w, cfd, replyBadRequest)
 		return err
 	}
-	if method == "PUT" {
-		return servePut(w, cfd, path, buf[:n])
+	if string(method) == "PUT" {
+		return s.servePut(w, cfd, string(path), req)
 	}
-	ffd, err := k.Open(w, path, false)
+	ffd, err := k.Open(w, string(path), false)
 	if err != nil {
-		_, err = k.Write(w, cfd, []byte("HTTP/1.0 404 Not Found\r\n\r\n"))
+		_, err = k.Write(w, cfd, replyNotFound)
 		return err
 	}
 	defer func() { _ = k.Close(w, ffd) }()
-	// Read the file through the ram-disk path, then stream it out.
-	var body []byte
-	chunk := make([]byte, 16*1024)
+	// Read the file through the ram-disk path, a chunk at a time straight
+	// into the body buffer, then stream it out.
+	body := s.body[:0]
 	for {
-		rn, err := k.Read(w, ffd, chunk)
+		body = slices.Grow(body, chunkBytes)
+		rn, err := k.Read(w, ffd, body[len(body):len(body)+chunkBytes])
 		if err != nil {
 			return err
 		}
 		if rn == 0 {
 			break
 		}
-		body = append(body, chunk[:rn]...)
+		body = body[:len(body)+rn]
 	}
-	head := fmt.Sprintf("HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n", len(body))
-	if _, err := k.Write(w, cfd, []byte(head)); err != nil {
+	s.body = body
+	s.head = append(s.head[:0], "HTTP/1.0 200 OK\r\nContent-Length: "...)
+	s.head = strconv.AppendInt(s.head, int64(len(body)), 10)
+	s.head = append(s.head, "\r\n\r\n"...)
+	if _, err := k.Write(w, cfd, s.head); err != nil {
 		return err
 	}
 	_, err = k.Write(w, cfd, body)
@@ -128,31 +167,27 @@ func serveConn(w *kernel.Proc, cfd int) error {
 // bytes carry the headers and (for the small bodies the load harness
 // sends) the whole body; any remainder announced by Content-Length is
 // drained from the connection first.
-func servePut(w *kernel.Proc, cfd int, path string, req []byte) error {
+func (s *scratch) servePut(w *kernel.Proc, cfd int, path string, req []byte) error {
 	k := w.Kernel()
-	headEnd := strings.Index(string(req), "\r\n\r\n")
-	if headEnd < 0 {
-		_, err := k.Write(w, cfd, []byte("HTTP/1.0 400 Bad Request\r\n\r\n"))
+	head, rest, ok := bytes.Cut(req, crlf2)
+	if !ok {
+		_, err := k.Write(w, cfd, replyBadRequest)
 		return err
 	}
-	body := append([]byte(nil), req[headEnd+4:]...)
-	want := 0
-	for _, line := range strings.Split(string(req[:headEnd]), "\r\n") {
-		if n, ok := strings.CutPrefix(line, "Content-Length: "); ok {
-			fmt.Sscanf(n, "%d", &want)
-		}
-	}
-	chunk := make([]byte, 1024)
+	body := append(s.body[:0], rest...)
+	want := contentLength(head)
 	for len(body) < want {
-		rn, err := k.Read(w, cfd, chunk)
+		body = slices.Grow(body, reqBytes)
+		rn, err := k.Read(w, cfd, body[len(body):len(body)+reqBytes])
 		if err != nil || rn == 0 {
-			return fmt.Errorf("httpd: truncated PUT body")
+			return errTruncatedPut
 		}
-		body = append(body, chunk[:rn]...)
+		body = body[:len(body)+rn]
 	}
+	s.body = body
 	ffd, err := k.Open(w, path, true)
 	if err != nil {
-		_, err = k.Write(w, cfd, []byte("HTTP/1.0 500 Internal Server Error\r\n\r\n"))
+		_, err = k.Write(w, cfd, replyServerErr)
 		return err
 	}
 	if _, err := k.Write(w, ffd, body); err != nil {
@@ -162,25 +197,74 @@ func servePut(w *kernel.Proc, cfd int, path string, req []byte) error {
 	if err := k.Close(w, ffd); err != nil {
 		return err
 	}
-	_, err = k.Write(w, cfd, []byte("HTTP/1.0 201 Created\r\nContent-Length: 0\r\n\r\n"))
+	_, err = k.Write(w, cfd, replyCreated)
 	return err
 }
 
+var (
+	crlf  = []byte("\r\n")
+	crlf2 = []byte("\r\n\r\n")
+)
+
 // parseRequest extracts the method and path from
-// "GET|PUT /path HTTP/1.x".
-func parseRequest(req string) (method, path string, ok bool) {
-	line, _, _ := strings.Cut(req, "\r\n")
-	parts := strings.Split(line, " ")
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return "", "", false
+// "GET|PUT /path HTTP/1.x". Both alias req.
+func parseRequest(req []byte) (method, path []byte, ok bool) {
+	line, _, _ := bytes.Cut(req, crlf)
+	method, rest, ok1 := bytes.Cut(line, []byte(" "))
+	path, proto, ok2 := bytes.Cut(rest, []byte(" "))
+	if !ok1 || !ok2 || bytes.IndexByte(proto, ' ') >= 0 || !bytes.HasPrefix(proto, []byte("HTTP/")) {
+		return nil, nil, false
 	}
-	if parts[0] != "GET" && parts[0] != "PUT" {
-		return "", "", false
+	if string(method) != "GET" && string(method) != "PUT" {
+		return nil, nil, false
 	}
-	if !strings.HasPrefix(parts[1], "/") {
-		return "", "", false
+	if !bytes.HasPrefix(path, []byte("/")) {
+		return nil, nil, false
 	}
-	return parts[0], parts[1], true
+	return method, path, true
+}
+
+// contentLength returns the value of the last "Content-Length: " line of
+// head, or 0. A value is read the way fmt.Sscanf's %d reads it: leading
+// white space skipped, one optional sign, then digits up to the first
+// non-digit. A line whose value does not parse leaves the result as it
+// was.
+func contentLength(head []byte) int {
+	want := 0
+	for len(head) > 0 {
+		var line []byte
+		line, head, _ = bytes.Cut(head, crlf)
+		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+			if n, ok := scanInt(v); ok {
+				want = n
+			}
+		}
+	}
+	return want
+}
+
+// scanInt parses the integer at the front of b as fmt.Sscanf("%d") does.
+func scanInt(b []byte) (int, bool) {
+	for len(b) > 0 {
+		r, size := utf8.DecodeRune(b)
+		if r == '\n' || !unicode.IsSpace(r) {
+			break
+		}
+		b = b[size:]
+	}
+	end := 0
+	if end < len(b) && (b[end] == '+' || b[end] == '-') {
+		end++
+	}
+	digits := end
+	for end < len(b) && '0' <= b[end] && b[end] <= '9' {
+		end++
+	}
+	if end == digits {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(b[:end]), 10, 0)
+	return int(n), err == nil
 }
 
 // Shutdown closes the listener and reaps all workers.
@@ -207,7 +291,8 @@ func (s *Server) TotalServed() int {
 // ClientResult is what one driver request observed.
 type ClientResult struct {
 	Status string
-	Body   []byte
+	// Body is a fresh slice that the caller owns.
+	Body []byte
 }
 
 // DoRequest runs one synchronous client request from the driver process
@@ -215,6 +300,30 @@ type ClientResult struct {
 // its socket operations bypass the server kernel's syscall layer and book
 // no server CPU.
 func DoRequest(p *kernel.Proc, l *kernel.Listener, path string) (ClientResult, error) {
+	var buf [recvBytes]byte
+	req := append(buf[:0], "GET "...)
+	req = append(req, path...)
+	req = append(req, " HTTP/1.0\r\n\r\n"...)
+	return roundTrip(p, l, req, &buf)
+}
+
+// DoPut runs one synchronous client PUT from the driver process,
+// replacing the file at path with body. Same cost model as DoRequest.
+func DoPut(p *kernel.Proc, l *kernel.Listener, path string, body []byte) (ClientResult, error) {
+	var buf [recvBytes]byte
+	req := append(buf[:0], "PUT "...)
+	req = append(req, path...)
+	req = append(req, " HTTP/1.0\r\nContent-Length: "...)
+	req = strconv.AppendInt(req, int64(len(body)), 10)
+	req = append(req, "\r\n\r\n"...)
+	req = append(req, body...)
+	return roundTrip(p, l, req, &buf)
+}
+
+// roundTrip connects, sends req in one write and receives the response
+// through buf, which req may occupy: it is sent before the first
+// receive. The response is gathered in one heap slice.
+func roundTrip(p *kernel.Proc, l *kernel.Listener, req []byte, buf *[recvBytes]byte) (ClientResult, error) {
 	k := p.Kernel()
 	conn := l.Connect(p)
 	defer func() { _ = conn.CloseClient(k, p) }()
@@ -222,14 +331,12 @@ func DoRequest(p *kernel.Proc, l *kernel.Listener, path string) (ClientResult, e
 	// accepted connection is briefly unreadable, the I/O gap that lets
 	// extra workers help even on one core (Fig. 7).
 	p.Task.Advance(k.Machine.NetRTT)
-	req := fmt.Sprintf("GET %s HTTP/1.0\r\n\r\n", path)
-	if _, err := conn.Send(k, p, []byte(req)); err != nil {
+	if _, err := conn.Send(k, p, req); err != nil {
 		return ClientResult{}, err
 	}
 	var resp []byte
-	buf := make([]byte, 4096)
 	for {
-		n, err := conn.Recv(k, p, buf)
+		n, err := conn.Recv(k, p, buf[:])
 		if err != nil {
 			return ClientResult{}, err
 		}
@@ -237,67 +344,30 @@ func DoRequest(p *kernel.Proc, l *kernel.Listener, path string) (ClientResult, e
 			break
 		}
 		resp = append(resp, buf[:n]...)
-		if done, _ := responseComplete(resp); done {
+		if headEnd, want, ok := responseHead(resp); ok && len(resp)-headEnd >= want {
 			break
 		}
 	}
-	status, body := splitResponse(resp)
-	return ClientResult{Status: status, Body: body}, nil
+	return splitResponse(resp), nil
 }
 
-// DoPut runs one synchronous client PUT from the driver process,
-// replacing the file at path with body. Same cost model as DoRequest.
-func DoPut(p *kernel.Proc, l *kernel.Listener, path string, body []byte) (ClientResult, error) {
-	k := p.Kernel()
-	conn := l.Connect(p)
-	defer func() { _ = conn.CloseClient(k, p) }()
-	p.Task.Advance(k.Machine.NetRTT)
-	req := fmt.Sprintf("PUT %s HTTP/1.0\r\nContent-Length: %d\r\n\r\n", path, len(body))
-	if _, err := conn.Send(k, p, append([]byte(req), body...)); err != nil {
-		return ClientResult{}, err
+// responseHead finds the end of resp's head (just past its blank line)
+// and the body length it announces.
+func responseHead(resp []byte) (headEnd, want int, ok bool) {
+	i := bytes.Index(resp, crlf2)
+	if i < 0 {
+		return 0, 0, false
 	}
-	var resp []byte
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Recv(k, p, buf)
-		if err != nil {
-			return ClientResult{}, err
-		}
-		if n == 0 {
-			break
-		}
-		resp = append(resp, buf[:n]...)
-		if done, _ := responseComplete(resp); done {
-			break
-		}
-	}
-	status, rb := splitResponse(resp)
-	return ClientResult{Status: status, Body: rb}, nil
+	return i + len(crlf2), contentLength(resp[:i]), true
 }
 
-// responseComplete checks Content-Length against the received body.
-func responseComplete(resp []byte) (bool, int) {
-	s := string(resp)
-	headEnd := strings.Index(s, "\r\n\r\n")
-	if headEnd < 0 {
-		return false, 0
+// splitResponse splits resp into its status line and the bytes after its
+// head. Body aliases resp.
+func splitResponse(resp []byte) ClientResult {
+	line, _, _ := bytes.Cut(resp, crlf)
+	res := ClientResult{Status: string(line)}
+	if headEnd, _, ok := responseHead(resp); ok {
+		res.Body = resp[headEnd:]
 	}
-	bodyLen := len(s) - headEnd - 4
-	want := 0
-	for _, line := range strings.Split(s[:headEnd], "\r\n") {
-		if n, ok := strings.CutPrefix(line, "Content-Length: "); ok {
-			fmt.Sscanf(n, "%d", &want)
-		}
-	}
-	return bodyLen >= want, want
-}
-
-func splitResponse(resp []byte) (status string, body []byte) {
-	s := string(resp)
-	line, _, _ := strings.Cut(s, "\r\n")
-	headEnd := strings.Index(s, "\r\n\r\n")
-	if headEnd >= 0 {
-		body = resp[headEnd+4:]
-	}
-	return line, body
+	return res
 }

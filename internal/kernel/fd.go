@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"ufork/internal/obs/causal"
 	"ufork/internal/sim"
@@ -127,9 +128,13 @@ const pipeCapacity = 64 * 1024
 // single core (§5.1, Fig. 7).
 const sockBufBytes = 4 * 1024
 
-// pipeCore is the shared buffer between the two pipe ends.
+// pipeCore is the shared buffer between the two pipe ends. The unread
+// bytes are buf[off:]. A read that drains the buffer rewinds it to the
+// front of its backing array, so a pipe that is filled and drained in
+// turn (every socket window) reuses one array instead of reallocating.
 type pipeCore struct {
 	buf     []byte
+	off     int
 	cap     int
 	readers int
 	writers int
@@ -149,11 +154,33 @@ type PipeReader struct{ c *pipeCore }
 type PipeWriter struct{ c *pipeCore }
 
 // NewPipe creates a connected pipe pair with the classic 64 KiB buffer.
-func NewPipe() (*PipeReader, *PipeWriter) { return newPipeCap(pipeCapacity) }
-
-func newPipeCap(capacity int) (*PipeReader, *PipeWriter) {
-	c := &pipeCore{cap: capacity, readers: 1, writers: 1}
+func NewPipe() (*PipeReader, *PipeWriter) {
+	c := &pipeCore{cap: pipeCapacity, readers: 1, writers: 1}
 	return &PipeReader{c}, &PipeWriter{c}
+}
+
+// unread returns the number of buffered bytes.
+func (c *pipeCore) unread() int { return len(c.buf) - c.off }
+
+// push appends b. When the backing array has no room at its end but
+// already-read bytes sit at its front, the unread bytes slide down first,
+// so the array grows only when the unread bytes alone need more room.
+func (c *pipeCore) push(b []byte) {
+	if c.off > 0 && len(c.buf)+len(b) > cap(c.buf) {
+		n := copy(c.buf, c.buf[c.off:])
+		c.buf, c.off = c.buf[:n], 0
+	}
+	c.buf = append(c.buf, b...)
+}
+
+// pop copies up to len(b) unread bytes into b.
+func (c *pipeCore) pop(b []byte) int {
+	n := copy(b, c.buf[c.off:])
+	c.off += n
+	if c.off == len(c.buf) {
+		c.buf, c.off = c.buf[:0], 0
+	}
+	return n
 }
 
 // Read blocks (in virtual time) until data is available or all writers
@@ -164,7 +191,7 @@ func newPipeCap(capacity int) (*PipeReader, *PipeWriter) {
 func (r *PipeReader) Read(k *Kernel, p *Proc, buf []byte) (int, error) {
 	c := r.c
 	blocked := false
-	for len(c.buf) == 0 {
+	for c.unread() == 0 {
 		if c.writers == 0 {
 			return 0, nil // EOF
 		}
@@ -176,8 +203,7 @@ func (r *PipeReader) Read(k *Kernel, p *Proc, buf []byte) (int, error) {
 	if blocked {
 		k.chargeSwitch(p)
 	}
-	n := copy(buf, c.buf)
-	c.buf = c.buf[n:]
+	n := c.pop(buf)
 	p.Task.Book(sim.Time(n) * k.Machine.PipeByte)
 	c.wq.WakeAll(p.Task, p.Task.Now())
 	if c.stampTrace != 0 {
@@ -218,7 +244,7 @@ func (w *PipeWriter) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
 		if c.readers == 0 {
 			return total, ErrPipeClosed // EPIPE
 		}
-		space := c.cap - len(c.buf)
+		space := c.cap - c.unread()
 		if space == 0 {
 			p.Acct.BlockPipeNS.Add(uint64(blockAccounted(p, "block:pipe", func() {
 				c.wq.Wait(p.Task)
@@ -230,7 +256,7 @@ func (w *PipeWriter) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
 		if n > space {
 			n = space
 		}
-		c.buf = append(c.buf, buf[:n]...)
+		c.push(buf[:n])
 		buf = buf[n:]
 		total += n
 		p.Task.Book(sim.Time(n) * k.Machine.PipeByte)
@@ -251,23 +277,35 @@ func (w *PipeWriter) Close(_ *Kernel, p *Proc) error {
 // Conn is one direction-pair simulated network connection (the accept side
 // of the HTTP experiments). Internally it is two pipes.
 type Conn struct {
-	in  *PipeReader // data from the client
-	out *PipeWriter // data to the client
+	in  PipeReader // data from the client
+	out PipeWriter // data to the client
 }
 
 // ClientConn is the client's half.
 type ClientConn struct {
-	out *PipeWriter // data to the server
-	in  *PipeReader // data from the server
+	out PipeWriter // data to the server
+	in  PipeReader // data from the server
+}
+
+// sockPair is everything one connection owns, allocated at once: both
+// direction buffers and the two halves that hold their ends.
+type sockPair struct {
+	up, down pipeCore // client to server, server to client
+	srv      Conn
+	cli      ClientConn
 }
 
 // NewConn builds a connected (server, client) socket pair. Both directions
 // carry a TCP-window-sized buffer, so bulk responses block the server until
 // the client drains.
 func NewConn() (*Conn, *ClientConn) {
-	sIn, cOut := newPipeCap(sockBufBytes)
-	cIn, sOut := newPipeCap(sockBufBytes)
-	return &Conn{in: sIn, out: sOut}, &ClientConn{out: cOut, in: cIn}
+	sp := &sockPair{
+		up:   pipeCore{cap: sockBufBytes, readers: 1, writers: 1},
+		down: pipeCore{cap: sockBufBytes, readers: 1, writers: 1},
+	}
+	sp.srv = Conn{in: PipeReader{&sp.up}, out: PipeWriter{&sp.down}}
+	sp.cli = ClientConn{out: PipeWriter{&sp.up}, in: PipeReader{&sp.down}}
+	return &sp.srv, &sp.cli
 }
 
 // Read receives from the client.
@@ -338,7 +376,7 @@ func (l *Listener) Accept(p *Proc) (*Conn, error) {
 		p.k.chargeSwitch(p)
 	}
 	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	l.backlog = slices.Delete(l.backlog, 0, 1)
 	return c, nil
 }
 

@@ -22,9 +22,10 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -653,22 +654,24 @@ func (w *WaitQueue) WakeOne(t *Task, at Time) bool {
 		return false
 	}
 	target := w.waiters[0]
-	w.waiters = w.waiters[1:]
+	w.waiters = slices.Delete(w.waiters, 0, 1)
 	t.Unpark(target, at)
 	return true
 }
 
-// WakeAll unparks every waiter at time at, in FIFO order.
+// WakeAll unparks every waiter at time at, in task-ID order; the run
+// queue then orders them on (clock, id). The queue keeps its backing
+// array: Unpark only queues a task, so no woken task can wait again
+// before the loop ends.
 func (w *WaitQueue) WakeAll(t *Task, at Time) int {
-	n := len(w.waiters)
-	// Deterministic order: FIFO, tie-broken by the heap on (clock, id).
 	ws := w.waiters
-	w.waiters = nil
-	sort.SliceStable(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
+	slices.SortStableFunc(ws, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
 	for _, target := range ws {
 		t.Unpark(target, at)
 	}
-	return n
+	clear(ws)
+	w.waiters = ws[:0]
+	return len(ws)
 }
 
 // Empty reports whether no task is waiting.

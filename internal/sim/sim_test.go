@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -232,5 +233,71 @@ func TestTimeString(t *testing.T) {
 		if got := in.String(); got != want {
 			t.Fatalf("%d.String() = %q, want %q", uint64(in), got, want)
 		}
+	}
+}
+
+// TestWakeAllIDOrderAndRewait parks tasks on a queue in an order that is
+// not their ID order, then wakes them three times. Each round must wake
+// every task exactly once, in ID order, including the tasks that waited
+// again straight after the previous wake.
+func TestWakeAllIDOrderAndRewait(t *testing.T) {
+	e := NewEngine(1)
+	var wq WaitQueue
+	const rounds = 3
+	parkOrder := []int{3, 0, 4, 1, 2} // task i parks parkOrder[i]-th
+	var woken [rounds][]int
+	for i, pos := range parkOrder {
+		e.Go("waiter", Time(pos+1), func(tk *Task) {
+			for r := 0; r < rounds; r++ {
+				wq.Wait(tk)
+				woken[r] = append(woken[r], i)
+			}
+		})
+	}
+	e.Go("waker", 100, func(tk *Task) {
+		for r := 0; r < rounds; r++ {
+			tk.Sync() // every waiter has parked again
+			if n := wq.WakeAll(tk, tk.Now()); n != len(parkOrder) {
+				t.Errorf("round %d: WakeAll woke %d, want %d", r, n, len(parkOrder))
+			}
+			tk.Work(10)
+		}
+	})
+	e.Run()
+	for r, ids := range woken {
+		if !slices.Equal(ids, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("round %d woke %v, want every task once in ID order", r, ids)
+		}
+	}
+}
+
+// TestWakeOneFIFOAcrossRefills wakes one waiter at a time while woken
+// tasks queue up again behind the rest: the queue must stay FIFO in
+// arrival order, not ID order, across every refill.
+func TestWakeOneFIFOAcrossRefills(t *testing.T) {
+	e := NewEngine(1)
+	var wq WaitQueue
+	parkOrder := []int{2, 0, 1} // task i parks parkOrder[i]-th
+	var woken []int
+	for i, pos := range parkOrder {
+		e.Go("waiter", Time(pos+1), func(tk *Task) {
+			for r := 0; r < 2; r++ {
+				wq.Wait(tk)
+				woken = append(woken, i)
+			}
+		})
+	}
+	e.Go("waker", 100, func(tk *Task) {
+		for r := 0; r < 2*len(parkOrder); r++ {
+			tk.Sync()
+			if !wq.WakeOne(tk, tk.Now()) {
+				t.Errorf("wake %d found no waiter", r)
+			}
+			tk.Work(10)
+		}
+	})
+	e.Run()
+	if want := []int{1, 2, 0, 1, 2, 0}; !slices.Equal(woken, want) {
+		t.Errorf("woke %v, want arrival order %v", woken, want)
 	}
 }
