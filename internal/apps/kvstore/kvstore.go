@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"ufork/internal/alloc"
@@ -139,10 +138,15 @@ func (s *Store) root() (cap.Capability, error) {
 	return root, nil
 }
 
+// hashKey is 64-bit FNV-1a (hash/fnv's New64a), computed inline so that
+// a lookup allocates nothing.
 func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // bucketOf returns (root, table, bucket byte offset).
@@ -170,19 +174,19 @@ func (s *Store) findEntry(table cap.Capability, bucketOff uint64, key string) (e
 		return
 	}
 	prev = cap.Null()
-	kb := []byte(key)
+	var buf [maxKeyLen]byte
 	for cur.Tag() {
 		klen, err2 := s.p.LoadU64(cur, entKeyLenOff)
 		if err2 != nil {
 			err = err2
 			return
 		}
-		if int(klen) == len(kb) {
-			buf := make([]byte, klen)
-			if err = s.p.Load(cur, entKeyOff, buf); err != nil {
+		if klen == uint64(len(key)) && klen <= maxKeyLen {
+			kb := buf[:klen]
+			if err = s.p.Load(cur, entKeyOff, kb); err != nil {
 				return
 			}
-			if string(buf) == key {
+			if string(kb) == key {
 				entry = cur
 				return
 			}
@@ -311,7 +315,8 @@ func (s *Store) Set(key string, value []byte) error {
 	if err := s.p.StoreU64(ent, entKeyLenOff, uint64(len(key))); err != nil {
 		return err
 	}
-	if err := s.p.Store(ent, entKeyOff, []byte(key)); err != nil {
+	var kb [maxKeyLen]byte
+	if err := s.p.Store(ent, entKeyOff, kb[:copy(kb[:], key)]); err != nil {
 		return err
 	}
 	if err := s.p.StoreCap(table, bucketOff, ent); err != nil {
@@ -404,7 +409,9 @@ func (s *Store) Count() (uint64, error) {
 
 // ForEach visits every entry: the snapshot walk. Each visit performs the
 // capability loads (bucket, entry, value pointer) that CoPA turns into
-// page copies in a forked child.
+// page copies in a forked child. fn's key is one buffer reused for every
+// entry: it is valid only during the call, and a caller that keeps it
+// must copy it.
 func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
 	root, err := s.root()
 	if err != nil {
@@ -418,6 +425,7 @@ func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
 	if err != nil {
 		return err
 	}
+	var kbuf [maxKeyLen]byte
 	for b := uint64(0); b < n; b++ {
 		cur, err := s.p.LoadCap(table, b*cap.GranuleSize)
 		if err != nil {
@@ -428,7 +436,10 @@ func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
 			if err != nil {
 				return err
 			}
-			key := make([]byte, klen)
+			if klen > maxKeyLen {
+				return fmt.Errorf("kvstore: entry key length %d exceeds %d", klen, maxKeyLen)
+			}
+			key := kbuf[:klen]
 			if err := s.p.Load(cur, entKeyOff, key); err != nil {
 				return err
 			}

@@ -363,3 +363,105 @@ func TestCoPAChildMemoryFarBelowCoA(t *testing.T) {
 
 // capability aliases the capability type for the ForEach callback.
 type capability = cap.Capability
+
+// TestBGSavePlanesStayBounded: BGSAVE cycles must not leave capability
+// planes behind on plain value pages. Each snapshot child copies the
+// capability-dense pages and frees them on exit; the parent's next writes
+// copy value pages. Were a freed frame to keep its plane, those copies
+// would pick planes up, and the count of frames holding one would grow
+// with the number of cycles.
+func TestBGSavePlanesStayBounded(t *testing.T) {
+	withStore(t, core.CopyOnPointerAccess, func(k *kernel.Kernel, p *kernel.Proc, s *kvstore.Store) {
+		const keys = 256
+		val := bytes.Repeat([]byte{0x5a}, 2048)
+		for i := 0; i < keys; i++ {
+			if err := s.Set(fmt.Sprintf("key-%03d", i), val); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		var planes []int
+		x := uint32(1)
+		for cycle := 1; cycle <= 40; cycle++ {
+			if _, err := s.BGSave("/dump.rdb"); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 64; i++ {
+				x = x*1664525 + 1013904223
+				val[0] = byte(cycle)
+				if err := s.Set(fmt.Sprintf("key-%03d", x>>8%keys), val); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := s.Reap(); err != nil {
+				t.Error(err)
+				return
+			}
+			if cycle == 4 || cycle == 40 {
+				planes = append(planes, k.Mem.CapPlanes())
+			}
+		}
+		t.Logf("frames holding a capability plane after 4 and 40 cycles: %v", planes)
+		if planes[1] > planes[0] {
+			t.Errorf("frames holding a capability plane grew from %d after 4 BGSAVE cycles to %d after 40", planes[0], planes[1])
+		}
+	})
+}
+
+// Allocation gates: a lookup allocates only the value it returns, an
+// overwriting Set nothing, and the snapshot walk allocates per Save call,
+// not per entry. Save's three are its write buffer, the key buffer
+// ForEach reuses and the dump file's open-file description; the gate
+// leaves room for one more.
+const (
+	maxMallocsPerGet  = 1
+	maxMallocsPerSet  = 0
+	maxMallocsPerSave = 4
+)
+
+// TestOpAllocs measures host allocations of Get, of overwriting Set and of
+// Save on a 200-key store.
+func TestOpAllocs(t *testing.T) {
+	withStore(t, core.CopyOnPointerAccess, func(k *kernel.Kernel, p *kernel.Proc, s *kvstore.Store) {
+		const keys = 200
+		names := make([]string, keys)
+		val := bytes.Repeat([]byte{0x3c}, 100)
+		for i := range names {
+			names[i] = fmt.Sprintf("key-%03d", i)
+			if err := s.Set(names[i], val); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		i := 0
+		get := testing.AllocsPerRun(400, func() {
+			if _, err := s.Get(names[i%keys]); err != nil {
+				t.Error(err)
+			}
+			i++
+		})
+		set := testing.AllocsPerRun(400, func() {
+			if err := s.Set(names[i%keys], val); err != nil {
+				t.Error(err)
+			}
+			i++
+		})
+		save := testing.AllocsPerRun(20, func() {
+			if err := s.Save("/dump.rdb"); err != nil {
+				t.Error(err)
+			}
+		})
+		t.Logf("mallocs: %.2f per Get, %.2f per Set, %.1f per Save", get, set, save)
+		if get > maxMallocsPerGet {
+			t.Errorf("%.2f mallocs per Get, want at most %d", get, maxMallocsPerGet)
+		}
+		if set > maxMallocsPerSet {
+			t.Errorf("%.2f mallocs per overwriting Set, want at most %d", set, maxMallocsPerSet)
+		}
+		if save > maxMallocsPerSave {
+			t.Errorf("%.1f mallocs per Save of %d keys, want at most %d", save, keys, maxMallocsPerSave)
+		}
+	})
+}

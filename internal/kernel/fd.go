@@ -279,6 +279,9 @@ func (w *PipeWriter) Close(_ *Kernel, p *Proc) error {
 type Conn struct {
 	in  PipeReader // data from the client
 	out PipeWriter // data to the client
+	// of is the open file description Accept installs, allocated with
+	// the connection. A listener hands each Conn out once.
+	of OpenFile
 }
 
 // ClientConn is the client's half.

@@ -431,7 +431,9 @@ func (k *Kernel) Open(p *Proc, name string, create bool) (int, error) {
 	} else if create {
 		ino.Data = ino.Data[:0] // truncate, keeping the storage for the rewrite
 	}
-	return k.fdInstall(p, &OpenFile{File: &regularFile{ino: ino}}), nil
+	of := &regularOpenFile{rf: regularFile{ino: ino}}
+	of.File = &of.rf
+	return k.fdInstall(p, &of.OpenFile), nil
 }
 
 // Close closes a descriptor.
@@ -558,7 +560,8 @@ func (k *Kernel) Accept(p *Proc, fd int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return k.fdInstall(p, &OpenFile{File: conn}), nil
+	conn.of.File = conn
+	return k.fdInstall(p, &conn.of), nil
 }
 
 // Sbrk grows the heap watermark by n pages. On the statically heaped

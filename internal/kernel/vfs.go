@@ -68,6 +68,13 @@ type regularFile struct {
 	ino *Inode
 }
 
+// regularOpenFile is a regular file's open file description with its
+// regularFile inline, so an open(2) allocates once.
+type regularOpenFile struct {
+	OpenFile
+	rf regularFile
+}
+
 // Read copies from the inode at the description's offset. The per-byte
 // ram-disk cost is charged to the caller.
 func (f *regularFile) Read(k *Kernel, p *Proc, buf []byte) (int, error) {

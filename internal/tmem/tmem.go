@@ -76,12 +76,17 @@ type Frame struct {
 	// ntags caches the population count of tags so capability-free frames
 	// answer CountTags and ForEachTagged without touching the words.
 	ntags int32
-	// caps is allocated lazily on the first capability store: most frames
-	// hold plain data and never pay for a capability plane. A pooled frame
-	// keeps its caps array across reuse (stale entries are unobservable:
-	// every read is gated on the tag bit).
-	caps *[GranulesPerPage]cap.Capability
+	// caps is attached on the first tagged store (or by a copy of a tagged
+	// frame) and detached when the frame is freed or zeroed: most frames
+	// hold plain data and never carry a capability plane. A plane comes
+	// from planePool with its previous frame's entries; they are
+	// unobservable, because every read is gated on the tag bit.
+	caps *plane
 }
+
+// plane is one frame's capability plane: the authoritative value of each
+// tagged granule.
+type plane [GranulesPerPage]cap.Capability
 
 // tag reports granule g's validity bit.
 func (f *Frame) tag(g uint64) bool { return f.tags[g/64]>>(g%64)&1 != 0 }
@@ -117,9 +122,9 @@ func (f *Frame) word(off uint64) uint64 {
 	return binary.LittleEndian.Uint64(f.Data[off:])
 }
 
-// reset returns the frame to its freshly allocated state. The data and
-// caps storage is retained: the bytes are cleared, and with every tag
-// clear no stale capability is reachable.
+// reset clears the frame's bytes and tags, keeping its data storage.
+// A frame being reset holds no capability plane: FreeFrame and ZeroFrame
+// detach it first.
 func (f *Frame) reset() {
 	if f.Data != nil {
 		clear(f.Data[:])
@@ -129,11 +134,18 @@ func (f *Frame) reset() {
 }
 
 // framePool passes freed Frames from finished banks (Release) to the
-// banks booted after them: a sweep boots hundreds of kernels, and each would
-// otherwise allocate its frames afresh. Pooled frames carry their caps
-// storage but no data, and are reset on reuse, so nothing a kernel can
-// observe crosses banks.
+// banks booted after them: a sweep boots hundreds of kernels, and each
+// would otherwise allocate its frames afresh. Pooled frames carry neither
+// data nor a capability plane, and are reset on reuse, so nothing a kernel
+// can observe crosses banks.
 var framePool sync.Pool
+
+// planePool holds the capability planes detached from freed or zeroed
+// frames, for the next frame of any bank that stores a capability. A
+// pooled plane's entries are unreachable until a tagged store or copy
+// overwrites them. It is safe for the concurrent CopyFrame calls of
+// fork's eager-copy workers.
+var planePool sync.Pool
 
 // Memory is a bank of tagged physical frames with a free-list allocator.
 // Freed Frames are pooled and reset on reuse rather than handed to the
@@ -148,8 +160,10 @@ type Memory struct {
 	// freeList holds freed frames, the most recent on top. Frames
 	// [fresh, nframes) have never been handed out and sit logically
 	// below it, lowest first (see popFree).
-	freeList  []PFN
-	fresh     PFN
+	freeList []PFN
+	fresh    PFN
+	// pool holds freed Frames, with their data storage but without
+	// their capability planes (see planePool), for reuse by this bank.
 	pool      []*Frame
 	allocated int
 	peak      int
@@ -208,14 +222,27 @@ func (m *Memory) Allocated() int { return m.allocated }
 // PeakAllocated returns the high-water mark of allocated frames.
 func (m *Memory) PeakAllocated() int { return m.peak }
 
+// CapPlanes returns the number of allocated frames holding a capability
+// plane: each costs 10 KiB of host memory beside the frame's 4 KiB.
+func (m *Memory) CapPlanes() int {
+	n := 0
+	for _, f := range m.frames {
+		if f != nil && f.caps != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // AllocFrame allocates a zeroed frame and returns its PFN.
 func (m *Memory) AllocFrame() (PFN, error) { return m.alloc(true) }
 
 // AllocFrameForCopy allocates a frame whose data bytes are UNSPECIFIED (a
-// pooled frame keeps its previous contents); its tag plane is clear. The
-// caller must fully overwrite it with CopyFrame before anything reads it.
-// The fork eager-copy path uses this to skip zeroing 4 KiB per page that
-// the copy is about to overwrite anyway.
+// pooled frame keeps its previous contents); its tag plane is clear and it
+// holds no capability plane. The caller must fully overwrite it with
+// CopyFrame before anything reads it. The fork eager-copy path uses this
+// to skip zeroing 4 KiB per page that the copy is about to overwrite
+// anyway.
 func (m *Memory) AllocFrameForCopy() (PFN, error) { return m.alloc(false) }
 
 func (m *Memory) alloc(zero bool) (PFN, error) {
@@ -265,6 +292,23 @@ func (m *Memory) takePooled() (*Frame, bool) {
 	return f, ok
 }
 
+// takePlane returns a capability plane for a frame about to hold tags,
+// from planePool or else new. Its entries are stale until overwritten.
+func takePlane() *plane {
+	if p, ok := planePool.Get().(*plane); ok {
+		return p
+	}
+	return new(plane)
+}
+
+// detachPlane moves f's capability plane, if any, to planePool.
+func detachPlane(f *Frame) {
+	if f.caps != nil {
+		planePool.Put(f.caps)
+		f.caps = nil
+	}
+}
+
 // Release hands the bank's recycled frames to framePool for the banks
 // booted after it, dropping their data: a frame a bank has never written
 // holds no data storage. The bank stays usable. kernel.Run calls it once
@@ -290,8 +334,9 @@ func (m *Memory) SetFrameObserver(fn func(alloc bool, pfn PFN)) { m.observer = f
 func (m *Memory) SetCopyObserver(fn func(dst, src PFN)) { m.copyObserver = fn }
 
 // FreeFrame returns a frame to the allocator. Freeing a frame that is not
-// currently allocated reports ErrFreeFree; the frame's storage is retained
-// in the pool for the next AllocFrame.
+// currently allocated reports ErrFreeFree. The frame's data storage is
+// retained in the pool for the next allocation; its capability plane goes
+// to planePool, for the next frame that stores a capability.
 func (m *Memory) FreeFrame(pfn PFN) error {
 	if pfn == NoFrame || int(pfn) >= m.nframes {
 		return fmt.Errorf("%w: pfn %d", ErrBadFrame, pfn)
@@ -304,6 +349,7 @@ func (m *Memory) FreeFrame(pfn PFN) error {
 		poisonFrame(f)
 	}
 	m.frames[pfn] = nil
+	detachPlane(f)
 	m.pool = append(m.pool, f)
 	if !m.cacheFree(pfn) {
 		m.freeList = append(m.freeList, pfn)
@@ -429,7 +475,7 @@ func (m *Memory) StoreCap(pfn PFN, off uint64, c cap.Capability) error {
 	f.setTag(g, c.Tag())
 	if c.Tag() {
 		if f.caps == nil {
-			f.caps = new([GranulesPerPage]cap.Capability)
+			f.caps = takePlane()
 		}
 		f.caps[g] = c
 	} else if f.caps != nil {
@@ -511,7 +557,7 @@ func (m *Memory) CopyFrame(dst, src PFN) error {
 	fd.ntags = fs.ntags
 	if fs.caps != nil && fs.ntags > 0 {
 		if fd.caps == nil {
-			fd.caps = new([GranulesPerPage]cap.Capability)
+			fd.caps = takePlane()
 		}
 		if int(fs.ntags) >= GranulesPerPage/4 {
 			*fd.caps = *fs.caps
@@ -529,8 +575,8 @@ func (m *Memory) CopyFrame(dst, src PFN) error {
 			}
 		}
 	}
-	// A stale fd.caps from a pooled frame is likewise unobservable when fs
-	// carried no tags: fd's tag plane is now all-clear.
+	// A plane fd already held is likewise unobservable when fs carried no
+	// tags: fd's tag plane is now all-clear.
 	if m.hooks != nil && m.hooks.SkipTagCopy {
 		fd.tags = [TagWords]uint64{}
 	}
@@ -541,12 +587,14 @@ func (m *Memory) CopyFrame(dst, src PFN) error {
 	return nil
 }
 
-// ZeroFrame clears a frame's data, tags, and cached tag count.
+// ZeroFrame clears a frame's data, tags, and cached tag count, and
+// detaches its capability plane.
 func (m *Memory) ZeroFrame(pfn PFN) error {
 	f, err := m.frame(pfn)
 	if err != nil {
 		return err
 	}
+	detachPlane(f)
 	f.reset()
 	return nil
 }

@@ -540,3 +540,146 @@ func TestTagSoundnessProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFreedPlaneSkipsDataFrames: a frame's capability plane leaves with
+// its tags' owner. A tagged frame freed and reallocated for plain data,
+// zeroed or as a copy of an untagged source, holds no plane.
+func TestFreedPlaneSkipsDataFrames(t *testing.T) {
+	m := New(4)
+	tagged, _ := m.AllocFrame()
+	plain, _ := m.AllocFrame()
+	if err := m.StoreCap(tagged, 32, cap.Root(0x8000, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if m.CapPlanes() != 1 {
+		t.Fatalf("CapPlanes = %d after one tagged store, want 1", m.CapPlanes())
+	}
+	if err := m.FreeFrame(tagged); err != nil {
+		t.Fatal(err)
+	}
+	if m.CapPlanes() != 0 {
+		t.Fatalf("CapPlanes = %d after freeing the tagged frame, want 0", m.CapPlanes())
+	}
+	data, _ := m.AllocFrame()
+	if err := m.WriteBytes(data, 0, []byte("plain value bytes")); err != nil {
+		t.Fatal(err)
+	}
+	copied, _ := m.AllocFrameForCopy()
+	if err := m.CopyFrame(copied, plain); err != nil {
+		t.Fatal(err)
+	}
+	for _, pfn := range []PFN{data, copied, plain} {
+		if m.frames[pfn].caps != nil {
+			t.Errorf("frame %d holds a capability plane without ever holding a tag", pfn)
+		}
+		if err := m.AuditFrame(pfn); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := m.StoreCap(data, 0, cap.Root(0x8000, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ZeroFrame(data); err != nil {
+		t.Fatal(err)
+	}
+	if m.frames[data].caps != nil || m.CapPlanes() != 0 {
+		t.Fatalf("ZeroFrame kept the plane: CapPlanes=%d", m.CapPlanes())
+	}
+}
+
+// TestCopyFramePlaneFollowsSourceTags: a copy carries a plane exactly when
+// its source holds tags, for sparse and dense sources alike, and the
+// copy's tagged entries equal the source's.
+func TestCopyFramePlaneFollowsSourceTags(t *testing.T) {
+	m := New(8)
+	// Recycle a plane full of capabilities that must not leak into copies.
+	junk, _ := m.AllocFrame()
+	for g := uint64(0); g < GranulesPerPage; g++ {
+		if err := m.StoreCap(junk, g*cap.GranuleSize, cap.Root(0xdead0000+g, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.FreeFrame(junk); err != nil {
+		t.Fatal(err)
+	}
+	for _, stride := range []uint64{1, 2, 37} { // dense to sparse
+		src, _ := m.AllocFrame()
+		for g := uint64(0); g < GranulesPerPage; g += stride {
+			if err := m.StoreCap(src, g*cap.GranuleSize, cap.Root(0x10000+g*64, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst, err := m.AllocFrameForCopy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CopyFrame(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		if m.frames[dst].caps == nil {
+			t.Fatalf("stride %d: copy of a tagged source has no plane", stride)
+		}
+		for _, pfn := range []PFN{src, dst} {
+			if err := m.AuditFrame(pfn); err != nil {
+				t.Fatalf("stride %d: %v", stride, err)
+			}
+		}
+		for g := uint64(0); g < GranulesPerPage; g++ {
+			want, _ := m.LoadCap(src, g*cap.GranuleSize)
+			got, _ := m.LoadCap(dst, g*cap.GranuleSize)
+			if got != want {
+				t.Fatalf("stride %d granule %d: copy holds %v, source %v", stride, g, got, want)
+			}
+		}
+		for _, pfn := range []PFN{src, dst} {
+			if err := m.FreeFrame(pfn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m.CapPlanes() != 0 {
+		t.Fatalf("CapPlanes = %d with every frame freed", m.CapPlanes())
+	}
+}
+
+// TestRecycledPlaneLoadsUntagged: a plane reused by another frame (in its
+// own bank or in another one) still holds its previous frame's
+// capabilities, and none of them is readable: LoadCap of an untagged
+// granule returns an untagged capability holding the data bytes.
+func TestRecycledPlaneLoadsUntagged(t *testing.T) {
+	fill := func(m *Memory) {
+		pfn, _ := m.AllocFrame()
+		for g := uint64(0); g < GranulesPerPage; g++ {
+			if err := m.StoreCap(pfn, g*cap.GranuleSize, cap.Root(0x4000, 1024)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.FreeFrame(pfn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(m *Memory) {
+		t.Helper()
+		pfn, _ := m.AllocFrame()
+		if err := m.StoreCap(pfn, 0, cap.Root(0x9000, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AuditFrame(pfn); err != nil {
+			t.Fatal(err)
+		}
+		for g := uint64(1); g < GranulesPerPage; g++ {
+			c, err := m.LoadCap(pfn, g*cap.GranuleSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Tag() || c.Addr() != 0 {
+				t.Fatalf("granule %d of a recycled plane loads %v, want an untagged zero", g, c)
+			}
+		}
+	}
+	m := New(2)
+	fill(m)
+	check(m)
+	fill(New(2))
+	check(New(2))
+}
