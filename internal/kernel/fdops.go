@@ -78,6 +78,7 @@ func (k *Kernel) Lseek(p *Proc, fd int, offset int64, whence int) (uint64, error
 	case SeekCur:
 		base = int64(of.Offset)
 	case SeekEnd:
+		rf.ino.fold()
 		base = int64(len(rf.ino.Data))
 	default:
 		return 0, fmt.Errorf("kernel: bad whence %d", whence)
@@ -106,5 +107,6 @@ func (k *Kernel) Stat(p *Proc, name string) (size uint64, err error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoEnt, name)
 	}
+	ino.fold()
 	return uint64(len(ino.Data)), nil
 }

@@ -429,7 +429,7 @@ func (k *Kernel) Open(p *Proc, name string, create bool) (int, error) {
 		}
 		ino = k.vfs.Create(name)
 	} else if create {
-		ino.Data = ino.Data[:0] // truncate, keeping the storage for the rewrite
+		ino.truncate()
 	}
 	of := &regularOpenFile{rf: regularFile{ino: ino}}
 	of.File = &of.rf
@@ -513,8 +513,12 @@ func (k *Kernel) ReadVM(p *Proc, fd int, c cap.Capability, off, n uint64) (int, 
 func (k *Kernel) Fsync(p *Proc, fd int) error {
 	k.enter(p, SysFsync, 0)
 	defer k.leave(p)
-	if _, err := k.fdGet(p, fd); err != nil {
+	of, err := k.fdGet(p, fd)
+	if err != nil {
 		return err
+	}
+	if rf, ok := of.File.(*regularFile); ok {
+		rf.ino.fold()
 	}
 	p.Task.Advance(k.Machine.FSSync)
 	return nil

@@ -11,10 +11,75 @@ import (
 // Inode is one ram-disk file.
 type Inode struct {
 	Name string
-	// Data is the live file contents, not a snapshot: it is valid only
-	// until the next write or truncate of this file, which may reuse or
-	// reallocate its backing array. A caller that keeps it must copy it.
+	// Data is the file contents. It is complete whenever no appending
+	// writer holds the file open: appends to a file longer than one extent
+	// may sit in ext until a description of the file is closed or fsynced,
+	// or until the kernel reads, sizes, truncates or overwrites the file.
+	// Every LoadDump caller reads it after the writer has exited. Data is
+	// live, not a snapshot: the next write or truncate may reuse or
+	// reallocate its backing array, so a caller that keeps it must copy it.
 	Data []byte
+	// ext holds the bytes appended past cap(Data), in order, in extents of
+	// extentSize bytes; all but the last are full.
+	ext [][]byte
+}
+
+// extentSize is the ram-disk append unit. A file that fits in one extent
+// grows in place, so its Data is always current; a larger one appends past
+// cap(Data) into extents instead of moving its bytes on every growth.
+const extentSize = 256 << 10
+
+// size is the file's length, pending extents included.
+func (ino *Inode) size() uint64 {
+	n := len(ino.Data)
+	if e := len(ino.ext); e > 0 {
+		n += (e-1)*extentSize + len(ino.ext[e-1])
+	}
+	return uint64(n)
+}
+
+// appendsToExtents reports whether a write of n bytes at off appends into
+// extents: it must start at the end of a file already longer than one
+// extent and either follow earlier extents or outgrow cap(Data).
+func (ino *Inode) appendsToExtents(off uint64, n int) bool {
+	return off == ino.size() && (len(ino.ext) > 0 ||
+		len(ino.Data) >= extentSize && off+uint64(n) > uint64(cap(ino.Data)))
+}
+
+// appendExtents appends buf to the file's extents.
+func (ino *Inode) appendExtents(buf []byte) {
+	for len(buf) > 0 {
+		last := len(ino.ext) - 1
+		if last < 0 || len(ino.ext[last]) == extentSize {
+			ino.ext = append(ino.ext, make([]byte, 0, extentSize))
+			last++
+		}
+		n := min(len(buf), extentSize-len(ino.ext[last]))
+		ino.ext[last] = append(ino.ext[last], buf[:n]...)
+		buf = buf[n:]
+	}
+}
+
+// fold makes Data complete: one allocation of the file's size plus an
+// eighth of headroom, so a same-size rewrite after a truncate stays in
+// place, and one copy of the bytes.
+func (ino *Inode) fold() {
+	if len(ino.ext) == 0 {
+		return
+	}
+	n := ino.size()
+	data := make([]byte, n, n+n/8)
+	off := copy(data, ino.Data)
+	for _, e := range ino.ext {
+		off += copy(data[off:], e)
+	}
+	ino.Data, ino.ext = data, nil
+}
+
+// truncate empties the file, keeping its storage for the rewrite.
+func (ino *Inode) truncate() {
+	ino.fold()
+	ino.Data = ino.Data[:0]
 }
 
 // VFS is a flat ram-disk file system: the experiments store Redis dumps
@@ -85,11 +150,17 @@ func (f *regularFile) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
 	return 0, fmt.Errorf("kernel: regularFile.Write must go through OpenFile")
 }
 
-func (f *regularFile) Close(*Kernel, *Proc) error { return nil }
+// Close runs when an open file description's last descriptor is closed:
+// it folds the file's pending appends into Data.
+func (f *regularFile) Close(*Kernel, *Proc) error {
+	f.ino.fold()
+	return nil
+}
 
 // readAt / writeAt implement offset-aware I/O; the syscall layer resolves
 // the OpenFile offset.
 func (f *regularFile) readAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
+	f.ino.fold()
 	if off >= uint64(len(f.ino.Data)) {
 		return 0
 	}
@@ -98,24 +169,33 @@ func (f *regularFile) readAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
 	return n
 }
 
-// writeAt grows the file geometrically through slices.Grow, so a file
-// written sequentially costs amortised host time in proportion to its
-// length. The growth factor is append's: about 1.25x once the file is
-// large, so the first 16.9 MB dump written to a path allocates about
-// 95 MiB of backing arrays on its way up. Truncation
-// keeps the backing array, so any hole between the old end and off is
-// zeroed: otherwise it would expose the bytes from before the truncate.
+// writeAt leaves written bytes where they land. Once a file is longer
+// than one extent, an append past cap(Data) goes into extents, which fold
+// into Data once: the first 16.9 MB dump written to a path allocates its
+// bytes about twice (extents, then Data with its headroom), where regrowing
+// Data in slices.Grow's 1.25x steps would allocate them about six times.
+// Any other write folds first and works on Data in place, growing it
+// through slices.Grow.
+// Truncation keeps the backing array, so any hole between the old end and
+// off is zeroed: otherwise it would expose the bytes from before the
+// truncate. The virtual-time charge depends on the length alone.
 func (f *regularFile) writeAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
-	data := f.ino.Data
-	if end := off + uint64(len(buf)); end > uint64(len(data)) {
-		old := len(data)
-		data = slices.Grow(data, int(end)-old)[:end]
-		if off > uint64(old) {
-			clear(data[old:off])
+	ino := f.ino
+	if ino.appendsToExtents(off, len(buf)) {
+		ino.appendExtents(buf)
+	} else {
+		ino.fold()
+		data := ino.Data
+		if end := off + uint64(len(buf)); end > uint64(len(data)) {
+			old := len(data)
+			data = slices.Grow(data, int(end)-old)[:end]
+			if off > uint64(old) {
+				clear(data[old:off])
+			}
+			ino.Data = data
 		}
-		f.ino.Data = data
+		copy(data[off:], buf)
 	}
-	copy(data[off:], buf)
 	p.Task.Book(sim.Time(len(buf)) * k.Machine.FSWriteNsPerKB / 1024)
 	return len(buf)
 }

@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -284,15 +285,12 @@ func normIndex(idx float64, n uint64) (uint64, error) {
 // capability load in the object slot is exactly the access CoPA's barrier
 // intercepts in forked children.
 func (rt *Runtime) loadValueAt(base cap.Capability, off uint64) (Value, error) {
-	kind, err := rt.p.LoadU64(base, off+valKindOff)
-	if err != nil {
+	var rec [valObjOff]byte // kind and number: one access for the granule
+	if err := rt.p.Load(base, off+valKindOff, rec[:]); err != nil {
 		return Value{}, err
 	}
-	bits, err := rt.p.LoadU64(base, off+valNumOff)
-	if err != nil {
-		return Value{}, err
-	}
-	v := Value{kind: kind, num: f64frombits(bits)}
+	kind := binary.LittleEndian.Uint64(rec[:valNumOff])
+	v := Value{kind: kind, num: f64frombits(binary.LittleEndian.Uint64(rec[valNumOff:]))}
 	if kind == kStr || kind == kList || kind == kDict {
 		obj, err := rt.p.LoadCap(base, off+valObjOff)
 		if err != nil {
@@ -308,10 +306,10 @@ func (rt *Runtime) loadValueAt(base cap.Capability, off uint64) (Value, error) {
 
 // storeValueAt writes one 32-byte value record.
 func (rt *Runtime) storeValueAt(base cap.Capability, off uint64, v Value) error {
-	if err := rt.p.StoreU64(base, off+valKindOff, v.kind); err != nil {
-		return err
-	}
-	if err := rt.p.StoreU64(base, off+valNumOff, f64bits(v.num)); err != nil {
+	var rec [valObjOff]byte
+	binary.LittleEndian.PutUint64(rec[:valNumOff], v.kind)
+	binary.LittleEndian.PutUint64(rec[valNumOff:], f64bits(v.num))
+	if err := rt.p.Store(base, off+valKindOff, rec[:]); err != nil {
 		return err
 	}
 	return rt.p.StoreCap(base, off+valObjOff, v.obj)

@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"container/heap"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync/atomic"
 )
@@ -79,6 +80,9 @@ type Task struct {
 	st     state
 	resume chan struct{}
 	fn     func(*Task)
+
+	// goexited marks a task whose fn ended without returning.
+	goexited bool
 
 	// startAt is the clock the task was created with. Every clock advance
 	// is attributed to exactly one DelayKind, so at any instant
@@ -225,14 +229,53 @@ func (e *Engine) Go(name string, start Time, fn func(*Task)) *Task {
 
 func (t *Task) body() {
 	<-t.resume
+	defer t.exit()
 	t.fn(t)
 	t.st = stateDone
+}
+
+// exit hands control back to the scheduler when fn returns and when it
+// leaves through runtime.Goexit (a t.Fatal inside a test's task); Run then
+// leaves through runtime.Goexit as well, so the test fails with its
+// message instead of hanging. A panic is not recovered and gets no
+// handback: it crashes the program with its own message and stack, before
+// Run could race it with one about Goexit.
+func (t *Task) exit() {
+	if t.st != stateDone {
+		if !goexiting() {
+			return
+		}
+		t.st = stateDone
+		t.goexited = true
+	}
 	t.eng.toSched <- t
+}
+
+// goexiting reports whether the deferred call it is made from runs
+// because its goroutine called runtime.Goexit rather than panicked: the
+// innermost of the two runtime frames that run deferred calls decides.
+// Only recover could tell otherwise, and it would stop the panic.
+func goexiting() bool {
+	var pcs [16]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
+	for {
+		f, more := frames.Next()
+		switch f.Function {
+		case "runtime.Goexit":
+			return true
+		case "runtime.gopanic":
+			return false
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // Run executes the simulation until every task has finished. It panics on
 // deadlock (parked tasks with an empty run queue), printing a task dump —
-// a deadlock is always a bug in the simulated kernel.
+// a deadlock is always a bug in the simulated kernel. When a task leaves
+// through runtime.Goexit, Run does too, without returning.
 func (e *Engine) Run() {
 	if e.started {
 		panic("sim: engine reused")
@@ -248,6 +291,9 @@ func (e *Engine) Run() {
 		t.resume <- struct{}{}
 		<-e.toSched
 		e.running = nil
+		if t.goexited {
+			runtime.Goexit()
+		}
 	}
 	for _, t := range e.tasks {
 		if t.st != stateDone {

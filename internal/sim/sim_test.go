@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"os"
+	"os/exec"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestSingleTaskClock(t *testing.T) {
@@ -220,6 +225,59 @@ func TestDeadlockPanics(t *testing.T) {
 	var wq WaitQueue
 	e.Go("stuck", 0, func(tk *Task) { wq.Wait(tk) })
 	e.Run()
+}
+
+// TestGoexitInTaskEndsRun: a task that leaves through runtime.Goexit (a
+// t.Fatal inside a test's task) ends Run the same way, at once, instead of
+// leaving it blocked until the test binary times out.
+func TestGoexitInTaskEndsRun(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("quitter", 0, func(*Task) { runtime.Goexit() })
+	e.Go("bystander", 10, func(tk *Task) { tk.Work(1) })
+	returned := make(chan bool, 1)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		e.Run()
+		ok = true
+	}()
+	select {
+	case ok := <-returned:
+		if ok {
+			t.Fatal("Run returned normally after a task's Goexit")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run still blocked 1 s after a task's Goexit")
+	}
+}
+
+// TestPanicInTaskCrashesWithItsMessage: a task's panic is not recovered
+// or turned into a Goexit: the binary dies with the task's own message.
+// The panicking engine runs in a child process of the test binary.
+func TestPanicInTaskCrashesWithItsMessage(t *testing.T) {
+	const msg = "task panic 7f3a"
+	if os.Getenv("SIM_TASK_PANIC") == "1" {
+		e := NewEngine(1)
+		e.Go("boom", 0, func(*Task) { panic(msg) })
+		e.Go("bystander", 10, func(tk *Task) { tk.Work(1) })
+		e.Run()
+		return
+	}
+	for i := 0; i < 3; i++ {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestPanicInTaskCrashesWithItsMessage$")
+		cmd.Env = append(os.Environ(), "SIM_TASK_PANIC=1")
+		out, err := cmd.CombinedOutput()
+		first := ""
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "panic: ") {
+				first = line
+				break
+			}
+		}
+		if err == nil || first != "panic: "+msg || strings.Contains(string(out), "Goexit") {
+			t.Fatalf("child exited with %v, first panic line %q; output:\n%s", err, first, out)
+		}
+	}
 }
 
 func TestTimeString(t *testing.T) {
