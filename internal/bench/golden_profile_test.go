@@ -101,7 +101,7 @@ func TestGoldenContentionTraceArmed(t *testing.T) {
 func TestGoldenContentionAllPlanesArmed(t *testing.T) {
 	pl := kernel.Planes{
 		Metrics: obs.NewRegistry(),
-		Flight:  flight.New(flight.DefaultShards, flight.DefaultPerShard),
+		Flight:  flight.New(flight.DefaultEvents),
 		Memmap:  memmap.New(),
 		Causal:  causal.New(0),
 		Profile: profile.New(0),
@@ -126,7 +126,7 @@ func TestGoldenContentionAllPlanesArmed(t *testing.T) {
 // armTraceEverywhere arms a -trace-sized recorder on every kernel.
 func armTraceEverywhere(t *testing.T) *flight.Recorder {
 	t.Helper()
-	rec := flight.New(1, 1<<18)
+	rec := flight.New(1 << 18)
 	armEverywhere(t, kernel.Planes{Flight: rec})
 	return rec
 }

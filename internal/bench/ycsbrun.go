@@ -257,7 +257,7 @@ func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
 // planes and so accumulates every cell's exemplars on /traces.
 func ycsbPlanes(pl kernel.Planes) kernel.Planes {
 	if pl.Flight == nil {
-		pl.Flight = flight.New(flight.DefaultShards, flight.DefaultPerShard)
+		pl.Flight = flight.New(flight.DefaultEvents)
 	}
 	if pl.Causal == nil {
 		pl.Causal = causal.New(0)

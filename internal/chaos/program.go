@@ -141,7 +141,7 @@ func Run(cfg Config, prog []byte) (Result, error) {
 	// cross-checks from frame zero), causal and profile keep the caller's
 	// planes, else get private ones, so a failure dump always carries
 	// trace trees and stacks.
-	fr := flight.New(flight.DefaultShards, flight.DefaultPerShard)
+	fr := flight.New(flight.DefaultEvents)
 	pl := cfg.Planes
 	pl.Flight = fr
 	if pl.Memmap == nil {

@@ -50,9 +50,7 @@ func (k *Kernel) TraceBegin(p *Proc, group, name string) {
 		return
 	}
 	p.cspan = s
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindTraceStart, uint64(s.Trace()), 0, 0)
-	}
+	k.emit(t.Now(), int32(p.PID), flight.KindTraceStart, uint64(s.Trace()), 0, 0)
 }
 
 // TraceEnd finishes the trace rooted at p at the instant the origin
@@ -70,9 +68,7 @@ func (k *Kernel) TraceEnd(p *Proc) {
 	s.Checkpoint(t.Now(), t.Delays())
 	k.Causal.Close(s, t.Now())
 	p.cspan = nil
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindTraceEnd, id, uint64(t.Now()-start), 0)
-	}
+	k.emit(t.Now(), int32(p.PID), flight.KindTraceEnd, id, uint64(t.Now()-start), 0)
 }
 
 // causalExit closes p's span as the process terminates: a root dying
@@ -103,10 +99,7 @@ func (k *Kernel) causalFork(p, child *Proc, at sim.Time) {
 		return
 	}
 	child.cspan = cs
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(at), int32(p.PID), flight.KindTraceEdge,
-			uint64(s.Trace()), uint64(causal.EdgeFork), uint64(child.PID))
-	}
+	k.emit(at, int32(p.PID), flight.KindTraceEdge, uint64(s.Trace()), uint64(causal.EdgeFork), uint64(child.PID))
 }
 
 // causalAdopt joins p to the live trace a pipe stamp or signal carried,
@@ -122,10 +115,7 @@ func (k *Kernel) causalAdopt(p *Proc, kind causal.EdgeKind, id causal.TraceID, f
 		return
 	}
 	p.cspan = s
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(t.Now()), fromPID, flight.KindTraceEdge,
-			uint64(id), uint64(kind), uint64(p.PID))
-	}
+	k.emit(t.Now(), fromPID, flight.KindTraceEdge, uint64(id), uint64(kind), uint64(p.PID))
 }
 
 // causalLockSite names a contended lock for its "lock:<site>" segment

@@ -228,7 +228,7 @@ func TestTraceSignalAdoption(t *testing.T) {
 // TestTraceFlightEvents verifies the flight recorder sees the new trace
 // kinds with decodable payloads when both planes are armed.
 func TestTraceFlightEvents(t *testing.T) {
-	rec := flight.New(flight.DefaultShards, 4096)
+	rec := flight.New(flight.DefaultEvents)
 	pl := causal.New(0)
 	k := newKernelWith(2, kernel.IsolationFull, kernel.Planes{Flight: rec, Causal: pl})
 

@@ -30,7 +30,7 @@ func TestForkPhasesSumToLatency(t *testing.T) {
 		{"vmclone", model.VMClone(2), vmclone.New()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := flight.New(1, 1<<16)
+			rec := flight.New(1 << 16)
 			k := kernel.New(kernel.Config{
 				Machine:   tc.m,
 				Engine:    tc.eng,

@@ -516,7 +516,7 @@ func New(cfg Config) *Kernel {
 		// only when scheduler stats are armed, and only for grants that
 		// waited.
 		k.Eng.OnDispatch = func(t *sim.Task, wait sim.Time) {
-			k.Flight.Emit(uint64(t.Now()), t.Tag, flight.KindDispatch, uint64(wait), 0, 0)
+			k.emit(t.Now(), t.Tag, flight.KindDispatch, uint64(wait), 0, 0)
 		}
 	}
 	if cfg.Machine.SingleAddressSpace {
@@ -594,13 +594,11 @@ func (k *Kernel) observeFrame(alloc bool, pfn tmem.PFN) {
 			pl.OnFree(pfn)
 		}
 	}
-	if k.Flight != nil {
-		kind := flight.KindFrameAlloc
-		if !alloc {
-			kind = flight.KindFrameFree
-		}
-		k.Flight.Emit(uint64(k.Eng.Now()), int32(k.curPID), kind, uint64(pfn), 0, 0)
+	kind := flight.KindFrameAlloc
+	if !alloc {
+		kind = flight.KindFrameFree
 	}
+	k.emit(k.Eng.Now(), int32(k.curPID), kind, uint64(pfn), 0, 0)
 }
 
 // armLockstat attaches a lockstat table. On BKL machines the BKL becomes a
@@ -759,9 +757,7 @@ func (k *Kernel) startProc(p *Proc, start sim.Time, entry func(*Proc)) {
 	if p.Parent != nil {
 		parent = p.Parent.PID
 	}
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(start), int32(p.PID), flight.KindProcSpawn, uint64(parent), 0, 0)
-	}
+	k.emit(start, int32(p.PID), flight.KindProcSpawn, uint64(parent), 0, 0)
 	k.Memmap.OnSpawn(int32(p.PID), int32(parent), p.Spec.Name, p.Gen)
 	p.Task = k.Eng.Go(fmt.Sprintf("%s[%d]", p.Spec.Name, p.PID), start, func(t *sim.Task) {
 		defer k.reapOnReturn(p)
@@ -823,9 +819,7 @@ func (k *Kernel) terminate(p *Proc, status int) {
 	}
 	p.exited = true
 	p.exitStatus = status
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindProcExit, uint64(status), 0, 0)
-	}
+	k.emit(t.Now(), int32(p.PID), flight.KindProcExit, uint64(status), 0, 0)
 	k.curPID = p.PID
 	p.FDs.CloseAll(k, p)
 	// Freeze the final memory footprint into the accounting gauges before

@@ -22,7 +22,7 @@ import (
 func allPlanes() kernel.Planes {
 	return kernel.Planes{
 		Metrics: obs.NewRegistry(),
-		Flight:  flight.New(2, 1<<14),
+		Flight:  flight.New(1 << 15),
 		Memmap:  memmap.New(),
 		Causal:  causal.New(0),
 		Profile: profile.New(0),

@@ -159,9 +159,52 @@ func permForAccess(acc vm.Access) cap.Perm {
 	}
 }
 
-// faultModeNames decode the fault-resolution mode (the same encoding
-// KindFrameOwnerChange uses) into causal-segment labels.
-var faultModeNames = [...]string{"mapped", "cow", "coa", "copa"}
+// faultLabels decode the fault-resolution mode (the same encoding
+// KindFrameOwnerChange uses) into fault-window labels.
+var faultLabels = [...]string{"fault:mapped", "fault:cow", "fault:coa", "fault:copa"}
+
+// faultBegin opens p's fault-service window in the causal trace and the
+// profiler: the copy mode is only known once the handler returns, so both
+// planes defer labelling the window's time until faultEnd. The causal
+// trace is checkpointed up to the fault and fenced; the profiler buffers
+// the window's samples. Windows nest (a handler that faults again): each
+// end relabels only its own window, and nested hooks (a contended tmem
+// acquisition) keep their own site labels inside it. A mark is -1 when
+// its plane is off.
+func (k *Kernel) faultBegin(p *Proc) (cmark, pmark int) {
+	cmark, pmark = -1, -1
+	if cs := k.causalSpan(p); cs != nil {
+		cs.Checkpoint(p.Task.Now(), p.Task.Delays())
+		cmark = cs.Mark()
+	}
+	if k.Profile != nil {
+		p.profDepth++
+		pmark = len(p.profBuf)
+	}
+	return cmark, pmark
+}
+
+// faultEnd closes the window faultBegin opened, labelling it in both
+// planes: the trace's unattributed segments since cmark, and every
+// profiler sample buffered since pmark, flushed in charge order. Every
+// exit from the fault path calls it, the failed ones as fault:error.
+func (k *Kernel) faultEnd(p *Proc, cmark, pmark int, label string) {
+	if cmark >= 0 {
+		if cs := k.causalSpan(p); cs != nil {
+			cs.Checkpoint(p.Task.Now(), p.Task.Delays())
+			cs.RelabelWindow(cmark, label)
+		}
+	}
+	if pmark >= 0 {
+		p.profDepth--
+		for i := pmark; i < len(p.profBuf); i++ {
+			s := p.profBuf[i]
+			s.st.Phase = label
+			k.Profile.Add(s.st, s.kind, s.cpu, s.d)
+		}
+		p.profBuf = p.profBuf[:pmark]
+	}
+}
 
 // translate resolves va for the access, invoking the fork engine's fault
 // handler (CoW / CoA / CoPA resolution) as needed.
@@ -174,29 +217,11 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 		p.k.Stats.PageFaults.Inc()
 		p.Acct.Faults.Inc()
 		p.k.curPID = p.PID
-		if p.k.Flight != nil {
-			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFault,
-				uint64(fault.Kind), fault.VA, 0)
-		}
-		if p.k.Metrics != nil {
-			p.k.Metrics.Counter("vm.fault." + fault.Kind.String()).Inc()
-		}
+		p.k.emit(p.Task.Now(), int32(p.PID), flight.KindFault, uint64(fault.Kind), fault.VA, 0)
 		// Taking the fault costs a trap + handler dispatch. Everything
 		// from here to the handler's return is fault-service time.
 		fault0 := p.Task.Now()
-		// Bracket the fault-service window in the causal trace: checkpoint
-		// up to the fault, then mark. The copy mode is only known after the
-		// handler runs, so the window's unattributed segments are relabeled
-		// to fault:<mode> at the end — nested hooks (a contended tmem
-		// acquisition) keep their own site labels inside the window.
-		cmark := -1
-		if cs := p.k.causalSpan(p); cs != nil {
-			cs.Checkpoint(fault0, p.Task.Delays())
-			cmark = cs.Mark()
-		}
-		// The profiler defers the window's samples the same way: their
-		// fault:<mode> phase frame is only known once the handler returns.
-		pmark := p.k.profFaultBegin(p)
+		cmark, pmark := p.k.faultBegin(p)
 		p.Task.Advance(p.k.Machine.PageFault)
 		// Snapshot the faulting page's frame before the handler runs: if
 		// the resolution breaks sharing, this is the ancestor frame the
@@ -232,7 +257,7 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			p.k.locks.tmem.Unlock(p.Task)
 		}
 		if err != nil {
-			p.k.profFaultEnd(p, pmark, "fault:error")
+			p.k.faultEnd(p, cmark, pmark, "fault:error")
 			// Double-wrap so errors.Is sees both the segfault and the
 			// handler's cause (e.g. an injected tmem.ErrOutOfMemory).
 			return tmem.NoFrame, 0, fmt.Errorf("%w: %w", ErrSegfault, err)
@@ -267,7 +292,6 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 				p.Acct.chargeFrames(1)
 			}
 		}
-		p.k.profFaultEnd(p, pmark, "fault:"+faultModeNames[mode])
 		if mode != 0 {
 			// The resolution broke sharing: the faulting page's frame is now
 			// exclusively owned by p (a fresh copy for CoW/CoPA, the adopted
@@ -286,29 +310,18 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 				}
 				pl.OwnerChange(newPFN, int32(p.PID), p.Gen)
 			}
-			if p.k.Flight != nil {
-				old := uint64(newPFN)
-				if oldPFN != tmem.NoFrame {
-					old = uint64(oldPFN)
-				}
-				p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID),
-					flight.KindFrameOwnerChange, uint64(newPFN), mode, old)
+			old := newPFN
+			if oldPFN != tmem.NoFrame {
+				old = oldPFN
 			}
+			p.k.emit(p.Task.Now(), int32(p.PID), flight.KindFrameOwnerChange, uint64(newPFN), mode, uint64(old))
 		}
 		p.Acct.FaultCapsRelocated.Add(relocs)
 		if copied > 0 {
 			p.Acct.chargeFrames(int64(copied))
 		}
-		if p.k.Flight != nil {
-			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFaultDone,
-				uint64(fault.Kind), copied, relocs)
-		}
-		if cmark >= 0 {
-			if cs := p.k.causalSpan(p); cs != nil {
-				cs.Checkpoint(p.Task.Now(), p.Task.Delays())
-				cs.RelabelWindow(cmark, "fault:"+faultModeNames[mode])
-			}
-		}
+		p.k.emit(p.Task.Now(), int32(p.PID), flight.KindFaultDone, uint64(fault.Kind), copied, relocs)
+		p.k.faultEnd(p, cmark, pmark, faultLabels[mode])
 	}
 	return tmem.NoFrame, 0, fmt.Errorf("%w: fault loop at %#x", ErrSegfault, va)
 }

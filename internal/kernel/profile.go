@@ -98,34 +98,6 @@ func (k *Kernel) profLockWait(p *Proc, l *sim.VLock, w sim.Time) {
 	pl.Add(st, profile.KindLockWait, core, w)
 }
 
-// profFaultBegin opens a fault-service deferral window on p, returning
-// the buffer mark profFaultEnd flushes from. Windows nest (a handler
-// that faults again): each End flushes only its own window's samples.
-// Returns -1 — and costs one pointer check — when no plane is armed.
-func (k *Kernel) profFaultBegin(p *Proc) int {
-	if k.Profile == nil {
-		return -1
-	}
-	p.profDepth++
-	return len(p.profBuf)
-}
-
-// profFaultEnd closes the window opened at mark, stamping every sample
-// buffered since with the resolved phase label and flushing them to the
-// plane in charge order.
-func (k *Kernel) profFaultEnd(p *Proc, mark int, label string) {
-	if mark < 0 {
-		return
-	}
-	p.profDepth--
-	for i := mark; i < len(p.profBuf); i++ {
-		s := p.profBuf[i]
-		s.st.Phase = label
-		k.Profile.Add(s.st, s.kind, s.cpu, s.d)
-	}
-	p.profBuf = p.profBuf[:mark]
-}
-
 // forkPhaseLabels names each fork phase's profiler frame, built once so
 // advancing a fork allocates nothing.
 var forkPhaseLabels = func() (l [len(flight.ForkPhases)]string) {

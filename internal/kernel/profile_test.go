@@ -11,19 +11,19 @@ import (
 	"ufork/internal/sim"
 )
 
-// profStorm boots a kernel on machine m with the profiler (and
-// scheduler stats) armed and runs a fork-storm workload that exercises
-// every sample source: syscall compute, fork-phase latency, CoW/CoPA
+// profStorm boots a kernel on machine m with planes (and scheduler
+// stats) armed and runs a fork-storm workload that exercises every
+// profiler sample source: syscall compute, fork-phase latency, CoW/CoPA
 // fault service, and — on multicore machines — lock waits. Returns the
-// plane and the kernel after Run.
-func profStorm(t *testing.T, m *model.Machine, pl *profile.Plane) *kernel.Kernel {
+// kernel after Run.
+func profStorm(t *testing.T, m *model.Machine, planes kernel.Planes) *kernel.Kernel {
 	t.Helper()
 	k := kernel.New(kernel.Config{
 		Machine:   m,
 		Engine:    core.New(core.CopyOnPointerAccess),
 		Isolation: kernel.IsolationFault,
 		Frames:    1 << 16,
-		Planes:    kernel.Planes{Profile: pl},
+		Planes:    planes,
 	})
 	k.Eng.ArmSched(sim.NewSchedStats(k.Eng.Cores()))
 	if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
@@ -73,7 +73,7 @@ func TestProfileExactSumVsSched(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := profile.New(0)
-			k := profStorm(t, tc.m, pl)
+			k := profStorm(t, tc.m, kernel.Planes{Profile: pl})
 			if err := pl.CheckExact(); err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestProfileExactSumVsSched(t *testing.T) {
 // (under the contended BKL) lock-wait sites.
 func TestProfileStacks(t *testing.T) {
 	pl := profile.New(100) // fine quantum so every source ticks
-	profStorm(t, model.UFork(4), pl)
+	profStorm(t, model.UFork(4), kernel.Planes{Profile: pl})
 	folded := pl.Folded()
 	for _, frag := range []string{
 		"phase:fork:",    // fork-phase latency split

@@ -105,7 +105,7 @@ func TestSmapsSyscall(t *testing.T) {
 // freeze the final footprint, the plane's per-process aggregates agree
 // with the page-table walk, and the sharing break emits FrameOwnerChange.
 func TestSmapsGaugesAndPlane(t *testing.T) {
-	fr := flight.New(2, 4096)
+	fr := flight.New(8192)
 	pl := memmap.New()
 	k := kernel.New(kernel.Config{
 		Machine:   model.UFork(1),

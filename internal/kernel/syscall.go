@@ -24,12 +24,7 @@ func (k *Kernel) enter(p *Proc, no SysNo, bufBytes int) {
 	p.sysEnter = t.Now()
 	p.inSys = true
 	k.curPID = p.PID
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindSyscall, uint64(no), 0, 0)
-	}
-	if k.Metrics != nil {
-		k.Metrics.Counter("syscall." + no.String()).Inc()
-	}
+	k.emit(t.Now(), int32(p.PID), flight.KindSyscall, uint64(no), 0, 0)
 	// Pending kills and signals are delivered at kernel entry.
 	k.checkKilled(p)
 	k.deliverSignals(p)
@@ -85,10 +80,7 @@ func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 	if l == &k.locks.global {
 		p.Acct.BKLWaitNS.Add(uint64(w))
 	}
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindLockWait,
-			uint64(w), uint64(p.sysNo), 0)
-	}
+	k.emit(t.Now(), int32(p.PID), flight.KindLockWait, uint64(w), uint64(p.sysNo), 0)
 	if s := k.causalSpan(p); s != nil {
 		// Flush the wait into the trace under the contended site's name
 		// before another lock's wait can blur into the same bucket.
@@ -102,10 +94,7 @@ func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 // switch with its TLB/cache maintenance (§2.2). Switches occupy the CPU,
 // so they are booked on a core rather than merely advancing the clock.
 func (k *Kernel) chargeSwitch(p *Proc) {
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindCtxSwitch,
-			uint64(k.Machine.CtxSwitch), 0, 0)
-	}
+	k.emit(p.Task.Now(), int32(p.PID), flight.KindCtxSwitch, uint64(k.Machine.CtxSwitch), 0, 0)
 	p.Task.Book(k.Machine.CtxSwitch)
 	k.Stats.CtxSwitches.Inc()
 }
@@ -123,13 +112,8 @@ func (k *Kernel) leave(p *Proc) {
 		p.Task.ReleaseAll()
 	}
 	p.Task.Advance(k.Machine.SyscallExit)
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindSysRet,
-			uint64(p.sysNo), uint64(p.Task.Now()-p.sysEnter), 0)
-	}
-	if k.Metrics != nil {
-		k.Metrics.Histogram("syscall.latency").Observe(uint64(p.Task.Now() - p.sysEnter))
-	}
+	k.emit(p.Task.Now(), int32(p.PID), flight.KindSysRet,
+		uint64(p.sysNo), uint64(p.Task.Now()-p.sysEnter), 0)
 	p.inSys = false
 }
 
@@ -171,9 +155,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	p.Forked++
 	p.Acct.Forks.Inc()
 	forkStart := p.Task.Now()
-	if k.Flight != nil {
-		k.Flight.Emit(uint64(forkStart), int32(p.PID), flight.KindForkStart, 0, 0, 0)
-	}
+	k.emit(forkStart, int32(p.PID), flight.KindForkStart, 0, 0, 0)
 
 	child := &Proc{
 		k:          k,
@@ -271,26 +253,19 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 		k.refreshMemStats(child)
 	}
 
+	// One event per phase, laid end to end from forkStart: kernel.Fork
+	// advances the parent's clock by stats.Latency below, so the phases
+	// tile [forkStart, forkStart+Latency) exactly.
 	phases := stats.phases(child.FDs.Len())
-	if k.Flight != nil {
-		// One event per phase, laid end to end from forkStart: kernel.Fork
-		// advances the parent's clock by stats.Latency below, so the phases
-		// tile [forkStart, forkStart+Latency) exactly.
-		ts := uint64(forkStart)
-		for i, ph := range phases {
-			k.Flight.Emit(ts, int32(p.PID), flight.KindForkPhase, uint64(i), uint64(ph.dur), ph.count)
-			ts += uint64(ph.dur)
-		}
-		k.Flight.Emit(uint64(forkStart+stats.Latency), int32(p.PID), flight.KindForkDone,
-			uint64(child.PID), uint64(copiedPages), uint64(stats.CapsRelocated))
+	ts := forkStart
+	for i, ph := range phases {
+		k.emit(ts, int32(p.PID), flight.KindForkPhase, uint64(i), uint64(ph.dur), ph.count)
+		ts += ph.dur
 	}
+	k.emit(forkStart+stats.Latency, int32(p.PID), flight.KindForkDone,
+		uint64(child.PID), uint64(copiedPages), uint64(stats.CapsRelocated))
 	if k.Metrics != nil {
 		k.Metrics.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
-		// Per-phase latency histograms: the §6-style breakdown the
-		// telemetry server exports as fork_phase_* on /metrics.
-		for i, ph := range phases {
-			k.Metrics.Histogram("fork.phase." + flight.ForkPhases[i]).Observe(uint64(ph.dur))
-		}
 	}
 
 	// The fork call's latency is charged to the parent; the child begins

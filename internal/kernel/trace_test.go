@@ -31,7 +31,7 @@ func ns(us float64) uint64 { return uint64(math.Round(us * 1000)) }
 // the fault is a span carrying its resolution counts, and frame traffic
 // stays instant.
 func TestChromeExportCoPAFork(t *testing.T) {
-	rec := flight.New(1, 1<<14)
+	rec := flight.New(1 << 14)
 	k := newKernelWith(2, kernel.IsolationFull, kernel.Planes{Flight: rec})
 	var parent, child int
 	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {

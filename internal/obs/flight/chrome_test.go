@@ -17,7 +17,7 @@ import (
 // virtual timestamps, a sysret becomes a span ending at it, and a fault
 // with no fault-done (a segfault) degrades to an instant.
 func TestChromeTraceDump(t *testing.T) {
-	r := flight.New(1, 16)
+	r := flight.New(16)
 	r.Emit(1000, 2, flight.KindForkStart, 0, 0, 0)
 	r.Emit(2500, 2, flight.KindForkDone, 3, 10, 7)
 	r.Emit(3000, 2, flight.KindSysRet, uint64(kernel.SysFork), 2100, 0)

@@ -1,11 +1,10 @@
 // Package flight implements the kernel flight recorder: an always-on
-// capable, fixed-capacity, sharded ring buffer of compact binary kernel
-// events. It is the kernel's one event stream: cheap enough to leave
-// running under production traffic, bounded in memory, and dumped — as
-// human-readable text, or converted by the kernel into a Chrome trace —
-// the moment a panic, invariant violation, or chaos-fuzzer divergence
-// needs the event history that led up to it, or a -trace run asks for its
-// timeline.
+// capable, fixed-capacity ring buffer of compact binary kernel events. It
+// is the kernel's one event stream: cheap enough to leave running under
+// production traffic, bounded in memory, and dumped — as human-readable
+// text, or converted by the kernel into a Chrome trace — the moment a
+// panic, invariant violation, or chaos-fuzzer divergence needs the event
+// history that led up to it, or a -trace run asks for its timeline.
 //
 // Design constraints, in order:
 //
@@ -14,9 +13,9 @@
 //  2. Cheap when off. A kernel without a recorder holds a nil one, and a
 //     nil Emit is one pointer test and a branch — pinned under 10 ns/event
 //     by the benchmarks next to the obs disabled-path suite.
-//  3. Race-safe and shard-scalable. Events are sharded by PID so kernels
-//     driven from concurrent host goroutines contend only within a shard;
-//     a global atomic sequence number preserves total order across shards.
+//  3. Race-safe and totally ordered. One mutex guards the ring, and each
+//     event's sequence number is assigned under it, so the buffer holds a
+//     contiguous run of the newest events in emission order.
 //  4. Deterministic. Timestamps are virtual (sim-clock) nanoseconds and
 //     the sequence counter is per-recorder, so the same seeded run
 //     produces a byte-identical dump — a chaos repro line replays not just
@@ -25,9 +24,7 @@ package flight
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies one flight-recorder event. The argument meanings are
@@ -124,7 +121,7 @@ func (k Kind) String() string {
 // per-event allocation.
 type Event struct {
 	TS   uint64 // virtual ns
-	Seq  uint64 // global order across shards (1-based)
+	Seq  uint64 // emission order (1-based)
 	PID  int32
 	Kind Kind
 	Args [3]uint64
@@ -188,88 +185,56 @@ func (e Event) Format() string {
 	}
 }
 
-// Default recorder geometry (the live telemetry plane, the chaos and YCSB
-// harnesses): 8 shards × 4096 events bounds memory at ~1.5 MiB while
-// holding the last ~32k kernel events.
-const (
-	DefaultShards   = 8
-	DefaultPerShard = 4096
-)
+// DefaultEvents is the default ring capacity (the live telemetry plane,
+// the chaos and YCSB harnesses): the last 32k kernel events in ~1.5 MiB.
+const DefaultEvents = 1 << 15
 
-// shard is one ring. The mutex serializes writers hashing to the same
-// shard; the buffer is written in place, never grown.
-type shard struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int // next write index
-	n    int // live events (saturates at len(buf))
-	_    [4]uint64
-}
-
-// Recorder is a sharded fixed-capacity event ring. The zero value is not
-// usable; construct with New. A recorder records from the moment it
-// exists; a nil *Recorder is the one that is off, and Emit, Seq and
-// Dropped accept it. All methods are safe for concurrent use.
+// Recorder is a fixed-capacity event ring. The zero value is not usable;
+// construct with New. A recorder records from the moment it exists; a nil
+// *Recorder is the one that is off, and Emit, Seq and Dropped accept it.
+// All methods are safe for concurrent use: one mutex serializes writers,
+// and the buffer is written in place, never grown.
 type Recorder struct {
-	seq     atomic.Uint64
-	dropped atomic.Uint64
-	shards  []shard
-	mask    uint64
+	mu      sync.Mutex
+	buf     []Event
+	next    int // next write index
+	n       int // live events (saturates at len(buf))
+	seq     uint64
+	dropped uint64
 }
 
-// New creates a recorder with the given shard count (rounded up to a power
-// of two, minimum 1) each holding perShard events.
-func New(shards, perShard int) *Recorder {
-	if shards < 1 {
-		shards = 1
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	if perShard < 1 {
-		perShard = 1
-	}
-	r := &Recorder{shards: make([]shard, n), mask: uint64(n - 1)}
-	for i := range r.shards {
-		r.shards[i].buf = make([]Event, perShard)
-	}
-	return r
+// New creates a recorder holding the last capacity events (minimum 1).
+func New(capacity int) *Recorder {
+	return &Recorder{buf: make([]Event, max(capacity, 1))}
 }
 
 // Emit appends one event. On a nil recorder this is a pointer test and a
-// branch; otherwise it is a shard-mutex acquisition and an in-place
-// 48-byte write — no allocation on any path.
+// branch; otherwise it is a mutex acquisition and an in-place 48-byte
+// write — no allocation on any path.
 func (r *Recorder) Emit(ts uint64, pid int32, kind Kind, a0, a1, a2 uint64) {
 	if r == nil {
 		return
 	}
-	seq := r.seq.Add(1)
-	s := &r.shards[uint64(uint32(pid))&r.mask]
-	s.mu.Lock()
-	if s.n == len(s.buf) {
-		r.dropped.Add(1)
+	r.mu.Lock()
+	r.seq++
+	if r.n == len(r.buf) {
+		r.dropped++
 	} else {
-		s.n++
+		r.n++
 	}
-	s.buf[s.next] = Event{TS: ts, Seq: seq, PID: pid, Kind: kind, Args: [3]uint64{a0, a1, a2}}
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
+	r.buf[r.next] = Event{TS: ts, Seq: r.seq, PID: pid, Kind: kind, Args: [3]uint64{a0, a1, a2}}
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
 	}
-	s.mu.Unlock()
+	r.mu.Unlock()
 }
 
-// Len returns the number of buffered events across all shards.
+// Len returns the number of buffered events.
 func (r *Recorder) Len() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += s.n
-		s.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
 }
 
 // Dropped returns the number of events evicted by ring wrap-around.
@@ -277,7 +242,9 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.dropped.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
 }
 
 // Seq returns the number of events ever emitted.
@@ -285,49 +252,36 @@ func (r *Recorder) Seq() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq
 }
 
 // Reset discards all buffered events and restarts the sequence counter.
 func (r *Recorder) Reset() {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		s.next, s.n = 0, 0
-		s.mu.Unlock()
-	}
-	r.seq.Store(0)
-	r.dropped.Store(0)
+	r.mu.Lock()
+	r.next, r.n, r.seq, r.dropped = 0, 0, 0, 0
+	r.mu.Unlock()
 }
 
-// Snapshot returns every buffered event in global (sequence) order. The
-// per-shard rings are drained under their mutexes and merged; the result
-// is a fresh slice safe to hold across further emission.
-func (r *Recorder) Snapshot() []Event {
-	var out []Event
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		start := s.next - s.n
-		if start < 0 {
-			start += len(s.buf)
-		}
-		for j := 0; j < s.n; j++ {
-			out = append(out, s.buf[(start+j)%len(s.buf)])
-		}
-		s.mu.Unlock()
-	}
-	// Restore global order via the sequence number; dump paths are cold.
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+// Snapshot returns every buffered event in sequence order, as a fresh
+// slice safe to hold across further emission.
+func (r *Recorder) Snapshot() []Event { return r.Tail(-1) }
 
-// Tail returns the last n events in global order (all of them when fewer
-// are buffered).
+// Tail returns the last n events in sequence order (all of them when n < 0
+// or fewer are buffered).
 func (r *Recorder) Tail(n int) []Event {
-	evs := r.Snapshot()
-	if n >= 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n < 0 || n > r.n {
+		n = r.n
 	}
-	return evs
+	out := make([]Event, n)
+	start := r.next - n
+	if start < 0 {
+		start += len(r.buf)
+	}
+	copied := copy(out, r.buf[start:])
+	copy(out[copied:], r.buf)
+	return out
 }

@@ -33,9 +33,9 @@ func BenchmarkDisabledGuardedEmit(b *testing.B) {
 	}
 }
 
-// BenchmarkEnabledEmit is the contrast case: the full sharded-ring append.
+// BenchmarkEnabledEmit is the contrast case: the full ring append.
 func BenchmarkEnabledEmit(b *testing.B) {
-	r := New(DefaultShards, 4096)
+	r := New(DefaultEvents)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Emit(uint64(i), int32(i&7), KindSyscall, 3, 0, 0)
@@ -65,7 +65,7 @@ func TestDisabledEmitUnder10ns(t *testing.T) {
 		t.Fatalf("disabled Emit allocates %d objects/event, want 0", allocs)
 	}
 	// The enabled path must be allocation-free too (ring append in place).
-	r = New(DefaultShards, 64)
+	r = New(64)
 	var sink atomic.Uint64
 	enabled := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

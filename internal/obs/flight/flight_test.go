@@ -26,9 +26,9 @@ func TestEmitDisabledRecordsNothing(t *testing.T) {
 }
 
 func TestSnapshotGlobalOrder(t *testing.T) {
-	r := New(4, 16)
-	// Interleave emits across pids (→ different shards); the snapshot must
-	// come back in emission order regardless of shard layout.
+	r := New(64)
+	// Interleave emits across pids; the snapshot must come back in
+	// emission order.
 	for i := 0; i < 32; i++ {
 		r.Emit(uint64(i), int32(i%7), KindMark, uint64(i), 0, 0)
 	}
@@ -46,27 +46,38 @@ func TestSnapshotGlobalOrder(t *testing.T) {
 	}
 }
 
+// TestWraparoundKeepsNewest: once the ring has wrapped it holds the newest
+// events, and Tail(n) is the n newest with contiguous sequence numbers
+// however the events spread over PIDs; the dump header counts exactly
+// what it prints.
 func TestWraparoundKeepsNewest(t *testing.T) {
-	r := New(1, 8) // single shard, tiny ring
-	for i := 0; i < 20; i++ {
-		r.Emit(uint64(i), 1, KindMark, uint64(i), 0, 0)
-	}
-	if r.Len() != 8 {
-		t.Fatalf("ring holds %d events, want capacity 8", r.Len())
-	}
-	if r.Dropped() != 12 {
-		t.Fatalf("dropped = %d, want 12", r.Dropped())
-	}
-	evs := r.Snapshot()
-	for i, e := range evs {
-		if want := uint64(12 + i); e.Args[0] != want {
-			t.Fatalf("after wrap, event %d = %d, want %d (ring must keep the newest)", i, e.Args[0], want)
+	for _, pids := range [][]int32{{1}, {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, {-3, 7, 7, 2}} {
+		r := New(8) // tiny ring
+		for i := 0; i < 20; i++ {
+			r.Emit(uint64(i), pids[i%len(pids)], KindMark, uint64(i), 0, 0)
+		}
+		if r.Len() != 8 || r.Dropped() != 12 {
+			t.Fatalf("pids %v: ring holds %d events, %d dropped; want 8 and 12", pids, r.Len(), r.Dropped())
+		}
+		for _, n := range []int{1, 5, 8} {
+			tail := r.Tail(n)
+			if len(tail) != n {
+				t.Fatalf("pids %v: Tail(%d) returned %d events", pids, n, len(tail))
+			}
+			for i, e := range tail {
+				if want := uint64(20 - n + i); e.Args[0] != want || e.Seq != want+1 {
+					t.Fatalf("pids %v: Tail(%d) seqs = %v, want the %d newest", pids, n, seqs(tail), n)
+				}
+			}
+		}
+		if h, _, _ := strings.Cut(r.TextDump(5), "\n"); h != "flight recorder: last 5 of 20 events (12 dropped by ring wrap)" {
+			t.Fatalf("pids %v: dump header %q", pids, h)
 		}
 	}
 }
 
 func TestTail(t *testing.T) {
-	r := New(2, 32)
+	r := New(64)
 	for i := 0; i < 10; i++ {
 		r.Emit(uint64(i), int32(i), KindMark, uint64(i), 0, 0)
 	}
@@ -83,7 +94,7 @@ func TestTail(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	r := New(2, 8)
+	r := New(16)
 	for i := 0; i < 20; i++ {
 		r.Emit(0, int32(i), KindMark, 0, 0, 0)
 	}
@@ -97,11 +108,11 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestConcurrentWriters hammers all shards from racing goroutines: run
-// under -race, this is the shard-safety proof. Total order must still be
+// TestConcurrentWriters hammers the ring from racing goroutines: run
+// under -race, this is the race-safety proof. Total order must still be
 // strict and gap-free over the surviving window.
 func TestConcurrentWriters(t *testing.T) {
-	r := New(4, 256)
+	r := New(1024)
 	const writers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -119,26 +130,14 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	evs := r.Snapshot()
 	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("snapshot not strictly ordered at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("snapshot not gap-free at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
 		}
 	}
 }
 
-func TestShardRoundsToPowerOfTwo(t *testing.T) {
-	r := New(5, 4)
-	if len(r.shards) != 8 {
-		t.Fatalf("New(5, _) made %d shards, want 8", len(r.shards))
-	}
-	// Negative pids must hash to a valid shard, not panic.
-	r.Emit(0, -3, KindMark, 0, 0, 0)
-	if r.Len() != 1 {
-		t.Fatal("negative pid event lost")
-	}
-}
-
 func TestTextDumpFormat(t *testing.T) {
-	r := New(1, 64)
+	r := New(64)
 	r.Emit(100, 1, KindSyscall, 3, 0, 0)
 	r.Emit(250, 1, KindFault, 2, 0xdeadb000, 0)
 	r.Emit(300, 1, KindFaultDone, 2, 1, 4)

@@ -41,7 +41,7 @@ func (o Outputs) Arm(serve string) (kernel.Planes, *Server, error) {
 		pl.Metrics = obs.NewRegistry()
 	}
 	if o.Trace != "" && pl.Flight == nil {
-		pl.Flight = flight.New(1, traceEvents)
+		pl.Flight = flight.New(traceEvents)
 	}
 	if o.Profile != "" && pl.Profile == nil {
 		pl.Profile = profile.New(0)

@@ -326,7 +326,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // background for the life of the process. Boot kernels with the returned
 // server's Planes to serve them; this is what the -serve flag calls.
 func Start(addr string) (*Server, error) {
-	s := New(obs.NewRegistry(), flight.New(flight.DefaultShards, flight.DefaultPerShard))
+	s := New(obs.NewRegistry(), flight.New(flight.DefaultEvents))
 	s.Planes.Causal = causal.New(0)
 	s.Planes.Profile = profile.New(0)
 	ln, err := net.Listen("tcp", addr)

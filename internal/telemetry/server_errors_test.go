@@ -65,7 +65,7 @@ func TestFlightEndpointNotArmed(t *testing.T) {
 	if res, _ := get(t, s.Handler(), "/metrics"); res.StatusCode != http.StatusOK {
 		t.Fatalf("recorder-less /metrics status = %d, want 200", res.StatusCode)
 	}
-	s.Planes.Flight = flight.New(2, 64)
+	s.Planes.Flight = flight.New(128)
 	if res, _ := get(t, s.Handler(), "/flight"); res.StatusCode != http.StatusOK {
 		t.Fatalf("fresh-recorder /flight status = %d, want 200", res.StatusCode)
 	}

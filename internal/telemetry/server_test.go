@@ -23,7 +23,7 @@ func testServer() *Server {
 	h := reg.Histogram("fork.phase.reserve")
 	h.Observe(120)
 	h.Observe(340)
-	fr := flight.New(2, 64)
+	fr := flight.New(128)
 	fr.Emit(100, 1, flight.KindForkStart, 0, 0, 0)
 	fr.Emit(900, 1, flight.KindForkDone, 2, 8, 3)
 	return New(reg, fr)

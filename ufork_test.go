@@ -102,7 +102,7 @@ func TestCopyStrategies(t *testing.T) {
 // switch. A flight recorder and a profiler placed there record a fork run
 // with no further call.
 func TestPlanesRecordWithoutArming(t *testing.T) {
-	fr := flight.New(1, 1<<12)
+	fr := flight.New(1 << 12)
 	prof := profile.New(0)
 	sys := ufork.NewSystem(ufork.Options{Cores: 2, Planes: ufork.Planes{Flight: fr, Profile: prof}})
 	if _, err := sys.Main(func(p *ufork.Proc) {
