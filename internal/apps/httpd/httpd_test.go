@@ -296,13 +296,12 @@ func BenchmarkServeGet(b *testing.B) {
 }
 
 // maxMallocsPerGet bounds the host allocations of one GET, server and
-// client together (10 measured, plus 2 of slack). The request path keeps
-// its buffers per worker and parses in place, so what remains is per
-// connection: the socket pair (which holds the accepted descriptor's
-// open-file description), the document's open-file description, the
-// socket buffers' backing arrays and wait-queue slices, and the response
-// the caller keeps.
-const maxMallocsPerGet = 12
+// client together (4 measured, plus 2 of slack). The request path keeps
+// its buffers per worker and parses in place, and closed connections and
+// open-file descriptions are reused, so what remains is the response
+// slice the caller keeps and its one growth, the status string, and the
+// path string handed to Open.
+const maxMallocsPerGet = 6
 
 // TestServeGetAllocs is the allocation gate on BenchmarkServeGet's fleet:
 // a fresh buffer per request, or a parse that copies, shows up here.

@@ -17,6 +17,26 @@ func (k *Kernel) emit(ts sim.Time, pid int32, kind flight.Kind, a0, a1, a2 uint6
 	}
 }
 
+// Metric names record derives, built once so an armed registry costs an
+// event a map lookup and no string concatenation.
+var (
+	syscallMetric   [NumSysNos]string
+	faultMetric     [vm.FaultNoExec + 1]string
+	forkPhaseMetric [len(flight.ForkPhases)]string
+)
+
+func init() {
+	for n := range syscallMetric {
+		syscallMetric[n] = "syscall." + SysNo(n).String()
+	}
+	for kind := range faultMetric {
+		faultMetric[kind] = "vm.fault." + vm.FaultKind(kind).String()
+	}
+	for i, ph := range flight.ForkPhases {
+		forkPhaseMetric[i] = "fork.phase." + ph
+	}
+}
+
 // record is emit's armed path.
 func (k *Kernel) record(ts sim.Time, pid int32, kind flight.Kind, a0, a1, a2 uint64) {
 	k.Flight.Emit(uint64(ts), pid, kind, a0, a1, a2)
@@ -25,14 +45,24 @@ func (k *Kernel) record(ts sim.Time, pid int32, kind flight.Kind, a0, a1, a2 uin
 	}
 	switch kind {
 	case flight.KindSyscall:
-		k.Metrics.Counter("syscall." + SysNo(a0).String()).Inc()
+		name := "syscall.sys-unknown"
+		if n := SysNo(a0); n < NumSysNos {
+			name = syscallMetric[n]
+		}
+		k.Metrics.Counter(name).Inc()
 	case flight.KindSysRet:
 		k.Metrics.Histogram("syscall.latency").Observe(a1)
 	case flight.KindFault:
-		k.Metrics.Counter("vm.fault." + vm.FaultKind(a0).String()).Inc()
+		var name string
+		if a0 < uint64(len(faultMetric)) {
+			name = faultMetric[a0]
+		} else {
+			name = "vm.fault." + vm.FaultKind(a0).String()
+		}
+		k.Metrics.Counter(name).Inc()
 	case flight.KindForkPhase:
 		// The §6-style breakdown the telemetry server exports as
 		// fork_phase_* on /metrics.
-		k.Metrics.Histogram("fork.phase." + flight.ForkPhases[a0]).Observe(a1)
+		k.Metrics.Histogram(forkPhaseMetric[a0]).Observe(a1)
 	}
 }

@@ -280,35 +280,73 @@ type Conn struct {
 	in  PipeReader // data from the client
 	out PipeWriter // data to the client
 	// of is the open file description Accept installs, allocated with
-	// the connection. A listener hands each Conn out once.
+	// the connection and cleared when its pair is reused.
 	of OpenFile
+	sp *sockPair
 }
 
 // ClientConn is the client's half.
 type ClientConn struct {
 	out PipeWriter // data to the server
 	in  PipeReader // data from the server
+	sp  *sockPair
 }
 
 // sockPair is everything one connection owns, allocated at once: both
-// direction buffers and the two halves that hold their ends.
+// direction buffers and the two halves that hold their ends. A pair made
+// by Listener.Connect goes back to its listener's free list when its last
+// end closes (see release).
 type sockPair struct {
 	up, down pipeCore // client to server, server to client
 	srv      Conn
 	cli      ClientConn
+	l        *Listener // nil for a bare NewConn pair, which is never reused
 }
 
 // NewConn builds a connected (server, client) socket pair. Both directions
 // carry a TCP-window-sized buffer, so bulk responses block the server until
 // the client drains.
 func NewConn() (*Conn, *ClientConn) {
-	sp := &sockPair{
-		up:   pipeCore{cap: sockBufBytes, readers: 1, writers: 1},
-		down: pipeCore{cap: sockBufBytes, readers: 1, writers: 1},
-	}
-	sp.srv = Conn{in: PipeReader{&sp.up}, out: PipeWriter{&sp.down}}
-	sp.cli = ClientConn{out: PipeWriter{&sp.up}, in: PipeReader{&sp.down}}
+	sp := newSockPair(nil)
 	return &sp.srv, &sp.cli
+}
+
+// newSockPair allocates an open pair that goes back to l when closed, or
+// to the GC when l is nil.
+func newSockPair(l *Listener) *sockPair {
+	sp := &sockPair{l: l}
+	sp.srv = Conn{in: PipeReader{&sp.up}, out: PipeWriter{&sp.down}, sp: sp}
+	sp.cli = ClientConn{out: PipeWriter{&sp.up}, in: PipeReader{&sp.down}, sp: sp}
+	sp.reset()
+	return sp
+}
+
+// reset makes the pair a fresh open connection: empty buffers that keep
+// their backing arrays, every end open once, no causal stamp and no open
+// file description.
+func (sp *sockPair) reset() {
+	for _, c := range [...]*pipeCore{&sp.up, &sp.down} {
+		c.buf, c.off, c.cap = c.buf[:0], 0, sockBufBytes
+		c.readers, c.writers = 1, 1
+		c.stampTrace, c.stampPID = 0, 0
+	}
+	sp.srv.of = OpenFile{}
+}
+
+// release runs after one half closed. Once every end is closed exactly
+// once and nobody waits on either direction, no descriptor, client handle
+// or parked task can reach the pair any more, so it goes back to its
+// listener. Each count is tested on its own: a double close drives one
+// below zero while another is still open, and their sum can be zero.
+func (sp *sockPair) release() {
+	l, up, down := sp.l, &sp.up, &sp.down
+	if l == nil || l.closed ||
+		up.readers != 0 || up.writers != 0 || down.readers != 0 || down.writers != 0 ||
+		!up.rq.Empty() || !up.wq.Empty() || !down.rq.Empty() || !down.wq.Empty() {
+		return
+	}
+	sp.reset()
+	l.free = append(l.free, sp)
 }
 
 // Read receives from the client.
@@ -324,7 +362,9 @@ func (c *Conn) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
 // Close tears down both directions.
 func (c *Conn) Close(k *Kernel, p *Proc) error {
 	_ = c.in.Close(k, p)
-	return c.out.Close(k, p)
+	_ = c.out.Close(k, p)
+	c.sp.release()
+	return nil
 }
 
 // Send writes request bytes from the (driver-side) client.
@@ -340,7 +380,9 @@ func (c *ClientConn) Recv(k *Kernel, p *Proc, buf []byte) (int, error) {
 // CloseClient tears down the client half.
 func (c *ClientConn) CloseClient(k *Kernel, p *Proc) error {
 	_ = c.out.Close(k, p)
-	return c.in.Close(k, p)
+	_ = c.in.Close(k, p)
+	c.sp.release()
+	return nil
 }
 
 // Listener is a simulated listening socket with an accept queue.
@@ -348,6 +390,9 @@ type Listener struct {
 	backlog []*Conn
 	aq      sim.WaitQueue
 	closed  bool
+	// free holds this listener's closed socket pairs for Connect to
+	// reuse; it never outgrows the peak number of open connections.
+	free []*sockPair
 }
 
 // NewListener creates a listening socket.
@@ -357,10 +402,17 @@ func NewListener() *Listener { return &Listener{} }
 // client half. Exactly one blocked acceptor is woken (no thundering
 // herd), in FIFO order, so load rotates across workers.
 func (l *Listener) Connect(p *Proc) *ClientConn {
-	server, client := NewConn()
-	l.backlog = append(l.backlog, server)
+	var sp *sockPair
+	if n := len(l.free); n > 0 {
+		sp = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	} else {
+		sp = newSockPair(l)
+	}
+	l.backlog = append(l.backlog, &sp.srv)
 	l.aq.WakeOne(p.Task, p.Task.Now())
-	return client
+	return &sp.cli
 }
 
 // Accept blocks until a connection arrives, then returns its server half.
@@ -383,9 +435,10 @@ func (l *Listener) Accept(p *Proc) (*Conn, error) {
 	return c, nil
 }
 
-// Shutdown closes the listener, waking blocked accepts.
+// Shutdown closes the listener, waking blocked accepts, and drops the
+// pairs kept for reuse.
 func (l *Listener) Shutdown(p *Proc) {
-	l.closed = true
+	l.closed, l.free = true, nil
 	l.aq.WakeAll(p.Task, p.Task.Now())
 }
 

@@ -406,9 +406,7 @@ func (k *Kernel) Open(p *Proc, name string, create bool) (int, error) {
 	} else if create {
 		ino.truncate()
 	}
-	of := &regularOpenFile{rf: regularFile{ino: ino}}
-	of.File = &of.rf
-	return k.fdInstall(p, &of.OpenFile), nil
+	return k.fdInstall(p, k.vfs.open(ino)), nil
 }
 
 // Close closes a descriptor.

@@ -86,6 +86,10 @@ func (ino *Inode) truncate() {
 // and Nginx documents on a ram-disk "minimizing I/O latency" (§5.1).
 type VFS struct {
 	files map[string]*Inode
+	// free holds regular files' open file descriptions whose last
+	// descriptor closed, for open(2) to reuse; it never outgrows the peak
+	// number of open descriptions.
+	free []*regularOpenFile
 }
 
 // NewVFS creates an empty file system.
@@ -131,13 +135,30 @@ func (v *VFS) WriteFile(name string, data []byte) {
 // regularFile adapts an Inode + offset to the File interface.
 type regularFile struct {
 	ino *Inode
+	of  *regularOpenFile // the description this file sits in
 }
 
 // regularOpenFile is a regular file's open file description with its
-// regularFile inline, so an open(2) allocates once.
+// regularFile inline, so an open(2) allocates at most once.
 type regularOpenFile struct {
 	OpenFile
 	rf regularFile
+}
+
+// open returns a description of ino at offset 0, reusing one whose last
+// descriptor closed.
+func (v *VFS) open(ino *Inode) *OpenFile {
+	var of *regularOpenFile
+	if n := len(v.free); n > 0 {
+		of = v.free[n-1]
+		v.free[n-1] = nil
+		v.free = v.free[:n-1]
+	} else {
+		of = &regularOpenFile{}
+		of.File, of.rf.of = &of.rf, of
+	}
+	of.rf.ino = ino
+	return &of.OpenFile
 }
 
 // Read copies from the inode at the description's offset. The per-byte
@@ -151,9 +172,13 @@ func (f *regularFile) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
 }
 
 // Close runs when an open file description's last descriptor is closed:
-// it folds the file's pending appends into Data.
-func (f *regularFile) Close(*Kernel, *Proc) error {
+// it folds the file's pending appends into Data. No descriptor reaches
+// the description any more, so it goes back to the kernel's VFS for the
+// next open.
+func (f *regularFile) Close(k *Kernel, _ *Proc) error {
 	f.ino.fold()
+	f.ino, f.of.Offset = nil, 0
+	k.vfs.free = append(k.vfs.free, f.of)
 	return nil
 }
 

@@ -313,3 +313,56 @@ func TestRewriteSameSizeNoExtents(t *testing.T) {
 		t.Fatalf("rewritten file is %d bytes and differs from the %d-byte reference", len(ino.Data), ref.Len())
 	}
 }
+
+// TestReopenReusesDescription: once its last descriptor closes, a regular
+// file's open file description serves the next open, of any file, from
+// offset 0, and an open/close pair then allocates nothing.
+func TestReopenReusesDescription(t *testing.T) {
+	k := newKernel(1, kernel.IsolationFault)
+	k.VFS().WriteFile("/b", []byte("bbbb"))
+	var allocs float64
+	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
+		fd, err := k.Open(p, "/a", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Write(p, fd, []byte("aaaa")); err != nil {
+			t.Fatal(err)
+		}
+		dup, err := k.Dup(p, fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = k.Close(p, fd)
+		// The dup still holds the description, so this open gets a new one.
+		fd2, err := k.Open(p, "/b", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off, err := k.Lseek(p, dup, 0, kernel.SeekCur); err != nil || off != 4 {
+			t.Errorf("dup's offset = %d, %v after another open; want 4", off, err)
+		}
+		_ = k.Close(p, fd2)
+		_ = k.Close(p, dup)
+		fd, err = k.Open(p, "/b", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 8)
+		if n, err := k.Read(p, fd, buf); err != nil || string(buf[:n]) != "bbbb" {
+			t.Errorf("read %q, %v from a reopened description; want \"bbbb\"", buf[:n], err)
+		}
+		_ = k.Close(p, fd)
+		allocs = testing.AllocsPerRun(100, func() {
+			fd, _ := k.Open(p, "/b", false)
+			_ = k.Close(p, fd)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if allocs != 0 {
+		t.Errorf("an open/close pair allocates %v objects, want 0", allocs)
+	}
+}
