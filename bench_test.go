@@ -12,19 +12,21 @@ package ufork_test
 
 import (
 	"flag"
+	"sync"
 	"testing"
 
 	"ufork/internal/bench"
-	"ufork/internal/sim"
 )
 
 var paperScale = flag.Bool("paperscale", false, "run experiments at the paper's full parameters")
 
-func redisSizes() []uint64 {
+// at picks an experiment parameter at the run's scale: the quick one
+// ufork-bench uses by default, or the paper's under -paperscale.
+func at[T any](quick, full T) T {
 	if *paperScale {
-		return bench.RedisSizesFull
+		return full
 	}
-	return bench.RedisSizesQuick
+	return quick
 }
 
 // BenchmarkTable1 regenerates the design-space comparison (Table 1).
@@ -37,129 +39,81 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// redisRows runs the Redis sweep once per benchmark invocation and caches
-// the result across the Fig. 3/4/5 benchmarks of one process.
-var redisCache []bench.RedisRow
-
-func redisRows(b *testing.B) []bench.RedisRow {
+// sweep runs an experiment b.N times and returns the last run's rows.
+func sweep[R any](b *testing.B, run func() ([]R, error)) []R {
 	b.Helper()
-	if redisCache == nil {
-		rows, err := bench.RedisSweep(redisSizes())
-		if err != nil {
+	var rows []R
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = run(); err != nil {
 			b.Fatal(err)
 		}
-		redisCache = rows
 	}
-	return redisCache
+	return rows
 }
 
-func maxDB(rows []bench.RedisRow) uint64 {
-	var m uint64
-	for _, r := range rows {
-		if r.DBBytes > m {
-			m = r.DBBytes
-		}
-	}
-	return m
+func redisSweep() ([]bench.RedisRow, error) {
+	return bench.RedisSweep(at(bench.RedisSizesQuick, bench.RedisSizesFull))
 }
 
-func redisCell(b *testing.B, rows []bench.RedisRow, id bench.SystemID) bench.RedisRow {
+// redisRows runs the Redis sweep once per process: Fig. 3 times the sweep,
+// and the Fig. 4/5 and ablation benchmarks read these rows.
+var redisRows = sync.OnceValues(redisSweep)
+
+// largest returns id's row at the largest database size.
+func largest(b *testing.B, rows []bench.RedisRow, id bench.SystemID) bench.RedisRow {
 	b.Helper()
-	size := maxDB(rows)
-	for _, r := range rows {
-		if r.System == id && r.DBBytes == size {
-			return r
+	var cell *bench.RedisRow
+	for i, r := range rows {
+		if r.System == id && (cell == nil || r.DBBytes > cell.DBBytes) {
+			cell = &rows[i]
 		}
 	}
-	b.Fatalf("missing cell %s/%d", id, size)
-	return bench.RedisRow{}
+	if cell == nil {
+		b.Fatalf("no %s rows", id)
+	}
+	return *cell
 }
 
 // BenchmarkFig3RedisSave regenerates Figure 3 (overall save times).
 func BenchmarkFig3RedisSave(b *testing.B) {
-	var rows []bench.RedisRow
-	for i := 0; i < b.N; i++ {
-		redisCache = nil
-		rows = redisRows(b)
-	}
-	u := redisCell(b, rows, bench.SysUForkCoPA)
-	p := redisCell(b, rows, bench.SysPosix)
-	b.ReportMetric(float64(u.SaveTime)/1e6, "uFork-save-ms")
-	b.ReportMetric(float64(p.SaveTime)/1e6, "CheriBSD-save-ms")
+	rows := sweep(b, redisSweep)
+	b.ReportMetric(float64(largest(b, rows, bench.SysUForkCoPA).SaveTime)/1e6, "uFork-save-ms")
+	b.ReportMetric(float64(largest(b, rows, bench.SysPosix).SaveTime)/1e6, "CheriBSD-save-ms")
 }
 
 // BenchmarkFig4RedisForkLatency regenerates Figure 4 (fork latency).
 func BenchmarkFig4RedisForkLatency(b *testing.B) {
-	var rows []bench.RedisRow
-	for i := 0; i < b.N; i++ {
-		rows = redisRows(b)
-	}
-	u := redisCell(b, rows, bench.SysUForkCoPA)
-	p := redisCell(b, rows, bench.SysPosix)
-	f := redisCell(b, rows, bench.SysUForkFull)
-	b.ReportMetric(float64(u.ForkLatency)/1e3, "uFork-fork-us")
-	b.ReportMetric(float64(p.ForkLatency)/1e3, "CheriBSD-fork-us")
-	b.ReportMetric(float64(f.ForkLatency)/1e3, "fullcopy-fork-us")
+	rows := sweep(b, redisRows)
+	b.ReportMetric(float64(largest(b, rows, bench.SysUForkCoPA).ForkLatency)/1e3, "uFork-fork-us")
+	b.ReportMetric(float64(largest(b, rows, bench.SysPosix).ForkLatency)/1e3, "CheriBSD-fork-us")
+	b.ReportMetric(float64(largest(b, rows, bench.SysUForkFull).ForkLatency)/1e3, "fullcopy-fork-us")
 }
 
 // BenchmarkFig5RedisMemory regenerates Figure 5 (forked-process memory).
 func BenchmarkFig5RedisMemory(b *testing.B) {
-	var rows []bench.RedisRow
-	for i := 0; i < b.N; i++ {
-		rows = redisRows(b)
-	}
-	u := redisCell(b, rows, bench.SysUForkCoPA)
-	c := redisCell(b, rows, bench.SysUForkCoA)
-	p := redisCell(b, rows, bench.SysPosix)
-	b.ReportMetric(float64(u.ChildMem)/(1<<20), "uFork-child-MB")
-	b.ReportMetric(float64(c.ChildMem)/(1<<20), "CoA-child-MB")
-	b.ReportMetric(float64(p.ChildMem)/(1<<20), "CheriBSD-child-MB")
+	rows := sweep(b, redisRows)
+	b.ReportMetric(float64(largest(b, rows, bench.SysUForkCoPA).ChildMem)/(1<<20), "uFork-child-MB")
+	b.ReportMetric(float64(largest(b, rows, bench.SysUForkCoA).ChildMem)/(1<<20), "CoA-child-MB")
+	b.ReportMetric(float64(largest(b, rows, bench.SysPosix).ChildMem)/(1<<20), "CheriBSD-child-MB")
 }
 
 // BenchmarkFig6FaaSThroughput regenerates Figure 6 (function throughput).
 func BenchmarkFig6FaaSThroughput(b *testing.B) {
-	window := 100 * sim.Millisecond
-	if *paperScale {
-		window = sim.Second
-	}
-	var rows []bench.FaaSRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.FaaSSweep(window)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.System == bench.SysUForkCoPA && r.WorkerCores == 3 {
-			b.ReportMetric(r.ThroughputPerSec, "uFork-3core-func/s")
-		}
-		if r.System == bench.SysPosix && r.WorkerCores == 3 {
-			b.ReportMetric(r.ThroughputPerSec, "CheriBSD-3core-func/s")
+	window := at(bench.FaaSWindowQuick, bench.FaaSWindowFull)
+	for _, r := range sweep(b, func() ([]bench.FaaSRow, error) { return bench.FaaSSweep(window) }) {
+		if r.WorkerCores == 3 && r.System != bench.SysUForkTocttou {
+			b.ReportMetric(r.ThroughputPerSec, string(r.System)+"-3core-func/s")
 		}
 	}
 }
 
 // BenchmarkFig7NginxThroughput regenerates Figure 7 (HTTP throughput).
 func BenchmarkFig7NginxThroughput(b *testing.B) {
-	window := 30 * sim.Millisecond
-	if *paperScale {
-		window = 250 * sim.Millisecond
-	}
-	var rows []bench.NginxRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.NginxSweep(window)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.System == bench.SysUForkCoPA && r.Workers == 3 && r.Cores == 1 {
-			b.ReportMetric(r.ThroughputPerSec, "uFork-3w-1core-req/s")
-		}
-		if r.System == bench.SysPosix && r.Workers == 3 && r.Cores == 1 {
-			b.ReportMetric(r.ThroughputPerSec, "CheriBSD-3w-1core-req/s")
+	window := at(bench.NginxWindowQuick, bench.NginxWindowFull)
+	for _, r := range sweep(b, func() ([]bench.NginxRow, error) { return bench.NginxSweep(window) }) {
+		if r.Workers == 3 && r.Cores == 1 && r.System != bench.SysUForkTocttou {
+			b.ReportMetric(r.ThroughputPerSec, string(r.System)+"-3w-1core-req/s")
 		}
 	}
 }
@@ -167,62 +121,27 @@ func BenchmarkFig7NginxThroughput(b *testing.B) {
 // BenchmarkFig8HelloWorld regenerates Figure 8 (hello-world fork latency
 // and per-process memory).
 func BenchmarkFig8HelloWorld(b *testing.B) {
-	var rows []bench.HelloRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.HelloWorld()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.System {
-		case bench.SysUForkCoPA:
-			b.ReportMetric(float64(r.ForkLatency)/1e3, "uFork-fork-us")
-		case bench.SysPosix:
-			b.ReportMetric(float64(r.ForkLatency)/1e3, "CheriBSD-fork-us")
-		case bench.SysVMClone:
-			b.ReportMetric(float64(r.ForkLatency)/1e3, "Nephele-fork-us")
-		}
+	for _, r := range sweep(b, bench.HelloWorld) {
+		b.ReportMetric(float64(r.ForkLatency)/1e3, string(r.System)+"-fork-us")
 	}
 }
 
 // BenchmarkFig9Unixbench regenerates Figure 9 (Spawn and Context1).
 func BenchmarkFig9Unixbench(b *testing.B) {
-	spawns, ctx1 := bench.SpawnItersQuick, uint64(bench.Context1TargetQuik)
-	if *paperScale {
-		spawns, ctx1 = bench.SpawnItersFull, uint64(bench.Context1TargetFull)
-	}
-	var rows []bench.UnixbenchRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Unixbench(spawns, ctx1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.System {
-		case bench.SysUForkCoPA:
-			b.ReportMetric(float64(r.Spawn)/1e6, "uFork-spawn-ms")
-			b.ReportMetric(float64(r.Context1)/1e6, "uFork-ctx1-ms")
-		case bench.SysPosix:
-			b.ReportMetric(float64(r.Spawn)/1e6, "CheriBSD-spawn-ms")
-			b.ReportMetric(float64(r.Context1)/1e6, "CheriBSD-ctx1-ms")
-		}
+	spawns := at(bench.SpawnItersQuick, bench.SpawnItersFull)
+	ctx1 := at(bench.Context1TargetQuick, bench.Context1TargetFull)
+	for _, r := range sweep(b, func() ([]bench.UnixbenchRow, error) { return bench.Unixbench(spawns, ctx1) }) {
+		b.ReportMetric(float64(r.Spawn)/1e6, string(r.System)+"-spawn-ms")
+		b.ReportMetric(float64(r.Context1)/1e6, string(r.System)+"-ctx1-ms")
 	}
 }
 
 // BenchmarkAblationCopyStrategy regenerates the §5.2 CoPA/CoA/full-copy
 // comparison at the largest database size.
 func BenchmarkAblationCopyStrategy(b *testing.B) {
-	var rows []bench.RedisRow
-	for i := 0; i < b.N; i++ {
-		rows = redisRows(b)
-	}
-	copa := redisCell(b, rows, bench.SysUForkCoPA)
-	coa := redisCell(b, rows, bench.SysUForkCoA)
-	full := redisCell(b, rows, bench.SysUForkFull)
+	rows := sweep(b, redisRows)
+	copa, coa := largest(b, rows, bench.SysUForkCoPA), largest(b, rows, bench.SysUForkCoA)
+	full := largest(b, rows, bench.SysUForkFull)
 	b.ReportMetric(float64(full.ForkLatency)/float64(copa.ForkLatency), "full/CoPA-latency-x")
 	b.ReportMetric(float64(coa.ForkLatency)/float64(copa.ForkLatency), "CoA/CoPA-latency-x")
 	b.ReportMetric(float64(coa.ChildMem)/float64(copa.ChildMem), "CoA/CoPA-memory-x")
@@ -230,12 +149,7 @@ func BenchmarkAblationCopyStrategy(b *testing.B) {
 
 // BenchmarkAblationTocttou regenerates the §4.4 TOCTTOU cost analysis.
 func BenchmarkAblationTocttou(b *testing.B) {
-	var rows []bench.RedisRow
-	for i := 0; i < b.N; i++ {
-		rows = redisRows(b)
-	}
-	base := redisCell(b, rows, bench.SysUForkCoPA)
-	toct := redisCell(b, rows, bench.SysUForkTocttou)
-	over := 100 * (float64(toct.SaveTime)/float64(base.SaveTime) - 1)
+	rows := sweep(b, redisRows)
+	over := 100 * (float64(largest(b, rows, bench.SysUForkTocttou).SaveTime)/float64(largest(b, rows, bench.SysUForkCoPA).SaveTime) - 1)
 	b.ReportMetric(over, "tocttou-save-%")
 }

@@ -41,7 +41,6 @@ import (
 
 	"ufork/internal/bench"
 	"ufork/internal/bench/ycsb"
-	"ufork/internal/sim"
 	"ufork/internal/telemetry"
 )
 
@@ -88,11 +87,7 @@ var experiments = []experiment{
 		aliases:  []string{"fig4", "fig5", "ablation", "tocttou"},
 		synopsis: "Redis BGSAVE sweep: fork latency, tail impact, copy-mode ablation",
 		run: func(c *runCfg) error {
-			sizes := bench.RedisSizesQuick
-			if c.full {
-				sizes = bench.RedisSizesFull
-			}
-			rows, err := bench.RedisSweep(sizes)
+			rows, err := bench.RedisSweep(at(c, bench.RedisSizesQuick, bench.RedisSizesFull))
 			if err != nil {
 				return err
 			}
@@ -105,11 +100,7 @@ var experiments = []experiment{
 		name:     "fig6",
 		synopsis: "FaaS cold-start throughput window",
 		run: func(c *runCfg) error {
-			window := 200 * sim.Millisecond
-			if c.full {
-				window = sim.Second
-			}
-			rows, err := bench.FaaSSweep(window)
+			rows, err := bench.FaaSSweep(at(c, bench.FaaSWindowQuick, bench.FaaSWindowFull))
 			if err != nil {
 				return err
 			}
@@ -121,11 +112,7 @@ var experiments = []experiment{
 		name:     "fig7",
 		synopsis: "Nginx worker-fleet throughput window",
 		run: func(c *runCfg) error {
-			window := 50 * sim.Millisecond
-			if c.full {
-				window = 250 * sim.Millisecond
-			}
-			rows, err := bench.NginxSweep(window)
+			rows, err := bench.NginxSweep(at(c, bench.NginxWindowQuick, bench.NginxWindowFull))
 			if err != nil {
 				return err
 			}
@@ -149,13 +136,8 @@ var experiments = []experiment{
 		name:     "fig9",
 		synopsis: "Unixbench spawn and context-switch microbenchmarks",
 		run: func(c *runCfg) error {
-			spawnIters := bench.SpawnItersQuick
-			ctx1 := uint64(bench.Context1TargetQuik)
-			if c.full {
-				spawnIters = bench.SpawnItersFull
-				ctx1 = bench.Context1TargetFull
-			}
-			rows, err := bench.Unixbench(spawnIters, ctx1)
+			rows, err := bench.Unixbench(at(c, bench.SpawnItersQuick, bench.SpawnItersFull),
+				at(c, bench.Context1TargetQuick, bench.Context1TargetFull))
 			if err != nil {
 				return err
 			}
@@ -167,11 +149,7 @@ var experiments = []experiment{
 		name:     "forkserver",
 		synopsis: "pre-fork server pool latency sweep",
 		run: func(c *runCfg) error {
-			n := 40
-			if c.full {
-				n = 200
-			}
-			rows, err := bench.ForkServerSweep(n)
+			rows, err := bench.ForkServerSweep(at(c, bench.ForkServerInputsQuick, bench.ForkServerInputsFull))
 			if err != nil {
 				return err
 			}
@@ -183,11 +161,7 @@ var experiments = []experiment{
 		name:     "forkhist",
 		synopsis: "fork-latency distribution across copy modes",
 		run: func(c *runCfg) error {
-			iters := bench.ForkHistItersQuick
-			if c.full {
-				iters = bench.ForkHistItersFull
-			}
-			rows, err := bench.ForkHist(iters)
+			rows, err := bench.ForkHist(at(c, bench.ForkHistItersQuick, bench.ForkHistItersFull))
 			if err != nil {
 				return err
 			}
@@ -199,15 +173,11 @@ var experiments = []experiment{
 		name:     "contention",
 		synopsis: "BKL vs split-lock multicore scaling sweep (-cores, -check-scaling)",
 		run: func(c *runCfg) error {
-			window := sim.Time(bench.ContentionWindowQuick)
-			if c.full {
-				window = bench.ContentionWindowFull
-			}
 			cores, err := parseCores(c.coresFlag)
 			if err != nil {
 				return err
 			}
-			rows, err := bench.ContentionSweep(window, cores)
+			rows, err := bench.ContentionSweep(at(c, bench.ContentionWindowQuick, bench.ContentionWindowFull), cores)
 			if err != nil {
 				return err
 			}
@@ -238,10 +208,6 @@ var experiments = []experiment{
 		explicit: true,
 		synopsis: "chaos soak: seeded random syscall programs under fault injection, with invariant audits and a syscall-latency SLO",
 		run: func(c *runCfg) error {
-			rounds, maxOps := 2, 2500
-			if c.full {
-				rounds, maxOps = 10, 8000
-			}
 			slo := bench.DefaultStressSLO()
 			if c.sloFlag != "" {
 				var err error
@@ -250,7 +216,8 @@ var experiments = []experiment{
 					return err
 				}
 			}
-			rows := bench.Stress(c.seed, rounds, maxOps)
+			rows := bench.Stress(c.seed, at(c, bench.StressRoundsQuick, bench.StressRoundsFull),
+				at(c, bench.StressOpsQuick, bench.StressOpsFull))
 			fmt.Println(bench.RenderStress(rows))
 			if err := bench.StressFailures(rows); err != nil {
 				return err
@@ -297,6 +264,14 @@ var experiments = []experiment{
 			return nil
 		},
 	},
+}
+
+// at picks an experiment parameter at the run's scale.
+func at[T any](c *runCfg, quick, full T) T {
+	if c.full {
+		return full
+	}
+	return quick
 }
 
 // ycsbOpts assembles the YCSB sweep options from the flag state.

@@ -440,8 +440,3 @@ func (a *Allocator) UsedBlocks() ([]cap.Capability, error) {
 	}
 	return out, nil
 }
-
-// ArenaUsed returns the high-water mark of arena consumption in bytes.
-func (a *Allocator) ArenaUsed() (uint64, error) {
-	return a.p.LoadU64(a.p.MetaCap, offFreshTop)
-}

@@ -3,196 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"ufork/internal/sim"
 )
-
-// TestRedisSweepClaims checks the paper's Redis claims at reduced scale:
-// μFork forks faster than the monolithic baseline at every size (Fig. 4),
-// the full copy dwarfs CoPA (§5.2), CoA consumes far more child memory
-// than CoPA (Fig. 5), and save times favour μFork (Fig. 3).
-func TestRedisSweepClaims(t *testing.T) {
-	sizes := []uint64{100 * 1024, 1 << 20}
-	rows, err := RedisSweep(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := func(id SystemID, size uint64) RedisRow {
-		for _, r := range rows {
-			if r.System == id && r.DBBytes == size {
-				return r
-			}
-		}
-		t.Fatalf("missing %s/%d", id, size)
-		return RedisRow{}
-	}
-	for _, size := range sizes {
-		ufork := cell(SysUForkCoPA, size)
-		posix := cell(SysPosix, size)
-		full := cell(SysUForkFull, size)
-		coa := cell(SysUForkCoA, size)
-
-		if ufork.ForkLatency >= posix.ForkLatency {
-			t.Errorf("size %d: μFork fork %v not faster than CheriBSD %v", size, ufork.ForkLatency, posix.ForkLatency)
-		}
-		ratio := float64(posix.ForkLatency) / float64(ufork.ForkLatency)
-		if ratio < 2 || ratio > 12 {
-			t.Errorf("size %d: fork latency ratio %.1f outside the paper's band", size, ratio)
-		}
-		if full.ForkLatency < 10*ufork.ForkLatency {
-			t.Errorf("size %d: full copy %v should dwarf CoPA %v", size, full.ForkLatency, ufork.ForkLatency)
-		}
-		if coa.ForkLatency < ufork.ForkLatency {
-			t.Errorf("size %d: CoA fork %v below CoPA %v", size, coa.ForkLatency, ufork.ForkLatency)
-		}
-		if coa.ChildMem < 2*ufork.ChildMem {
-			t.Errorf("size %d: CoA child memory %d not well above CoPA %d", size, coa.ChildMem, ufork.ChildMem)
-		}
-		if ufork.SaveTime >= posix.SaveTime {
-			t.Errorf("size %d: μFork save %v not faster than CheriBSD %v", size, ufork.SaveTime, posix.SaveTime)
-		}
-		if posix.ChildMem < 4*ufork.ChildMem {
-			t.Errorf("size %d: CheriBSD child memory %d should far exceed μFork %d", size, posix.ChildMem, ufork.ChildMem)
-		}
-	}
-	// Fork latency under CoPA barely grows with database size (Fig. 4).
-	small := cell(SysUForkCoPA, sizes[0])
-	large := cell(SysUForkCoPA, sizes[len(sizes)-1])
-	if float64(large.ForkLatency) > 1.5*float64(small.ForkLatency) {
-		t.Errorf("CoPA fork latency grew %v -> %v across sizes", small.ForkLatency, large.ForkLatency)
-	}
-}
-
-func TestHelloWorldOrdering(t *testing.T) {
-	rows, err := HelloWorld()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := map[SystemID]HelloRow{}
-	for _, r := range rows {
-		byID[r.System] = r
-	}
-	u, p, v := byID[SysUForkCoPA], byID[SysPosix], byID[SysVMClone]
-	if !(u.ForkLatency < p.ForkLatency && p.ForkLatency < v.ForkLatency) {
-		t.Errorf("fork latency ordering violated: %v / %v / %v", u.ForkLatency, p.ForkLatency, v.ForkLatency)
-	}
-	if !(u.ChildMem < p.ChildMem && p.ChildMem < v.ChildMem) {
-		t.Errorf("memory ordering violated: %d / %d / %d", u.ChildMem, p.ChildMem, v.ChildMem)
-	}
-	// Fig. 8 bands: μFork ~54 µs, CheriBSD ~197 µs, Nephele ~10.7 ms.
-	within := func(got sim.Time, lo, hi float64) bool {
-		us := float64(got) / 1000
-		return us >= lo && us <= hi
-	}
-	if !within(u.ForkLatency, 35, 80) {
-		t.Errorf("μFork hello fork %v outside the 54 µs band", u.ForkLatency)
-	}
-	if !within(p.ForkLatency, 140, 260) {
-		t.Errorf("CheriBSD hello fork %v outside the 197 µs band", p.ForkLatency)
-	}
-	if !within(v.ForkLatency, 8000, 13000) {
-		t.Errorf("Nephele hello fork %v outside the 10.7 ms band", v.ForkLatency)
-	}
-}
-
-func TestUnixbenchBands(t *testing.T) {
-	rows, err := Unixbench(50, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := map[SystemID]UnixbenchRow{}
-	for _, r := range rows {
-		byID[r.System] = r
-	}
-	u, p := byID[SysUForkCoPA], byID[SysPosix]
-	if u.Spawn >= p.Spawn {
-		t.Errorf("spawn: μFork %v not faster than CheriBSD %v", u.Spawn, p.Spawn)
-	}
-	if u.Context1 >= p.Context1 {
-		t.Errorf("context1: μFork %v not faster than CheriBSD %v", u.Context1, p.Context1)
-	}
-	// Fig. 9 ratios: spawn ≈ 3.5x, context1 ≈ 1.7x.
-	sr := float64(p.Spawn) / float64(u.Spawn)
-	cr := float64(p.Context1) / float64(u.Context1)
-	if sr < 2 || sr > 6 {
-		t.Errorf("spawn ratio %.2f outside band", sr)
-	}
-	if cr < 1.3 || cr > 2.3 {
-		t.Errorf("context1 ratio %.2f outside band", cr)
-	}
-}
-
-func TestFaaSClaims(t *testing.T) {
-	rows, err := FaaSSweep(40 * sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(id SystemID, cores int) FaaSRow {
-		for _, r := range rows {
-			if r.System == id && r.WorkerCores == cores {
-				return r
-			}
-		}
-		t.Fatalf("missing %s/%d", id, cores)
-		return FaaSRow{}
-	}
-	// μFork beats CheriBSD at every core count (Fig. 6, ~24%).
-	for cores := 1; cores <= 3; cores++ {
-		u := get(SysUForkCoPA, cores)
-		p := get(SysPosix, cores)
-		gain := u.ThroughputPerSec/p.ThroughputPerSec - 1
-		if gain <= 0.05 {
-			t.Errorf("%d cores: μFork gain %.1f%% too small", cores, 100*gain)
-		}
-		if gain > 0.6 {
-			t.Errorf("%d cores: μFork gain %.1f%% implausibly large", cores, 100*gain)
-		}
-	}
-	// Throughput scales with worker cores.
-	if get(SysUForkCoPA, 3).Completed <= get(SysUForkCoPA, 1).Completed {
-		t.Error("μFork FaaS throughput does not scale with cores")
-	}
-	// TOCTTOU is negligible for a syscall-free workload (§5.1).
-	u3 := get(SysUForkCoPA, 3)
-	t3 := get(SysUForkTocttou, 3)
-	diff := u3.ThroughputPerSec/t3.ThroughputPerSec - 1
-	if diff > 0.03 || diff < -0.03 {
-		t.Errorf("TOCTTOU cost %.1f%% should be negligible here", 100*diff)
-	}
-}
-
-func TestNginxClaims(t *testing.T) {
-	rows, err := NginxSweep(20 * sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(id SystemID, workers, cores int) NginxRow {
-		for _, r := range rows {
-			if r.System == id && r.Workers == workers && r.Cores == cores {
-				return r
-			}
-		}
-		t.Fatalf("missing %s/%dw/%dc", id, workers, cores)
-		return NginxRow{}
-	}
-	// More workers help μFork even on one core (§5.1: +15.6%).
-	u1 := get(SysUForkCoPA, 1, 1)
-	u3 := get(SysUForkCoPA, 3, 1)
-	gain := u3.ThroughputPerSec/u1.ThroughputPerSec - 1
-	if gain < 0.05 || gain > 0.45 {
-		t.Errorf("μFork 1→3 worker gain %.1f%% outside band (paper: 15.6%%)", 100*gain)
-	}
-	// Restricted to one core, μFork beats CheriBSD (§5.1: +9%).
-	p3 := get(SysPosix, 3, 1)
-	if u3.ThroughputPerSec <= p3.ThroughputPerSec {
-		t.Errorf("single core: μFork %f not above CheriBSD %f", u3.ThroughputPerSec, p3.ThroughputPerSec)
-	}
-	// Allowed to scale, CheriBSD wins (§5.1).
-	pm := get(SysPosix, 3, 3)
-	if pm.ThroughputPerSec <= u3.ThroughputPerSec {
-		t.Errorf("multicore CheriBSD %f should beat single-core μFork %f", pm.ThroughputPerSec, u3.ThroughputPerSec)
-	}
-}
 
 func TestTable1(t *testing.T) {
 	rows := Table1()
@@ -214,24 +25,5 @@ func TestTable1(t *testing.T) {
 	}
 	if nephele.SAS != "No" || nephele.SelfCont != "No" {
 		t.Errorf("Nephele row wrong: %+v", *nephele)
-	}
-}
-
-func TestRenderers(t *testing.T) {
-	rows, err := RedisSweep([]uint64{100 * 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderRedis(rows)
-	for _, want := range []string{"Figure 3", "Figure 4", "Figure 5", "uFork", "CheriBSD"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RenderRedis missing %q", want)
-		}
-	}
-	if ab := RenderAblation(rows); !strings.Contains(ab, "TOCTTOU") {
-		t.Errorf("RenderAblation output: %q", ab)
-	}
-	if tb := RenderTable1(Table1()); !strings.Contains(tb, "Table 1") {
-		t.Error("RenderTable1 missing title")
 	}
 }

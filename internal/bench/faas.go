@@ -22,6 +22,12 @@ type FaaSRow struct {
 // is negligible for a syscall-free workload (§5.1).
 var faasSystems = []SystemID{SysUForkCoPA, SysUForkTocttou, SysPosix}
 
+// The Fig. 6 throughput window at quick and at the paper's scale.
+const (
+	FaaSWindowQuick = 200 * sim.Millisecond
+	FaaSWindowFull  = sim.Second
+)
+
 // FaaSSweep measures function throughput for 1–3 worker cores per system,
 // with the coordinator (Zygote) on its own core — the Fig. 6 setup on the
 // 4-core Morello.

@@ -20,6 +20,12 @@ type ForkServerRow struct {
 	PerExec    sim.Time
 }
 
+// Fork-server inputs per run at quick and at full scale.
+const (
+	ForkServerInputsQuick = 40
+	ForkServerInputsFull  = 200
+)
+
 // ForkServerSweep runs both modes on μFork and the monolithic baseline.
 func ForkServerSweep(nInputs int) ([]ForkServerRow, error) {
 	var rows []ForkServerRow

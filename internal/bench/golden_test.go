@@ -3,6 +3,7 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,9 +25,23 @@ func goldenCompare(t *testing.T, got, file string) {
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	if got+"\n" != string(want) {
-		t.Fatalf("output differs from %s\ngot:\n%s\nwant:\n%s", path, got, want)
+	if got+"\n" == string(want) {
+		return
 	}
+	end := "(end of output)"
+	g := append(strings.Split(got, "\n"), end)
+	w := append(strings.Split(strings.TrimSuffix(string(want), "\n"), "\n"), end)
+	i := 0
+	for i < len(g)-1 && i < len(w)-1 && g[i] == w[i] {
+		i++
+	}
+	// A rendering's title is the first line of its blank-line-separated block.
+	title := i
+	for title > 0 && w[title-1] != "" {
+		title--
+	}
+	t.Fatalf("output differs from %s at line %d, under %q\n got: %s\nwant: %s\nfull output:\n%s",
+		path, i+1, w[title], g[i], w[i], got)
 }
 
 func TestGoldenForkHist(t *testing.T) {

@@ -113,10 +113,10 @@ type UnixbenchRow struct {
 
 // The Fig. 9 workload sizes (paper: 1000 spawns, 100k exchanges).
 const (
-	SpawnItersFull     = 1000
-	SpawnItersQuick    = 200
-	Context1TargetFull = 100_000
-	Context1TargetQuik = 10_000
+	SpawnItersFull             = 1000
+	SpawnItersQuick            = 200
+	Context1TargetFull  uint64 = 100_000
+	Context1TargetQuick uint64 = 10_000
 )
 
 // unixbenchSystems are the Fig. 9 series.

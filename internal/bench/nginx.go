@@ -15,6 +15,12 @@ const (
 	nginxDocBytes = 16 * 1024
 )
 
+// The Fig. 7 throughput window at quick and at the paper's scale.
+const (
+	NginxWindowQuick = 50 * sim.Millisecond
+	NginxWindowFull  = 250 * sim.Millisecond
+)
+
 // NginxRow is one bar of Figure 7.
 type NginxRow struct {
 	System           SystemID

@@ -25,6 +25,12 @@ type StressRow struct {
 	SMP   bool // true when this cell ran on the split-lock machine
 }
 
+// Soak rounds and per-program op caps at quick and at full scale.
+const (
+	StressRoundsQuick, StressOpsQuick = 2, 2500
+	StressRoundsFull, StressOpsFull   = 10, 8000
+)
+
 // Stress soaks the kernel: for each round it runs every copy mode ×
 // isolation level twice — once clean (pure differential fuzzing) and once
 // under the aggressive fault plan — with a per-round seed derived from

@@ -130,7 +130,7 @@ type walkEntry struct {
 // walkAddressSpaces snapshots every PTE of every distinct address space
 // and returns the entries plus the per-descriptor observed reference
 // counts.
-func (c *checker) walkAddressSpaces(procs []*kernel.Proc) ([]walkEntry, map[*vm.Page]int) {
+func (c *checker) walkAddressSpaces(procs []*kernel.Proc) ([]walkEntry, map[*vm.Page]int32) {
 	seen := make(map[*vm.AddressSpace]bool)
 	var ases []*vm.AddressSpace
 	add := func(as *vm.AddressSpace) {
@@ -144,7 +144,7 @@ func (c *checker) walkAddressSpaces(procs []*kernel.Proc) ([]walkEntry, map[*vm.
 		add(p.AS)
 	}
 	var entries []walkEntry
-	pages := make(map[*vm.Page]int)
+	pages := make(map[*vm.Page]int32)
 	for _, as := range ases {
 		for _, vpn := range as.VPNs() {
 			pte := as.Lookup(vpn)
@@ -159,7 +159,7 @@ func (c *checker) walkAddressSpaces(procs []*kernel.Proc) ([]walkEntry, map[*vm.
 // reference count equal to its observed PTE count (plus shm registry
 // roots), every allocated frame reachable, every referenced frame
 // allocated.
-func (c *checker) ownership(entries []walkEntry, pages map[*vm.Page]int) {
+func (c *checker) ownership(entries []walkEntry, pages map[*vm.Page]int32) {
 	mem := c.k.Mem
 	owner := make(map[tmem.PFN]*vm.Page, len(pages))
 	for _, e := range entries {
@@ -273,7 +273,7 @@ func (c *checker) pssConservation(entries []walkEntry, procs []*kernel.Proc) {
 	if !c.k.Machine.SingleAddressSpace {
 		return
 	}
-	observed := make(map[*vm.Page]int)
+	observed := make(map[*vm.Page]int32)
 	for _, e := range entries {
 		va := uint64(e.vpn) * vm.PageSize
 		if c.k.KernelRegion.Contains(va) {

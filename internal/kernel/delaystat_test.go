@@ -1,7 +1,6 @@
 package kernel_test
 
 import (
-	"errors"
 	"testing"
 
 	"ufork/internal/kernel"
@@ -93,60 +92,6 @@ func TestDelayTaxonomySums(t *testing.T) {
 	if !sawExited {
 		t.Error("no reaped-proc snapshot in ProcStats — delay fields not frozen at exit")
 	}
-}
-
-// TestDelaystatSyscall exercises SYS_DELAYSTAT: self-query, cross-PID
-// query, and the no-such-process error.
-func TestDelaystatSyscall(t *testing.T) {
-	k := newKernel(1, kernel.IsolationFault)
-	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
-		cpid, err := k.Fork(p, func(c *kernel.Proc) {
-			for i := 0; i < 10; i++ {
-				k.Getpid(c)
-			}
-			st, err := k.Delaystat(c, 0)
-			if err != nil {
-				t.Errorf("child delaystat: %v", err)
-			}
-			if st.PID != int(c.PID) || st.LifetimeNS == 0 {
-				t.Errorf("child delaystat = %+v", st)
-			}
-			k.Exit(c, 0)
-		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		st, err := k.Delaystat(p, cpid)
-		if err != nil {
-			t.Errorf("cross-pid delaystat: %v", err)
-		} else {
-			if st.PID != int(cpid) {
-				t.Errorf("cross-pid delaystat pid = %d, want %d", st.PID, cpid)
-			}
-			if sum := st.RunNS + st.RunnableWaitNS + st.BlockedNS + st.LatencyNS + st.LockWaitNS; sum != st.LifetimeNS {
-				t.Errorf("delaystat buckets sum %d != lifetime %d", sum, st.LifetimeNS)
-			}
-		}
-		if _, err := k.Delaystat(p, kernel.PID(9999)); !errors.Is(err, kernel.ErrNoProc) {
-			t.Errorf("bogus pid: err = %v, want ErrNoProc", err)
-		}
-		if _, _, err := k.Wait(p); err != nil {
-			t.Error(err)
-		}
-		// The syscall shows up in its own accounting.
-		self, err := k.Delaystat(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if self.PID != int(p.PID) || self.LifetimeNS == 0 {
-			t.Errorf("self delaystat = %+v", self)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
 }
 
 // TestBKLContendedConcurrentRead is the data-race regression test for the

@@ -709,14 +709,6 @@ func (k *Kernel) VFS() *VFS { return k.vfs }
 // through ProcStats).
 func (k *Kernel) Procs() map[PID]*Proc { return k.procs }
 
-// FindProc returns the process with the given PID.
-func (k *Kernel) FindProc(pid PID) (*Proc, bool) {
-	k.procMu.RLock()
-	p, ok := k.procs[pid]
-	k.procMu.RUnlock()
-	return p, ok
-}
-
 // FindRegion maps a virtual address to its owning region, used by the
 // relocation pass for capabilities that point into an ancestor μprocess.
 func (k *Kernel) FindRegion(va uint64) (Region, bool) { return k.Regions.find(va) }

@@ -429,6 +429,9 @@ func TestShmSharedAcrossFork(t *testing.T) {
 		if string(buf) != "from-child" {
 			t.Errorf("shared memory = %q: child writes must be visible", buf)
 		}
+		if err := k.ShmUnlink(p, "/shm0"); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

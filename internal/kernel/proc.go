@@ -134,9 +134,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Exited reports whether the process has terminated.
 func (p *Proc) Exited() bool { return p.exited }
 
-// ExitStatus returns the exit status (valid once Exited).
-func (p *Proc) ExitStatus() int { return p.exitStatus }
-
 // Children returns the live children (for tests).
 func (p *Proc) Children() []*Proc { return p.children }
 

@@ -41,6 +41,15 @@ func TestProcstatSyscall(t *testing.T) {
 			return
 		}
 		childPID = pid
+		// Cross-PID query of the live child: its delay buckets partition
+		// its lifetime so far.
+		if st, err := k.Procstat(p, pid); err != nil {
+			t.Errorf("cross-pid procstat: %v", err)
+		} else if st.PID != int(pid) {
+			t.Errorf("cross-pid procstat pid = %d, want %d", st.PID, pid)
+		} else if sum := st.RunNS + st.RunnableWaitNS + st.BlockedNS + st.LatencyNS + st.LockWaitNS; sum != st.LifetimeNS {
+			t.Errorf("cross-pid procstat buckets sum %d != lifetime %d", sum, st.LifetimeNS)
+		}
 		if _, _, err := k.Wait(p); err != nil {
 			t.Errorf("wait: %v", err)
 		}
@@ -58,10 +67,15 @@ func TestProcstatSyscall(t *testing.T) {
 	}
 	k.Run()
 
+	for _, st := range []kernel.ProcStat{self, child} {
+		if sum := st.RunNS + st.RunnableWaitNS + st.BlockedNS + st.LatencyNS + st.LockWaitNS; sum != st.LifetimeNS || sum == 0 {
+			t.Errorf("pid %d: delay buckets sum %d, lifetime %d", st.PID, sum, st.LifetimeNS)
+		}
+	}
 	if self.Forks != 1 {
 		t.Errorf("parent forks = %d, want 1", self.Forks)
 	}
-	if self.Syscalls["fork"] != 1 || self.Syscalls["wait"] != 1 || self.Syscalls["procstat"] != 1 {
+	if self.Syscalls["fork"] != 1 || self.Syscalls["wait"] != 1 || self.Syscalls["procstat"] != 2 {
 		t.Errorf("parent syscall mix wrong: %v", self.Syscalls)
 	}
 	if self.SyscallsTotal < 3 {

@@ -42,7 +42,7 @@ func (k *Kernel) ShmOpen(p *Proc, name string, pages int) (*ShmObject, error) {
 			k.memPhase = phase0
 			return nil, err
 		}
-		obj.pages = append(obj.pages, &vm.Page{PFN: pfn})
+		obj.pages = append(obj.pages, &vm.Page{PFN: pfn, Pinned: true})
 	}
 	k.memPhase = phase0
 	k.shm.objects[name] = obj
@@ -97,13 +97,23 @@ func (k *Kernel) ShmObjects() []*ShmObject {
 	return out
 }
 
-// ShmUnlink removes the name; frames die with the last mapping.
+// ShmUnlink removes the name. The name pins the object's frames, so
+// unmapped frames are freed now and mapped ones with their last mapping.
 func (k *Kernel) ShmUnlink(p *Proc, name string) error {
 	k.enter(p, SysShmUnlink, len(name))
 	defer k.leave(p)
-	if _, ok := k.shm.objects[name]; !ok {
+	obj, ok := k.shm.objects[name]
+	if !ok {
 		return fmt.Errorf("%w: shm %s", ErrNoEnt, name)
 	}
 	delete(k.shm.objects, name)
+	for _, page := range obj.pages {
+		page.Pinned = false
+		if page.Refs == 0 {
+			if err := k.Mem.FreeFrame(page.PFN); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }

@@ -42,7 +42,7 @@ type SmapsRow struct {
 // smapsPSSShift is the fixed-point precision of PSS accumulation.
 const smapsPSSShift = 16
 
-func (r *SmapsRow) addPage(refs int, naturallyWritable, pending bool) {
+func (r *SmapsRow) addPage(refs int32, naturallyWritable, pending bool) {
 	r.MappedPages++
 	r.RSSBytes += PageSize
 	r.pssFP += (PageSize << smapsPSSShift) / uint64(refs)

@@ -36,7 +36,6 @@ const (
 	SysShmUnlink
 	SysProcstat
 	SysSmaps
-	SysDelaystat
 	// NumSysNos sizes per-syscall counter arrays.
 	NumSysNos
 )
@@ -70,7 +69,6 @@ var sysNames = [NumSysNos]string{
 	SysShmUnlink:  "shm-unlink",
 	SysProcstat:   "procstat",
 	SysSmaps:      "smaps",
-	SysDelaystat:  "delaystat",
 }
 
 func (n SysNo) String() string {

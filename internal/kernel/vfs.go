@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"ufork/internal/sim"
 )
@@ -115,16 +114,6 @@ func (v *VFS) Remove(name string) error {
 	}
 	delete(v.files, name)
 	return nil
-}
-
-// Names lists all files in sorted order.
-func (v *VFS) Names() []string {
-	out := make([]string, 0, len(v.files))
-	for name := range v.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WriteFile installs content directly (test/driver convenience).

@@ -132,12 +132,6 @@ func (pr *Program) FuncIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// GlobalSlot resolves a global variable name to its slot.
-func (pr *Program) GlobalSlot(name string) (int, bool) {
-	i, ok := pr.globals[name]
-	return i, ok
-}
-
 // Compile parses and compiles a module.
 func Compile(src string) (*Program, error) {
 	mod, err := parse(src)

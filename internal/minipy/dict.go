@@ -26,9 +26,6 @@ const (
 	dictMinBuckets  = 8
 )
 
-// IsDict reports whether the value is a dictionary.
-func (v Value) IsDict() bool { return v.kind == kDict }
-
 // newDict allocates an empty dictionary.
 func (rt *Runtime) newDict() (Value, error) {
 	hdr, err := rt.a.Alloc(dictBucketsOff + cap.GranuleSize)

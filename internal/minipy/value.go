@@ -48,15 +48,6 @@ func Num(f float64) Value { return Value{kind: kNum, num: f} }
 // None is the null value.
 func None() Value { return Value{kind: kNone} }
 
-// IsNum reports whether the value is numeric.
-func (v Value) IsNum() bool { return v.kind == kNum }
-
-// IsStr reports whether the value is a string.
-func (v Value) IsStr() bool { return v.kind == kStr }
-
-// IsList reports whether the value is a list.
-func (v Value) IsList() bool { return v.kind == kList }
-
 // Float returns the numeric payload (0 for non-numbers).
 func (v Value) Float() float64 {
 	if v.kind == kNum {

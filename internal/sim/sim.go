@@ -438,9 +438,6 @@ func (t *Task) Unpark(target *Task, at Time) {
 	heap.Push(&t.eng.runq, target)
 }
 
-// Parked reports whether the target is currently parked.
-func (e *Engine) Parked(target *Task) bool { return target.st == stateParked }
-
 func (t *Task) check() {
 	if t.eng.running != t {
 		panic(fmt.Sprintf("sim: task %d (%q) invoked engine op while not running", t.ID, t.Name))

@@ -122,10 +122,14 @@ const (
 
 // Page is a reference-counted descriptor of one physical frame. Multiple
 // PTEs (across or within address spaces) may reference the same Page; the
-// reference count drives copy-on-write decisions.
+// reference count drives copy-on-write decisions. Refs counts PTEs only:
+// a page the kernel holds outside any page table (a named shared-memory
+// object) is Pinned instead, and its last unmap leaves the frame
+// allocated. The two fields share one word, so a Page stays 16 bytes.
 type Page struct {
-	PFN  tmem.PFN
-	Refs int
+	PFN    tmem.PFN
+	Refs   int32
+	Pinned bool
 }
 
 // PTE is a page-table entry.
@@ -230,15 +234,6 @@ func (s *Stats) Fault(kind FaultKind) uint64 {
 		return 0
 	}
 	return s.faults[kind].Value()
-}
-
-// FaultTotal returns the count of all faults.
-func (s *Stats) FaultTotal() uint64 {
-	var n uint64
-	for i := range s.faults {
-		n += s.faults[i].Value()
-	}
-	return n
 }
 
 // Snapshot returns every nonzero counter as a name→value map.
@@ -374,7 +369,7 @@ func (as *AddressSpace) Unmap(vpn VPN) error {
 	if as.obs != nil {
 		as.obs.OnUnmap(vpn, page)
 	}
-	if page.Refs == 0 {
+	if page.Refs == 0 && !page.Pinned {
 		return as.mem.FreeFrame(page.PFN)
 	}
 	return nil

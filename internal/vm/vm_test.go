@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ufork/internal/tmem"
 )
@@ -13,6 +14,14 @@ import (
 func newAS(t *testing.T, frames int) *AddressSpace {
 	t.Helper()
 	return NewAddressSpace(tmem.New(frames))
+}
+
+// One Page is allocated per CoW/CoPA copy fault; Pinned must fit beside
+// Refs in one word.
+func TestPageIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Page{}); n != 16 {
+		t.Errorf("vm.Page is %d bytes, want 16", n)
+	}
 }
 
 func TestMapUnmap(t *testing.T) {
@@ -314,7 +323,7 @@ func TestRefcountInvariantProperty(t *testing.T) {
 			}
 		}
 		// Check invariants.
-		refs := make(map[*Page]int)
+		refs := make(map[*Page]int32)
 		for _, as := range spaces {
 			for _, vpn := range as.VPNs() {
 				refs[as.Lookup(vpn).Page]++
