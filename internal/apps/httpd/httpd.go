@@ -67,12 +67,27 @@ const (
 	recvBytes  = 4096      // each client receive
 )
 
+// Status lines of the replies.
+const (
+	statusOK         = "HTTP/1.0 200 OK"
+	statusCreated    = "HTTP/1.0 201 Created"
+	statusBadRequest = "HTTP/1.0 400 Bad Request"
+	statusNotFound   = "HTTP/1.0 404 Not Found"
+	statusServerErr  = "HTTP/1.0 500 Internal Server Error"
+)
+
+// maxBodyPrealloc bounds the body roundTrip allocates from the length a
+// head announces, before the bytes arrive. A longer body is gathered as
+// it arrives, so a wrong Content-Length cannot make the client allocate
+// what the server never sends.
+const maxBodyPrealloc = 1 << 20
+
 // Constant replies.
 var (
-	replyBadRequest = []byte("HTTP/1.0 400 Bad Request\r\n\r\n")
-	replyNotFound   = []byte("HTTP/1.0 404 Not Found\r\n\r\n")
-	replyServerErr  = []byte("HTTP/1.0 500 Internal Server Error\r\n\r\n")
-	replyCreated    = []byte("HTTP/1.0 201 Created\r\nContent-Length: 0\r\n\r\n")
+	replyBadRequest = []byte(statusBadRequest + "\r\n\r\n")
+	replyNotFound   = []byte(statusNotFound + "\r\n\r\n")
+	replyServerErr  = []byte(statusServerErr + "\r\n\r\n")
+	replyCreated    = []byte(statusCreated + "\r\nContent-Length: 0\r\n\r\n")
 )
 
 var (
@@ -153,7 +168,7 @@ func (s *scratch) serveConn(w *kernel.Proc, cfd int) error {
 		body = body[:len(body)+rn]
 	}
 	s.body = body
-	s.head = append(s.head[:0], "HTTP/1.0 200 OK\r\nContent-Length: "...)
+	s.head = append(s.head[:0], statusOK+"\r\nContent-Length: "...)
 	s.head = strconv.AppendInt(s.head, int64(len(body)), 10)
 	s.head = append(s.head, "\r\n\r\n"...)
 	if _, err := k.Write(w, cfd, s.head); err != nil {
@@ -322,7 +337,10 @@ func DoPut(p *kernel.Proc, l *kernel.Listener, path string, body []byte) (Client
 
 // roundTrip connects, sends req in one write and receives the response
 // through buf, which req may occupy: it is sent before the first
-// receive. The response is gathered in one heap slice.
+// receive. When the first receive holds the whole head, Body is allocated
+// once at the length the head announces and the rest is received straight
+// into it; otherwise, or for a body longer than maxBodyPrealloc, the
+// response is gathered in one growing heap slice.
 func roundTrip(p *kernel.Proc, l *kernel.Listener, req []byte, buf *[recvBytes]byte) (ClientResult, error) {
 	k := p.Kernel()
 	conn := l.Connect(p)
@@ -334,21 +352,54 @@ func roundTrip(p *kernel.Proc, l *kernel.Listener, req []byte, buf *[recvBytes]b
 	if _, err := conn.Send(k, p, req); err != nil {
 		return ClientResult{}, err
 	}
-	var resp []byte
-	for {
-		n, err := conn.Recv(k, p, buf[:])
+	n, err := conn.Recv(k, p, buf[:])
+	if err != nil {
+		return ClientResult{}, err
+	}
+	first := buf[:n]
+	headEnd, want, ok := responseHead(first)
+	if !ok || want > maxBodyPrealloc {
+		return gatherResponse(k, p, conn, first, buf)
+	}
+	// The server sends no more than the body it announces and the socket
+	// window is recvBytes, so each receive into the body's unfilled tail
+	// moves what a recvBytes receive would: virtual time is unchanged.
+	body := make([]byte, max(want, n-headEnd))
+	got := copy(body, first[headEnd:])
+	for got < want {
+		rn, err := conn.Recv(k, p, body[got:])
 		if err != nil {
 			return ClientResult{}, err
 		}
-		if n == 0 {
+		if rn == 0 {
 			break
 		}
-		resp = append(resp, buf[:n]...)
+		got += rn
+	}
+	return ClientResult{Status: statusOf(first), Body: body[:got:got]}, nil
+}
+
+// gatherResponse is roundTrip's path for a head that its first receive
+// did not complete or a body longer than maxBodyPrealloc: it appends
+// every receive, starting with first, to one heap slice until the head
+// and the body it announces have arrived.
+func gatherResponse(k *kernel.Kernel, p *kernel.Proc, conn *kernel.ClientConn, first []byte, buf *[recvBytes]byte) (ClientResult, error) {
+	resp := append([]byte(nil), first...)
+	for n := len(first); n > 0; {
 		if headEnd, want, ok := responseHead(resp); ok && len(resp)-headEnd >= want {
 			break
 		}
+		var err error
+		if n, err = conn.Recv(k, p, buf[:]); err != nil {
+			return ClientResult{}, err
+		}
+		resp = append(resp, buf[:n]...)
 	}
-	return splitResponse(resp), nil
+	res := ClientResult{Status: statusOf(resp)}
+	if headEnd, _, ok := responseHead(resp); ok {
+		res.Body = resp[headEnd:]
+	}
+	return res, nil
 }
 
 // responseHead finds the end of resp's head (just past its blank line)
@@ -361,13 +412,21 @@ func responseHead(resp []byte) (headEnd, want int, ok bool) {
 	return i + len(crlf2), contentLength(resp[:i]), true
 }
 
-// splitResponse splits resp into its status line and the bytes after its
-// head. Body aliases resp.
-func splitResponse(resp []byte) ClientResult {
+// statusOf returns resp's status line. The lines of the replies this
+// server sends are constants, so only another line is copied.
+func statusOf(resp []byte) string {
 	line, _, _ := bytes.Cut(resp, crlf)
-	res := ClientResult{Status: string(line)}
-	if headEnd, _, ok := responseHead(resp); ok {
-		res.Body = resp[headEnd:]
+	switch string(line) {
+	case statusOK:
+		return statusOK
+	case statusCreated:
+		return statusCreated
+	case statusBadRequest:
+		return statusBadRequest
+	case statusNotFound:
+		return statusNotFound
+	case statusServerErr:
+		return statusServerErr
 	}
-	return res
+	return string(line)
 }

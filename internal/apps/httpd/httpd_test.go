@@ -242,6 +242,147 @@ func TestBadRequest(t *testing.T) {
 	k.Run()
 }
 
+// TestRoundTripBodies fetches bodies larger than one client receive, each
+// twice: every body arrives intact in a slice of exactly its announced
+// length, and no two responses share storage.
+func TestRoundTripBodies(t *testing.T) {
+	k := newKernel(2)
+	sizes := []int{20 * 1024, 64 * 1024}
+	docs := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		docs[i] = bytes.Repeat([]byte{byte('a' + i)}, n)
+		copy(docs[i], fmt.Sprintf("doc-%d-", n))
+		k.VFS().WriteFile(fmt.Sprintf("/doc%d", i), docs[i])
+	}
+	if _, err := k.Spawn(serverSpec(), 0, func(p *kernel.Proc) {
+		srv, err := httpd.Start(p, 2)
+		if err != nil {
+			t.Errorf("start: %v", err)
+			return
+		}
+		for i, doc := range docs {
+			path := fmt.Sprintf("/doc%d", i)
+			var bodies [2][]byte
+			for j := range bodies {
+				res, err := httpd.DoRequest(p, srv.Listener, path)
+				if err != nil || res.Status != "HTTP/1.0 200 OK" {
+					t.Errorf("GET %s: status %q, err %v", path, res.Status, err)
+					return
+				}
+				if len(res.Body) != len(doc) || cap(res.Body) != len(doc) || !bytes.Equal(res.Body, doc) {
+					t.Errorf("GET %s: body len %d cap %d, want %d bytes of the document", path, len(res.Body), cap(res.Body), len(doc))
+				}
+				bodies[j] = res.Body
+			}
+			bodies[0][0] ^= 0xff
+			if bodies[1][0] != doc[0] {
+				t.Errorf("GET %s: writing one response's body changed the other's", path)
+			}
+		}
+		if err := srv.Shutdown(p); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+}
+
+// TestRoundTripStatus checks the status line of each reply the server
+// sends for a PUT, a missing file and a malformed path.
+func TestRoundTripStatus(t *testing.T) {
+	k := newKernel(1)
+	if _, err := k.Spawn(serverSpec(), 0, func(p *kernel.Proc) {
+		srv, err := httpd.Start(p, 1)
+		if err != nil {
+			t.Errorf("start: %v", err)
+			return
+		}
+		check := func(what, want string, res httpd.ClientResult, err error) {
+			if err != nil || res.Status != want || len(res.Body) != 0 {
+				t.Errorf("%s: status %q, %d-byte body, err %v; want %q and no body", what, res.Status, len(res.Body), err, want)
+			}
+		}
+		res, err := httpd.DoPut(p, srv.Listener, "/new", []byte("v"))
+		check("PUT", "HTTP/1.0 201 Created", res, err)
+		res, err = httpd.DoRequest(p, srv.Listener, "/missing")
+		check("GET of a missing file", "HTTP/1.0 404 Not Found", res, err)
+		res, err = httpd.DoRequest(p, srv.Listener, "no-slash")
+		check("GET of a malformed path", "HTTP/1.0 400 Bad Request", res, err)
+		if err := srv.Shutdown(p); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+}
+
+// serveRaw answers one DoRequest with reply, written in one write by a
+// forked one-shot server, and returns what the client made of it.
+func serveRaw(t *testing.T, reply []byte) httpd.ClientResult {
+	t.Helper()
+	k := newKernel(1)
+	var res httpd.ClientResult
+	if _, err := k.Spawn(serverSpec(), 0, func(p *kernel.Proc) {
+		lfd, l := k.Listen(p)
+		if _, err := k.Fork(p, func(c *kernel.Proc) {
+			cfd, err := k.Accept(c, lfd)
+			if err != nil {
+				return
+			}
+			var req [1024]byte
+			_, _ = k.Read(c, cfd, req[:])
+			_, _ = k.Write(c, cfd, reply)
+			_ = k.Close(c, cfd)
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		var err error
+		if res, err = httpd.DoRequest(p, l, "/raw"); err != nil {
+			t.Errorf("request: %v", err)
+		}
+		if _, _, err := k.Wait(p); err != nil {
+			t.Errorf("wait: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	return res
+}
+
+// TestRoundTripUnusualReplies drives the client against replies this
+// server never sends: a head longer than one client receive, a reply
+// without Content-Length, which ends at its head and keeps only the body
+// bytes that arrived with it, a status line of its own, and a
+// Content-Length far beyond the body the server sends before closing.
+func TestRoundTripUnusualReplies(t *testing.T) {
+	pad := strings.Repeat("p", 5000)
+	for _, tc := range []struct {
+		name, reply, status, body string
+	}{
+		{"long head", "HTTP/1.0 200 OK\r\nX-Pad: " + pad + "\r\nContent-Length: 5\r\n\r\nhello",
+			"HTTP/1.0 200 OK", "hello"},
+		{"long head, no Content-Length", "HTTP/1.0 200 OK\r\nX-Pad: " + pad + "\r\n\r\nhello",
+			"HTTP/1.0 200 OK", "hello"},
+		{"no Content-Length", "HTTP/1.0 200 OK\r\n\r\nhello", "HTTP/1.0 200 OK", "hello"},
+		{"other status", "HTTP/1.0 418 I'm a teapot\r\nContent-Length: 3\r\n\r\ntea",
+			"HTTP/1.0 418 I'm a teapot", "tea"},
+		{"no head end", "HTTP/1.0 200 OK\r\nContent-Length: 3", "HTTP/1.0 200 OK", ""},
+		{"Content-Length beyond the body", "HTTP/1.0 200 OK\r\nContent-Length: 99999999999999999\r\n\r\nhi",
+			"HTTP/1.0 200 OK", "hi"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := serveRaw(t, []byte(tc.reply))
+			if res.Status != tc.status || string(res.Body) != tc.body {
+				t.Errorf("status %q, body %q; want %q, %q", res.Status, res.Body, tc.status, tc.body)
+			}
+		})
+	}
+}
+
 // getFleet boots a two-worker fleet holding a 1 KiB document and runs
 // drive in the master process with a get function that fetches the
 // document and checks its length. It fails tb if the fleet fails.
@@ -296,12 +437,13 @@ func BenchmarkServeGet(b *testing.B) {
 }
 
 // maxMallocsPerGet bounds the host allocations of one GET, server and
-// client together (4 measured, plus 2 of slack). The request path keeps
-// its buffers per worker and parses in place, and closed connections and
-// open-file descriptions are reused, so what remains is the response
-// slice the caller keeps and its one growth, the status string, and the
-// path string handed to Open.
-const maxMallocsPerGet = 6
+// client together (1 measured, plus 1 of slack). The request path keeps
+// its buffers per worker and parses in place, Open takes the parsed path
+// without copying it, closed connections and open-file descriptions are
+// reused, and the client receives the head on its stack and takes the
+// status from a constant, so what remains is the body the caller keeps,
+// allocated once at its announced length.
+const maxMallocsPerGet = 2
 
 // TestServeGetAllocs is the allocation gate on BenchmarkServeGet's fleet:
 // a fresh buffer per request, or a parse that copies, shows up here.

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"ufork/internal/alloc"
 	"ufork/internal/cap"
@@ -461,6 +460,12 @@ func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
 // saveChunk is the write(2) granularity of the serializer.
 const saveChunk = 64 * 1024
 
+// saveBufBytes is Save's staging capacity. A flush leaves less than one
+// chunk staged and an entry's lengths and key add at most 16+maxKeyLen
+// bytes, so a value of up to one chunk always loads whole; a larger one
+// loads in pieces with a flush between them. The buffer never grows.
+const saveBufBytes = 2*saveChunk + 16 + maxKeyLen
+
 // Save serializes the store RDB-style to a ram-disk file:
 // "KVD1" | count u64 | per entry: keylen u64, key, vallen u64, value.
 func (s *Store) Save(path string) error {
@@ -470,7 +475,7 @@ func (s *Store) Save(path string) error {
 		return err
 	}
 	defer func() { _ = k.Close(s.p, fd) }()
-	buf := make([]byte, 0, saveChunk+8)
+	buf := make([]byte, 0, saveBufBytes)
 	flush := func(force bool) error {
 		for len(buf) >= saveChunk || (force && len(buf) > 0) {
 			n := len(buf)
@@ -501,10 +506,17 @@ func (s *Store) Save(path string) error {
 		buf = append(buf, lens[:]...)
 		buf = append(buf, key...)
 		// Load the value straight into the write buffer: no per-entry copy.
-		n := len(buf)
-		buf = slices.Grow(buf, int(vlen))[:n+int(vlen)]
-		if err := s.p.Load(val, 0, buf[n:]); err != nil {
-			return err
+		for off := uint64(0); off < vlen; {
+			n := len(buf)
+			m := min(vlen-off, uint64(saveBufBytes-n))
+			buf = buf[:n+int(m)]
+			if err := s.p.Load(val, off, buf[n:]); err != nil {
+				return err
+			}
+			off += m
+			if err := flush(false); err != nil {
+				return err
+			}
 		}
 		return flush(false)
 	})

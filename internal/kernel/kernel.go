@@ -323,6 +323,10 @@ type Kernel struct {
 
 	Stats Stats
 
+	// forkLatency names the histogram each fork's latency records into,
+	// "fork.latency.<engine>", built once at boot.
+	forkLatency string
+
 	// Planes holds the observability planes this kernel records into;
 	// each site tests its plane against nil.
 	Planes
@@ -507,6 +511,9 @@ func New(cfg Config) *Kernel {
 		procs:   make(map[PID]*Proc),
 		next:    1,
 		Planes:  pl,
+	}
+	if cfg.Engine != nil {
+		k.forkLatency = "fork.latency." + cfg.Engine.Name()
 	}
 	if pl.Memmap != nil || pl.Flight != nil {
 		k.Mem.SetFrameObserver(k.observeFrame)

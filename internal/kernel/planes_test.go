@@ -152,3 +152,26 @@ func TestPlanesArePerKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestForkLatencyHistogram pins the fork latency histogram: one per
+// engine, named "fork.latency.<engine>", one observation per fork, and
+// accumulating across kernels that share a registry.
+func TestForkLatencyHistogram(t *testing.T) {
+	pl := kernel.Planes{Metrics: obs.NewRegistry()}
+	for i, forks := range []int{3, 2} {
+		forkTree(t, "tree", forks, pl)
+		hists := pl.Metrics.Snapshot().Histograms
+		var names []string
+		for name := range hists {
+			if strings.HasPrefix(name, "fork.latency") {
+				names = append(names, name)
+			}
+		}
+		if len(names) != 1 || names[0] != "fork.latency.uFork/CoPA" {
+			t.Fatalf("after kernel %d: fork latency histograms %q, want [fork.latency.uFork/CoPA]", i, names)
+		}
+		if got, want := hists[names[0]].Count, uint64(3+2*i); got != want {
+			t.Errorf("after kernel %d: %d fork latency observations, want %d", i, got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"strings"
 
 	"ufork/internal/cap"
 	"ufork/internal/obs/flight"
@@ -265,7 +266,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	k.emit(forkStart+stats.Latency, int32(p.PID), flight.KindForkDone,
 		uint64(child.PID), uint64(copiedPages), uint64(stats.CapsRelocated))
 	if k.Metrics != nil {
-		k.Metrics.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
+		k.Metrics.Histogram(k.forkLatency).Observe(uint64(stats.Latency))
 	}
 
 	// The fork call's latency is charged to the parent; the child begins
@@ -397,12 +398,14 @@ func (k *Kernel) Open(p *Proc, name string, create bool) (int, error) {
 	if err := k.chaosErr("open"); err != nil {
 		return -1, err
 	}
+	// name is copied only where it is kept, so a caller may hand in a
+	// string(b) conversion that lives on its stack.
 	ino, ok := k.vfs.Lookup(name)
 	if !ok {
 		if !create {
-			return -1, fmt.Errorf("%w: %s", ErrNoEnt, name)
+			return -1, fmt.Errorf("%w: %s", ErrNoEnt, strings.Clone(name))
 		}
-		ino = k.vfs.Create(name)
+		ino = k.vfs.Create(strings.Clone(name))
 	} else if create {
 		ino.truncate()
 	}

@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ufork/internal/kernel"
@@ -364,5 +365,54 @@ func TestReopenReusesDescription(t *testing.T) {
 	k.Run()
 	if allocs != 0 {
 		t.Errorf("an open/close pair allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestOpenPathDoesNotAllocate opens a path held in a byte slice, the way
+// a server opens the path it parsed from a request: Open copies the name
+// only where it keeps it, so the string(b) conversion stays on the
+// caller's stack and an open/close pair allocates nothing. A file created
+// that way, and the error for a missing one, keep their names after the
+// caller overwrites b.
+func TestOpenPathDoesNotAllocate(t *testing.T) {
+	k := newKernel(1, kernel.IsolationFault)
+	k.VFS().WriteFile("/docs/index-000042.html", []byte("doc"))
+	var allocs float64
+	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
+		path := []byte("/docs/index-000042.html")
+		allocs = testing.AllocsPerRun(100, func() {
+			fd, err := k.Open(p, string(path), false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = k.Close(p, fd)
+		})
+
+		path = []byte("/created")
+		fd, err := k.Open(p, string(path), true)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_ = k.Close(p, fd)
+		copy(path, "/garbled")
+		if ino, ok := k.VFS().Lookup("/created"); !ok || ino.Name != "/created" {
+			t.Errorf("file created through a byte slice: found %v, %+v after the slice changed", ok, ino)
+		}
+
+		path = []byte("/missing")
+		_, err = k.Open(p, string(path), false)
+		copy(path, "/garbled")
+		if err == nil || !strings.HasSuffix(err.Error(), ": /missing") {
+			t.Errorf("open of a missing file: %v after the slice changed, want it to name /missing", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if allocs != 0 {
+		t.Errorf("an open/close pair through string(b) allocates %v objects, want 0", allocs)
 	}
 }
