@@ -20,6 +20,10 @@ import (
 
 var paperScale = flag.Bool("paperscale", false, "run experiments at the paper's full parameters")
 
+// env is the environment every benchmark's sweep runs in: no plane armed,
+// and one eager-copy worker per CPU.
+var env bench.Env
+
 // at picks an experiment parameter at the run's scale: the quick one
 // ufork-bench uses by default, or the paper's under -paperscale.
 func at[T any](quick, full T) T {
@@ -32,7 +36,7 @@ func at[T any](quick, full T) T {
 // BenchmarkTable1 regenerates the design-space comparison (Table 1).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Table1()
+		rows := bench.Table1(env)
 		if len(rows) < 10 {
 			b.Fatalf("table 1 has %d rows", len(rows))
 		}
@@ -53,7 +57,7 @@ func sweep[R any](b *testing.B, run func() ([]R, error)) []R {
 }
 
 func redisSweep() ([]bench.RedisRow, error) {
-	return bench.RedisSweep(at(bench.RedisSizesQuick, bench.RedisSizesFull))
+	return bench.RedisSweep(env, at(bench.RedisSizesQuick, bench.RedisSizesFull))
 }
 
 // redisRows runs the Redis sweep once per process: Fig. 3 times the sweep,
@@ -101,7 +105,7 @@ func BenchmarkFig5RedisMemory(b *testing.B) {
 // BenchmarkFig6FaaSThroughput regenerates Figure 6 (function throughput).
 func BenchmarkFig6FaaSThroughput(b *testing.B) {
 	window := at(bench.FaaSWindowQuick, bench.FaaSWindowFull)
-	for _, r := range sweep(b, func() ([]bench.FaaSRow, error) { return bench.FaaSSweep(window) }) {
+	for _, r := range sweep(b, func() ([]bench.FaaSRow, error) { return bench.FaaSSweep(env, window) }) {
 		if r.WorkerCores == 3 && r.System != bench.SysUForkTocttou {
 			b.ReportMetric(r.ThroughputPerSec, string(r.System)+"-3core-func/s")
 		}
@@ -111,7 +115,7 @@ func BenchmarkFig6FaaSThroughput(b *testing.B) {
 // BenchmarkFig7NginxThroughput regenerates Figure 7 (HTTP throughput).
 func BenchmarkFig7NginxThroughput(b *testing.B) {
 	window := at(bench.NginxWindowQuick, bench.NginxWindowFull)
-	for _, r := range sweep(b, func() ([]bench.NginxRow, error) { return bench.NginxSweep(window) }) {
+	for _, r := range sweep(b, func() ([]bench.NginxRow, error) { return bench.NginxSweep(env, window) }) {
 		if r.Workers == 3 && r.Cores == 1 && r.System != bench.SysUForkTocttou {
 			b.ReportMetric(r.ThroughputPerSec, string(r.System)+"-3w-1core-req/s")
 		}
@@ -121,7 +125,7 @@ func BenchmarkFig7NginxThroughput(b *testing.B) {
 // BenchmarkFig8HelloWorld regenerates Figure 8 (hello-world fork latency
 // and per-process memory).
 func BenchmarkFig8HelloWorld(b *testing.B) {
-	for _, r := range sweep(b, bench.HelloWorld) {
+	for _, r := range sweep(b, func() ([]bench.HelloRow, error) { return bench.HelloWorld(env) }) {
 		b.ReportMetric(float64(r.ForkLatency)/1e3, string(r.System)+"-fork-us")
 	}
 }
@@ -130,7 +134,7 @@ func BenchmarkFig8HelloWorld(b *testing.B) {
 func BenchmarkFig9Unixbench(b *testing.B) {
 	spawns := at(bench.SpawnItersQuick, bench.SpawnItersFull)
 	ctx1 := at(bench.Context1TargetQuick, bench.Context1TargetFull)
-	for _, r := range sweep(b, func() ([]bench.UnixbenchRow, error) { return bench.Unixbench(spawns, ctx1) }) {
+	for _, r := range sweep(b, func() ([]bench.UnixbenchRow, error) { return bench.Unixbench(env, spawns, ctx1) }) {
 		b.ReportMetric(float64(r.Spawn)/1e6, string(r.System)+"-spawn-ms")
 		b.ReportMetric(float64(r.Context1)/1e6, string(r.System)+"-ctx1-ms")
 	}

@@ -16,13 +16,14 @@
 // counts; -full runs the paper's parameters (100 MB databases, 1000
 // spawns, 100k pipe exchanges, second-long throughput windows).
 //
-// -trace, -metrics, -profile and -serve fill one kernel.Planes value that
-// every kernel the run boots is armed with. -trace records flight events
-// and writes them as Chrome trace_event JSON (open in chrome://tracing or
-// Perfetto); -metrics writes a JSON snapshot of the aggregated counters
-// and latency histograms; -profile writes the aggregate virtual-time
-// folded-stack profile (flamegraph.pl input). All three are written at
-// exit.
+// -trace, -metrics, -profile and -serve fill the planes of one bench.Env,
+// and -parallel its eager-copy pool width; every experiment runs in it.
+// -trace records flight events and writes them as Chrome trace_event
+// JSON (open in chrome://tracing or Perfetto); -metrics writes a JSON
+// snapshot of the aggregated counters and latency histograms; -profile
+// writes the aggregate virtual-time folded-stack profile (flamegraph.pl
+// input). All three are written at exit. -exp profdiff profiles each
+// lock regime into a plane of its own and rejects -profile.
 //
 // -serve starts the live telemetry plane (Prometheus /metrics, JSON
 // /procs of the currently booted kernel, /flight dumps, /profile, pprof)
@@ -32,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -46,6 +48,8 @@ import (
 
 // runCfg carries the parsed flag state every experiment runs against.
 type runCfg struct {
+	env          bench.Env
+	profile      string // the -profile path
 	full         bool
 	seed         int64
 	coresFlag    string
@@ -78,7 +82,7 @@ var experiments = []experiment{
 		name:     "table1",
 		synopsis: "design-space taxonomy of SASOS fork systems (paper Table 1)",
 		run: func(c *runCfg) error {
-			fmt.Println(bench.RenderTable1(bench.Table1()))
+			fmt.Println(bench.RenderTable1(bench.Table1(c.env)))
 			return nil
 		},
 	},
@@ -87,7 +91,7 @@ var experiments = []experiment{
 		aliases:  []string{"fig4", "fig5", "ablation", "tocttou"},
 		synopsis: "Redis BGSAVE sweep: fork latency, tail impact, copy-mode ablation",
 		run: func(c *runCfg) error {
-			rows, err := bench.RedisSweep(at(c, bench.RedisSizesQuick, bench.RedisSizesFull))
+			rows, err := bench.RedisSweep(c.env, at(c, bench.RedisSizesQuick, bench.RedisSizesFull))
 			if err != nil {
 				return err
 			}
@@ -100,7 +104,7 @@ var experiments = []experiment{
 		name:     "fig6",
 		synopsis: "FaaS cold-start throughput window",
 		run: func(c *runCfg) error {
-			rows, err := bench.FaaSSweep(at(c, bench.FaaSWindowQuick, bench.FaaSWindowFull))
+			rows, err := bench.FaaSSweep(c.env, at(c, bench.FaaSWindowQuick, bench.FaaSWindowFull))
 			if err != nil {
 				return err
 			}
@@ -112,7 +116,7 @@ var experiments = []experiment{
 		name:     "fig7",
 		synopsis: "Nginx worker-fleet throughput window",
 		run: func(c *runCfg) error {
-			rows, err := bench.NginxSweep(at(c, bench.NginxWindowQuick, bench.NginxWindowFull))
+			rows, err := bench.NginxSweep(c.env, at(c, bench.NginxWindowQuick, bench.NginxWindowFull))
 			if err != nil {
 				return err
 			}
@@ -124,7 +128,7 @@ var experiments = []experiment{
 		name:     "fig8",
 		synopsis: "hello-world fork+exit end-to-end latency",
 		run: func(c *runCfg) error {
-			rows, err := bench.HelloWorld()
+			rows, err := bench.HelloWorld(c.env)
 			if err != nil {
 				return err
 			}
@@ -136,7 +140,7 @@ var experiments = []experiment{
 		name:     "fig9",
 		synopsis: "Unixbench spawn and context-switch microbenchmarks",
 		run: func(c *runCfg) error {
-			rows, err := bench.Unixbench(at(c, bench.SpawnItersQuick, bench.SpawnItersFull),
+			rows, err := bench.Unixbench(c.env, at(c, bench.SpawnItersQuick, bench.SpawnItersFull),
 				at(c, bench.Context1TargetQuick, bench.Context1TargetFull))
 			if err != nil {
 				return err
@@ -149,7 +153,7 @@ var experiments = []experiment{
 		name:     "forkserver",
 		synopsis: "pre-fork server pool latency sweep",
 		run: func(c *runCfg) error {
-			rows, err := bench.ForkServerSweep(at(c, bench.ForkServerInputsQuick, bench.ForkServerInputsFull))
+			rows, err := bench.ForkServerSweep(c.env, at(c, bench.ForkServerInputsQuick, bench.ForkServerInputsFull))
 			if err != nil {
 				return err
 			}
@@ -161,7 +165,7 @@ var experiments = []experiment{
 		name:     "forkhist",
 		synopsis: "fork-latency distribution across copy modes",
 		run: func(c *runCfg) error {
-			rows, err := bench.ForkHist(at(c, bench.ForkHistItersQuick, bench.ForkHistItersFull))
+			rows, err := bench.ForkHist(c.env, at(c, bench.ForkHistItersQuick, bench.ForkHistItersFull))
 			if err != nil {
 				return err
 			}
@@ -177,7 +181,7 @@ var experiments = []experiment{
 			if err != nil {
 				return err
 			}
-			rows, err := bench.ContentionSweep(at(c, bench.ContentionWindowQuick, bench.ContentionWindowFull), cores)
+			rows, err := bench.ContentionSweep(c.env, at(c, bench.ContentionWindowQuick, bench.ContentionWindowFull), cores)
 			if err != nil {
 				return err
 			}
@@ -195,7 +199,7 @@ var experiments = []experiment{
 		name:     "footprint",
 		synopsis: "fork-chain RSS/PSS/USS decomposition across copy modes",
 		run: func(c *runCfg) error {
-			rows, err := bench.Footprint()
+			rows, err := bench.Footprint(c.env)
 			if err != nil {
 				return err
 			}
@@ -216,7 +220,7 @@ var experiments = []experiment{
 					return err
 				}
 			}
-			rows := bench.Stress(c.seed, at(c, bench.StressRoundsQuick, bench.StressRoundsFull),
+			rows := bench.Stress(c.env, c.seed, at(c, bench.StressRoundsQuick, bench.StressRoundsFull),
 				at(c, bench.StressOpsQuick, bench.StressOpsFull))
 			fmt.Println(bench.RenderStress(rows))
 			if err := bench.StressFailures(rows); err != nil {
@@ -234,7 +238,7 @@ var experiments = []experiment{
 			if err != nil {
 				return err
 			}
-			rows, err := bench.YCSBSweep(opts)
+			rows, err := bench.YCSBSweep(c.env, opts)
 			if err != nil {
 				return err
 			}
@@ -247,6 +251,9 @@ var experiments = []experiment{
 		explicit: true,
 		synopsis: "cross-run profile diff: the same seeded YCSB coordinate profiled under bkl and smp, top signed per-stack virtual-time deltas",
 		run: func(c *runCfg) error {
+			if c.profile != "" {
+				return errors.New("-profile does not apply to -exp profdiff: each lock regime is profiled into a plane of its own, so there is no one profile to write")
+			}
 			keys, ops := c.keysFlag, c.opsFlag
 			if c.full {
 				if keys == 0 {
@@ -256,7 +263,7 @@ var experiments = []experiment{
 					ops = bench.YCSBOpsFull
 				}
 			}
-			out, err := bench.ProfDiff(keys, ops)
+			out, err := bench.ProfDiff(c.env, keys, ops)
 			if err != nil {
 				return err
 			}
@@ -379,7 +386,6 @@ func main() {
 	sloFlag := flag.String("slo", "", "SLO spec overriding the built-in gates for -exp ycsb and -exp stress, e.g. tput=50000,p50=200us,p99=2ms,p999=10ms,err=1%")
 	flag.Parse()
 
-	bench.Parallelism = *parallel
 	// -serve, -trace, -metrics and -profile fill one Planes value that
 	// every kernel the experiments boot is armed with.
 	out := telemetry.Outputs{Trace: *tracePath, Metrics: *metricsPath, Profile: *profilePath}
@@ -390,7 +396,6 @@ func main() {
 	if tsrv != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s/\n", tsrv.Addr)
 	}
-	bench.Planes = pl
 
 	if *exp == "list" {
 		fmt.Print(expList())
@@ -398,6 +403,7 @@ func main() {
 	}
 
 	cfg := &runCfg{
+		env: bench.Env{Planes: pl, Parallelism: *parallel}, profile: *profilePath,
 		full: *full, seed: *seed, coresFlag: *coresFlag,
 		checkScaling: *checkScaling, mixFlag: *mixFlag,
 		opsFlag: *opsFlag, keysFlag: *keysFlag, locksFlag: *locksFlag,

@@ -3,6 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"ufork/internal/bench"
+	"ufork/internal/kernel"
+	"ufork/internal/obs"
+	"ufork/internal/obs/profile"
 )
 
 // TestRegistryIntegrity pins the single-source-of-truth property: every
@@ -62,5 +67,34 @@ func TestRegistryRunsQuickExperiment(t *testing.T) {
 	}
 	if err := e.run(&runCfg{coresFlag: "1", mixFlag: "A", locksFlag: "bkl,smp"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProfDiffRejectsProfile: profdiff profiles each lock regime into a
+// plane of its own, so a -profile file would only ever be empty. The run
+// must fail up front and say why.
+func TestProfDiffRejectsProfile(t *testing.T) {
+	e, _ := findExperiment("profdiff")
+	err := e.run(&runCfg{profile: "out.folded"})
+	if err == nil || !strings.Contains(err.Error(), "profiled into a plane of its own") {
+		t.Fatalf("profdiff with -profile: err = %v, want a rejection naming the per-regime planes", err)
+	}
+}
+
+// TestProfDiffKeepsServedPlanes runs profdiff in an env filled the way
+// -serve fills it: the served registry keeps recording, and the served
+// profile plane is left to the experiments that share it.
+func TestProfDiffKeepsServedPlanes(t *testing.T) {
+	reg, prof := obs.NewRegistry(), profile.New(0)
+	e, _ := findExperiment("profdiff")
+	c := &runCfg{env: bench.Env{Planes: kernel.Planes{Metrics: reg, Profile: prof}}, keysFlag: 512, opsFlag: 800}
+	if err := e.run(c); err != nil {
+		t.Fatal(err)
+	}
+	if len(reg.Snapshot().Counters) == 0 {
+		t.Error("served registry recorded nothing")
+	}
+	if n := prof.Samples(); n != 0 {
+		t.Errorf("served profile plane took %d samples; each regime profiles into its own", n)
 	}
 }

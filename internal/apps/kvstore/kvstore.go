@@ -50,10 +50,12 @@ const (
 	entValOff    = cap.GranuleSize
 	entKeyLenOff = 2 * cap.GranuleSize
 	entKeyOff    = 2*cap.GranuleSize + 16
-	entSize      = 96 // entKeyOff + maxKeyLen, granule aligned
-	maxKeyLen    = entSize - entKeyOff
+	entSize      = 96 // entKeyOff + MaxKeyLen, granule aligned
 	arenaBytes   = kernel.PageSize
 )
+
+// MaxKeyLen is the longest key a store holds.
+const MaxKeyLen = entSize - entKeyOff
 
 // Errors returned by the store.
 var (
@@ -173,14 +175,14 @@ func (s *Store) findEntry(table cap.Capability, bucketOff uint64, key string) (e
 		return
 	}
 	prev = cap.Null()
-	var buf [maxKeyLen]byte
+	var buf [MaxKeyLen]byte
 	for cur.Tag() {
 		klen, err2 := s.p.LoadU64(cur, entKeyLenOff)
 		if err2 != nil {
 			err = err2
 			return
 		}
-		if klen == uint64(len(key)) && klen <= maxKeyLen {
+		if klen == uint64(len(key)) && klen <= MaxKeyLen {
 			kb := buf[:klen]
 			if err = s.p.Load(cur, entKeyOff, kb); err != nil {
 				return
@@ -258,8 +260,8 @@ func (s *Store) entryFree(root, ent cap.Capability) error {
 
 // Set inserts or replaces key with value.
 func (s *Store) Set(key string, value []byte) error {
-	if len(key) > maxKeyLen {
-		return fmt.Errorf("kvstore: key longer than %d bytes", maxKeyLen)
+	if len(key) > MaxKeyLen {
+		return fmt.Errorf("kvstore: key longer than %d bytes", MaxKeyLen)
 	}
 	root, table, bucketOff, err := s.bucketOf(key)
 	if err != nil {
@@ -314,7 +316,7 @@ func (s *Store) Set(key string, value []byte) error {
 	if err := s.p.StoreU64(ent, entKeyLenOff, uint64(len(key))); err != nil {
 		return err
 	}
-	var kb [maxKeyLen]byte
+	var kb [MaxKeyLen]byte
 	if err := s.p.Store(ent, entKeyOff, kb[:copy(kb[:], key)]); err != nil {
 		return err
 	}
@@ -408,10 +410,10 @@ func (s *Store) Count() (uint64, error) {
 
 // ForEach visits every entry: the snapshot walk. Each visit performs the
 // capability loads (bucket, entry, value pointer) that CoPA turns into
-// page copies in a forked child. fn's key is one buffer reused for every
-// entry: it is valid only during the call, and a caller that keeps it
-// must copy it.
-func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
+// page copies in a forked child. Each key is loaded into kbuf and fn's
+// key aliases it: it is valid only during the call, and a caller that
+// keeps it must copy it.
+func (s *Store) ForEach(kbuf *[MaxKeyLen]byte, fn func(key []byte, val cap.Capability) error) error {
 	root, err := s.root()
 	if err != nil {
 		return err
@@ -424,7 +426,6 @@ func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
 	if err != nil {
 		return err
 	}
-	var kbuf [maxKeyLen]byte
 	for b := uint64(0); b < n; b++ {
 		cur, err := s.p.LoadCap(table, b*cap.GranuleSize)
 		if err != nil {
@@ -435,8 +436,8 @@ func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
 			if err != nil {
 				return err
 			}
-			if klen > maxKeyLen {
-				return fmt.Errorf("kvstore: entry key length %d exceeds %d", klen, maxKeyLen)
+			if klen > MaxKeyLen {
+				return fmt.Errorf("kvstore: entry key length %d exceeds %d", klen, MaxKeyLen)
 			}
 			key := kbuf[:klen]
 			if err := s.p.Load(cur, entKeyOff, key); err != nil {
@@ -461,10 +462,10 @@ func (s *Store) ForEach(fn func(key []byte, val cap.Capability) error) error {
 const saveChunk = 64 * 1024
 
 // saveBufBytes is Save's staging capacity. A flush leaves less than one
-// chunk staged and an entry's lengths and key add at most 16+maxKeyLen
+// chunk staged and an entry's lengths and key add at most 16+MaxKeyLen
 // bytes, so a value of up to one chunk always loads whole; a larger one
 // loads in pieces with a flush between them. The buffer never grows.
-const saveBufBytes = 2*saveChunk + 16 + maxKeyLen
+const saveBufBytes = 2*saveChunk + 16 + MaxKeyLen
 
 // Save serializes the store RDB-style to a ram-disk file:
 // "KVD1" | count u64 | per entry: keylen u64, key, vallen u64, value.
@@ -475,7 +476,12 @@ func (s *Store) Save(path string) error {
 		return err
 	}
 	defer func() { _ = k.Close(s.p, fd) }()
-	buf := make([]byte, 0, saveBufBytes)
+	// One allocation holds the staged dump and the key ForEach loads.
+	stage := new(struct {
+		buf [saveBufBytes]byte
+		key [MaxKeyLen]byte
+	})
+	buf := stage.buf[:0]
 	flush := func(force bool) error {
 		for len(buf) >= saveChunk || (force && len(buf) > 0) {
 			n := len(buf)
@@ -498,7 +504,7 @@ func (s *Store) Save(path string) error {
 	binary.LittleEndian.PutUint64(hdr[4:], count)
 	buf = append(buf, hdr[:]...)
 
-	err = s.ForEach(func(key []byte, val cap.Capability) error {
+	err = s.ForEach(&stage.key, func(key []byte, val cap.Capability) error {
 		var lens [16]byte
 		vlen := val.Len() - (val.Addr() - val.Base())
 		binary.LittleEndian.PutUint64(lens[:8], uint64(len(key)))

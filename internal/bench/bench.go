@@ -30,27 +30,24 @@ const (
 	SysVMClone      SystemID = "Nephele"
 )
 
-// Parallelism bounds the host-side worker pool μFork engines fan eager
-// fork copies across. 0 means one worker per available CPU; 1 forces
-// serial execution. Virtual-time results are identical at every setting —
-// only host wall-clock changes. Set from ufork-bench's -parallel flag.
-var Parallelism int
-
-// Planes arms every kernel the harness boots: the one value the CLIs
-// fill from -serve, -trace, -metrics and -profile. Cells that need a
-// plane of their own copy it and fill only its nil fields, so a served
-// or dumped plane is never replaced.
-var Planes kernel.Planes
+// Env is the environment a sweep runs in: the planes every kernel it
+// boots is armed with, and the host worker-pool width μFork engines fan
+// eager fork copies across (0 means one worker per available CPU, 1
+// forces serial execution; virtual-time results are identical at every
+// width). The CLIs fill one from -serve, -trace, -metrics, -profile and
+// -parallel. Cells that need a plane of their own copy the env and fill
+// only its nil fields, so a served or dumped plane is never replaced.
+type Env struct {
+	Planes      kernel.Planes
+	Parallelism int
+}
 
 // build creates a kernel for the given system with the given core count,
-// armed with pl.
-func build(id SystemID, cores int, frames int, pl kernel.Planes) *kernel.Kernel {
-	if frames == 0 {
-		frames = 1 << 17
-	}
+// armed with env's planes.
+func (env Env) build(id SystemID, cores, frames int) *kernel.Kernel {
 	ufork := func(mode core.CopyMode) *core.Engine {
 		e := core.New(mode)
-		e.Parallelism = Parallelism
+		e.Parallelism = env.Parallelism
 		return e
 	}
 	var (
@@ -76,7 +73,7 @@ func build(id SystemID, cores int, frames int, pl kernel.Planes) *kernel.Kernel 
 	default:
 		panic("bench: unknown system " + string(id))
 	}
-	return kernel.New(kernel.Config{Machine: m, Engine: eng, Isolation: iso, Frames: frames, Planes: pl})
+	return kernel.New(kernel.Config{Machine: m, Engine: eng, Isolation: iso, Frames: frames, Planes: env.Planes})
 }
 
 // memMetric is the per-process memory of a forked child, reported the way

@@ -6,7 +6,8 @@ import (
 )
 
 func TestTable1(t *testing.T) {
-	rows := Table1()
+	t.Parallel()
+	rows := Table1(Env{})
 	var ufork, nephele *Table1Row
 	for i := range rows {
 		if strings.HasPrefix(rows[i].System, "uFork") {

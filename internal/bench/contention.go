@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"ufork/internal/alloc"
-	"ufork/internal/apps/httpd"
 	"ufork/internal/apps/kvstore"
 	"ufork/internal/kernel"
 	"ufork/internal/sim"
@@ -92,11 +90,11 @@ type ContentionRow struct {
 // ContentionSweep runs both workloads under both lock configurations at
 // each core count: the BKL rows reproduce the §4.5 single-core ceiling, the
 // SMP rows show what breaking the lock buys at the same core counts.
-func ContentionSweep(window sim.Time, cores []int) ([]ContentionRow, error) {
+func ContentionSweep(env Env, window sim.Time, cores []int) ([]ContentionRow, error) {
 	var rows []ContentionRow
 	for _, locks := range []string{LocksBKL, LocksSMP} {
 		for _, c := range cores {
-			row, err := httpdContention(locks, c, window)
+			row, err := env.httpdContention(locks, c, window)
 			if err != nil {
 				return nil, fmt.Errorf("bench: contention httpd/%s/%dc: %w", locks, c, err)
 			}
@@ -105,7 +103,7 @@ func ContentionSweep(window sim.Time, cores []int) ([]ContentionRow, error) {
 	}
 	for _, locks := range []string{LocksBKL, LocksSMP} {
 		for _, c := range cores {
-			row, err := kvContention(locks, c, window)
+			row, err := env.kvContention(locks, c, window)
 			if err != nil {
 				return nil, fmt.Errorf("bench: contention kvstore/%s/%dc: %w", locks, c, err)
 			}
@@ -119,7 +117,7 @@ func ContentionSweep(window sim.Time, cores []int) ([]ContentionRow, error) {
 // a finished run into row. Off-core driver pseudo-processes never compete
 // for server cores or the server locks in a way the paper's ceiling is
 // about, so they are excluded by image name.
-func contentionWaits(k *kernel.Kernel, lt *sim.LockTable, row *ContentionRow, exclude string) {
+func contentionWaits(k *kernel.Kernel, row *ContentionRow, exclude string) {
 	for _, st := range k.ProcStats() {
 		if st.Name == exclude {
 			continue
@@ -132,7 +130,7 @@ func contentionWaits(k *kernel.Kernel, lt *sim.LockTable, row *ContentionRow, ex
 		row.BKLShare = float64(row.BKLWaitNS) / float64(total)
 	}
 	global := globalLockName(row.Locks)
-	for _, st := range lt.Snapshot() {
+	for _, st := range k.Lockstat() {
 		if st.Name == global {
 			row.BKLAcquisitions = st.Acquisitions
 			row.BKLWaitersHigh = st.WaitersHighWater
@@ -140,68 +138,23 @@ func contentionWaits(k *kernel.Kernel, lt *sim.LockTable, row *ContentionRow, ex
 	}
 }
 
-// contentionPlanes adds a private lock table to the harness planes when
-// none is armed: the rows read their global-lock stats from it.
-func contentionPlanes() kernel.Planes {
-	pl := Planes
-	if pl.Locks == nil {
-		pl.Locks = sim.NewLockTable()
+// withLocks adds a private lock table to env when none is armed: the
+// contention rows read their global-lock stats from it.
+func (env Env) withLocks() Env {
+	if env.Planes.Locks == nil {
+		env.Planes.Locks = sim.NewLockTable()
 	}
-	return pl
+	return env
 }
 
 // httpdContention is the Nginx-shaped cell: a fixed four-worker fleet
 // (forked, sharing the listener) hammered by eight closed-loop drivers,
 // at the given core count.
-func httpdContention(locks string, cores int, window sim.Time) (ContentionRow, error) {
-	pl := contentionPlanes()
-	k := build(contentionSystem(locks), cores, 1<<16, pl)
-	lt := pl.Locks
-	k.VFS().WriteFile("/index.html", make([]byte, nginxDocBytes))
-	row := ContentionRow{Workload: "httpd", Locks: locks, Cores: cores}
-
-	err := runRoot(k, nginxSpec(), func(p *kernel.Proc) error {
-		srv, err := httpd.Start(p, contentionWorkers)
-		if err != nil {
-			return err
-		}
-		rfd, wfd, err := k.Pipe(p)
-		if err != nil {
-			return err
-		}
-		doneEnd, err := p.FDs.Get(wfd)
-		if err != nil {
-			return err
-		}
-		deadline := p.Now() + window
-		for d := 0; d < contentionDrivers; d++ {
-			if _, err := k.Spawn(driverSpec(), p.Now(), func(dp *kernel.Proc) {
-				dp.Task.Offcore = true
-				dwfd := dp.FDs.Install(doneEnd)
-				for dp.Now() < deadline {
-					if _, err := httpd.DoRequest(dp, srv.Listener, "/index.html"); err != nil {
-						break
-					}
-				}
-				_, _ = k.Write(dp, dwfd, []byte{1})
-			}); err != nil {
-				return err
-			}
-		}
-		buf := make([]byte, 1)
-		for d := 0; d < contentionDrivers; d++ {
-			if _, err := k.Read(p, rfd, buf); err != nil {
-				return err
-			}
-		}
-		if err := srv.Shutdown(p); err != nil {
-			return err
-		}
-		row.Ops = srv.TotalServed()
-		row.ThroughputPerSec = float64(row.Ops) / (float64(window) / float64(sim.Second))
-		return nil
-	})
-	contentionWaits(k, lt, &row, "wrk")
+func (env Env) httpdContention(locks string, cores int, window sim.Time) (ContentionRow, error) {
+	k, ops, err := env.withLocks().wrkRun(contentionSystem(locks), cores, contentionWorkers, contentionDrivers, window)
+	row := ContentionRow{Workload: "httpd", Locks: locks, Cores: cores, Ops: ops,
+		ThroughputPerSec: float64(ops) / (float64(window) / float64(sim.Second))}
+	contentionWaits(k, &row, "wrk")
 	return row, err
 }
 
@@ -219,29 +172,14 @@ func kvContentionSpec() kernel.ProgramSpec {
 // kvContention is the Redis-shaped cell: four forked workers rewrite keys
 // and append AOF records in a closed loop while the parent cycles BGSAVE
 // snapshots — every Set, Write, fork and reap crossing the BKL.
-func kvContention(locks string, cores int, window sim.Time) (ContentionRow, error) {
-	pl := contentionPlanes()
-	k := build(contentionSystem(locks), cores, 1<<16, pl)
-	lt := pl.Locks
+func (env Env) kvContention(locks string, cores int, window sim.Time) (ContentionRow, error) {
+	k := env.withLocks().build(contentionSystem(locks), cores, 1<<16)
 	row := ContentionRow{Workload: "kvstore", Locks: locks, Cores: cores}
 
 	err := runRoot(k, kvContentionSpec(), func(p *kernel.Proc) error {
-		a := alloc.Attach(p)
-		if err := a.Init(); err != nil {
-			return err
-		}
-		store, err := kvstore.Init(p, a, bucketCount(contentionKeys))
+		store, val, err := preloadKV(p, contentionKeys, contentionValueBytes)
 		if err != nil {
 			return err
-		}
-		val := make([]byte, contentionValueBytes)
-		for i := range val {
-			val[i] = byte(i * 131)
-		}
-		for i := 0; i < contentionKeys; i++ {
-			if err := store.Set(fmt.Sprintf("key:%06d", i), val); err != nil {
-				return err
-			}
 		}
 
 		deadline := p.Now() + window
@@ -265,8 +203,7 @@ func kvContention(locks string, cores int, window sim.Time) (ContentionRow, erro
 				rec := make([]byte, 128)
 				for i := 0; c.Now() < deadline; i++ {
 					c.Task.Advance(contentionThink)
-					key := fmt.Sprintf("key:%06d", (w*17+i)%contentionKeys)
-					if err := ws.Set(key, val); err != nil {
+					if err := ws.Set(kvKey((w*17+i)%contentionKeys), val); err != nil {
 						workerErr = err
 						k.Exit(c, 1)
 						return
@@ -316,7 +253,7 @@ func kvContention(locks string, cores int, window sim.Time) (ContentionRow, erro
 		row.ThroughputPerSec = float64(row.Ops) / (float64(window) / float64(sim.Second))
 		return nil
 	})
-	contentionWaits(k, lt, &row, "")
+	contentionWaits(k, &row, "")
 	return row, err
 }
 

@@ -71,7 +71,8 @@ func contentionJSON(rows []ContentionRow) ([]byte, error) {
 // scaling with a sub-40% residual share), and the checked-in BENCH_7.json
 // against a fresh marshal of the same rows.
 func TestGoldenContention(t *testing.T) {
-	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
+	t.Parallel()
+	rows, err := ContentionSweep(Env{}, ContentionWindowQuick, ContentionCoresDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

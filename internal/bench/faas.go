@@ -31,11 +31,11 @@ const (
 // FaaSSweep measures function throughput for 1–3 worker cores per system,
 // with the coordinator (Zygote) on its own core — the Fig. 6 setup on the
 // 4-core Morello.
-func FaaSSweep(window sim.Time) ([]FaaSRow, error) {
+func FaaSSweep(env Env, window sim.Time) ([]FaaSRow, error) {
 	var rows []FaaSRow
 	for _, id := range faasSystems {
 		for workers := 1; workers <= 3; workers++ {
-			row, err := faasOnce(id, workers, window)
+			row, err := env.faasOnce(id, workers, window)
 			if err != nil {
 				return nil, fmt.Errorf("bench: faas %s/%d: %w", id, workers, err)
 			}
@@ -45,8 +45,8 @@ func FaaSSweep(window sim.Time) ([]FaaSRow, error) {
 	return rows, nil
 }
 
-func faasOnce(id SystemID, workers int, window sim.Time) (FaaSRow, error) {
-	k := build(id, workers+1, 1<<17, Planes)
+func (env Env) faasOnce(id SystemID, workers int, window sim.Time) (FaaSRow, error) {
+	k := env.build(id, workers+1, 1<<17)
 	row := FaaSRow{System: id, WorkerCores: workers}
 	err := runRoot(k, faas.ZygoteSpec(k.Machine.StaticHeapPages/16), func(p *kernel.Proc) error {
 		pr, _, err := faas.Warm(p)

@@ -17,11 +17,11 @@ import (
 // quick scale `ufork-bench` uses by default. Fig. 6 runs a 40 ms window,
 // not quick mode's FaaSWindowQuick: that takes 26 s of host time.
 var (
-	redisQuick = sync.OnceValues(func() ([]RedisRow, error) { return RedisSweep(RedisSizesQuick) })
-	faas40ms   = sync.OnceValues(func() ([]FaaSRow, error) { return FaaSSweep(40 * sim.Millisecond) })
-	nginxQuick = sync.OnceValues(func() ([]NginxRow, error) { return NginxSweep(NginxWindowQuick) })
-	helloQuick = sync.OnceValues(HelloWorld)
-	unixQuick  = sync.OnceValues(func() ([]UnixbenchRow, error) { return Unixbench(SpawnItersQuick, Context1TargetQuick) })
+	redisQuick = sync.OnceValues(func() ([]RedisRow, error) { return RedisSweep(Env{}, RedisSizesQuick) })
+	faas40ms   = sync.OnceValues(func() ([]FaaSRow, error) { return FaaSSweep(Env{}, 40*sim.Millisecond) })
+	nginxQuick = sync.OnceValues(func() ([]NginxRow, error) { return NginxSweep(Env{}, NginxWindowQuick) })
+	helloQuick = sync.OnceValues(func() ([]HelloRow, error) { return HelloWorld(Env{}) })
+	unixQuick  = sync.OnceValues(func() ([]UnixbenchRow, error) { return Unixbench(Env{}, SpawnItersQuick, Context1TargetQuick) })
 )
 
 func must[T any](t *testing.T, sweep func() (T, error)) T {
@@ -37,6 +37,7 @@ func must[T any](t *testing.T, sweep func() (T, error)) T {
 // `fig8` and `fig9`, concatenated; CI diffs the command's own output
 // against the same file.
 func TestGoldenFigures(t *testing.T) {
+	t.Parallel()
 	redis := must(t, redisQuick)
 	goldenCompare(t, strings.Join([]string{RenderRedis(redis), RenderAblation(redis), RenderNginx(must(t, nginxQuick)),
 		RenderHello(must(t, helloQuick)), RenderUnixbench(must(t, unixQuick))}, "\n"), "golden_figures.txt")
@@ -44,6 +45,7 @@ func TestGoldenFigures(t *testing.T) {
 
 // TestGoldenFig6 pins Fig. 6 at the ledger's 40 ms window.
 func TestGoldenFig6(t *testing.T) {
+	t.Parallel()
 	goldenCompare(t, RenderFaaS(must(t, faas40ms)), "golden_fig6.txt")
 }
 
@@ -250,6 +252,7 @@ var ledger = []claim{
 // TestPaperClaims evaluates the ledger, one subtest per figure
 // (TestPaperClaims/Fig6 runs only the FaaS sweep).
 func TestPaperClaims(t *testing.T) {
+	t.Parallel()
 	for fig := 3; fig <= 9; fig++ {
 		t.Run(fmt.Sprintf("Fig%d", fig), func(t *testing.T) {
 			for _, c := range ledger {
@@ -267,6 +270,7 @@ func TestPaperClaims(t *testing.T) {
 // TestClaimCheckNamesTheMiss feeds the evaluator measured values outside
 // and on a band's edges.
 func TestClaimCheckNamesTheMiss(t *testing.T) {
+	t.Parallel()
 	v := 52.5
 	c := claim{7, "μFork 1 → 3 workers", "+15.6%", "%", closed(5, 45), once, func(sweeps) float64 { return v }}
 	err := c.check(sweeps{t: t})

@@ -44,10 +44,10 @@ var footprintSystems = []SystemID{SysUForkCoPA, SysUForkCoA, SysUForkFull}
 // μprocess is smaps-walked and the RSS/PSS/USS totals recorded. Lazy
 // strategies keep ancestors' pages shared down the whole chain; eager
 // copy privatizes everything at each fork.
-func Footprint() ([]FootprintRow, error) {
+func Footprint(env Env) ([]FootprintRow, error) {
 	var rows []FootprintRow
 	for _, id := range footprintSystems {
-		row, err := footprintOnce(id)
+		row, err := env.footprintOnce(id)
 		if err != nil {
 			return nil, fmt.Errorf("bench: footprint %s: %w", id, err)
 		}
@@ -77,8 +77,8 @@ func footprintTotals(k *kernel.Kernel, depth int) FootprintSample {
 	return s
 }
 
-func footprintOnce(id SystemID) (FootprintRow, error) {
-	k := build(id, 2, 1<<16, Planes)
+func (env Env) footprintOnce(id SystemID) (FootprintRow, error) {
+	k := env.build(id, 2, 1<<16)
 	row := FootprintRow{System: id}
 	var chainErr error
 	spec := kernel.HelloWorldSpec()

@@ -10,7 +10,8 @@ import (
 // copy at fork depth ≥ 3, and the decomposition must be internally
 // consistent at every sample.
 func TestFootprintSharingRetention(t *testing.T) {
-	rows, err := Footprint()
+	t.Parallel()
+	rows, err := Footprint(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func populateCaps(p *kernel.Proc, pages, capStride int) error {
 func benchFork(b *testing.B, id SystemID, mb int) {
 	pages := mb * 256
 	frames := 3*pages + 1<<15
-	k := build(id, 2, frames, Planes)
+	k := Env{}.build(id, 2, frames)
 	err := runRoot(k, benchForkSpec(mb), func(p *kernel.Proc) error {
 		if err := populateCaps(p, pages, 8); err != nil {
 			return err
@@ -103,7 +103,7 @@ func BenchmarkFaultPath(b *testing.B) {
 		{"CoA", SysUForkCoA},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			k := build(m.id, 2, 1<<16, Planes)
+			k := Env{}.build(m.id, 2, 1<<16)
 			err := runRoot(k, benchForkSpec(1), func(p *kernel.Proc) error {
 				if err := populateCaps(p, faultPages, 1); err != nil {
 					return err

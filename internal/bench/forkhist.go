@@ -44,12 +44,12 @@ var forkHistBuckets = func() []uint64 {
 // ForkHist measures the fork-latency distribution per copy mode: iters
 // forks of a warmed hello-world-sized image, each latency observed into a
 // fixed-bucket histogram private to the row. When a metrics registry is
-// armed (Planes.Metrics) each row's histogram is also added to it as
+// armed (env.Planes.Metrics) each row's histogram is also added to it as
 // bench.forkhist.<system>, so `-metrics` snapshots carry them.
-func ForkHist(iters int) ([]ForkHistRow, error) {
+func ForkHist(env Env, iters int) ([]ForkHistRow, error) {
 	var rows []ForkHistRow
 	for _, id := range forkHistSystems {
-		row, err := forkHistOnce(id, iters)
+		row, err := env.forkHistOnce(id, iters)
 		if err != nil {
 			return nil, fmt.Errorf("bench: forkhist %s: %w", id, err)
 		}
@@ -58,8 +58,8 @@ func ForkHist(iters int) ([]ForkHistRow, error) {
 	return rows, nil
 }
 
-func forkHistOnce(id SystemID, iters int) (ForkHistRow, error) {
-	k := build(id, 2, 1<<16, Planes)
+func (env Env) forkHistOnce(id SystemID, iters int) (ForkHistRow, error) {
+	k := env.build(id, 2, 1<<16)
 	row := ForkHistRow{System: id}
 	hist := obs.NewHistogram(forkHistBuckets)
 	var phases [6]sim.Time

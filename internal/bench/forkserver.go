@@ -27,7 +27,7 @@ const (
 )
 
 // ForkServerSweep runs both modes on μFork and the monolithic baseline.
-func ForkServerSweep(nInputs int) ([]ForkServerRow, error) {
+func ForkServerSweep(env Env, nInputs int) ([]ForkServerRow, error) {
 	var rows []ForkServerRow
 	inputs := make([][]byte, 0, nInputs)
 	for i := 0; i < nInputs; i++ {
@@ -43,7 +43,7 @@ func ForkServerSweep(nInputs int) ([]ForkServerRow, error) {
 
 	for _, id := range []SystemID{SysUForkCoPA, SysPosix} {
 		for _, mode := range []string{"fork-server", "re-exec"} {
-			k := build(id, 2, 1<<16, Planes)
+			k := env.build(id, 2, 1<<16)
 			row := ForkServerRow{System: id, Mode: mode}
 			err := runRoot(k, spec, func(p *kernel.Proc) error {
 				var res forkserver.Result

@@ -6,7 +6,8 @@ import "testing"
 // server amortizes setup (≫ re-exec), and μFork's cheaper fork makes its
 // fork-server rounds faster than the monolithic baseline's.
 func TestForkServerClaims(t *testing.T) {
-	rows, err := ForkServerSweep(30)
+	t.Parallel()
+	rows, err := ForkServerSweep(Env{}, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

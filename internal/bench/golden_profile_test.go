@@ -13,26 +13,15 @@ import (
 	"ufork/internal/sim"
 )
 
-// armEverywhere sets the harness planes every kernel the bench layer
-// boots is armed with, restoring the previous value at test end. This
-// is the same route the CLIs' -serve, -trace and -profile flags take,
-// so the invariance tests exercise the real arming path.
-func armEverywhere(t *testing.T, pl kernel.Planes) {
-	t.Helper()
-	old := Planes
-	Planes = pl
-	t.Cleanup(func() { Planes = old })
-}
-
 // TestGoldenForkHistProfilerArmed is the observer-effect gate: the
 // virtual-time goldens must stay byte-identical with the profiler armed
 // on every kernel boot, while the plane itself fills with samples that
 // pass the exact-sum audit. A profiler that nudged the timeline — an
 // extra Advance, a reordered lock wait — fails the byte comparison.
 func TestGoldenForkHistProfilerArmed(t *testing.T) {
+	t.Parallel()
 	pl := profile.New(0)
-	armEverywhere(t, kernel.Planes{Profile: pl})
-	rows, err := ForkHist(ForkHistItersQuick)
+	rows, err := ForkHist(Env{Planes: kernel.Planes{Profile: pl}}, ForkHistItersQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +38,9 @@ func TestGoldenForkHistProfilerArmed(t *testing.T) {
 // the one whose cells exercise both lock regimes, so the profiler's
 // lock-wait sampling runs hot on the exact workload the golden freezes.
 func TestGoldenContentionProfilerArmed(t *testing.T) {
+	t.Parallel()
 	pl := profile.New(0)
-	armEverywhere(t, kernel.Planes{Profile: pl})
-	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
+	rows, err := ContentionSweep(Env{Planes: kernel.Planes{Profile: pl}}, ContentionWindowQuick, ContentionCoresDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +55,13 @@ func TestGoldenContentionProfilerArmed(t *testing.T) {
 
 // TestGoldenForkHistTraceArmed and TestGoldenContentionTraceArmed are
 // the same observer-effect gate for the -trace recorder: a 2^18-event
-// flight recorder armed on every kernel through the harness planes,
+// flight recorder armed on every kernel through the sweep's Env,
 // exactly as the CLIs arm it, must leave both virtual-time goldens
 // byte-identical.
 func TestGoldenForkHistTraceArmed(t *testing.T) {
-	rec := armTraceEverywhere(t)
-	rows, err := ForkHist(ForkHistItersQuick)
+	t.Parallel()
+	rec := flight.New(1 << 18)
+	rows, err := ForkHist(Env{Planes: kernel.Planes{Flight: rec}}, ForkHistItersQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +72,9 @@ func TestGoldenForkHistTraceArmed(t *testing.T) {
 }
 
 func TestGoldenContentionTraceArmed(t *testing.T) {
-	rec := armTraceEverywhere(t)
-	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
+	t.Parallel()
+	rec := flight.New(1 << 18)
+	rows, err := ContentionSweep(Env{Planes: kernel.Planes{Flight: rec}}, ContentionWindowQuick, ContentionCoresDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +90,7 @@ func TestGoldenContentionTraceArmed(t *testing.T) {
 // -profile do — and the contention golden must stay byte-identical while
 // each plane fills.
 func TestGoldenContentionAllPlanesArmed(t *testing.T) {
+	t.Parallel()
 	pl := kernel.Planes{
 		Metrics: obs.NewRegistry(),
 		Flight:  flight.New(flight.DefaultEvents),
@@ -108,8 +100,7 @@ func TestGoldenContentionAllPlanesArmed(t *testing.T) {
 		Locks:   sim.NewLockTable(),
 		Live:    new(atomic.Pointer[kernel.Kernel]),
 	}
-	armEverywhere(t, pl)
-	rows, err := ContentionSweep(ContentionWindowQuick, ContentionCoresDefault)
+	rows, err := ContentionSweep(Env{Planes: pl}, ContentionWindowQuick, ContentionCoresDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +114,6 @@ func TestGoldenContentionAllPlanesArmed(t *testing.T) {
 	}
 }
 
-// armTraceEverywhere arms a -trace-sized recorder on every kernel.
-func armTraceEverywhere(t *testing.T) *flight.Recorder {
-	t.Helper()
-	rec := flight.New(1 << 18)
-	armEverywhere(t, kernel.Planes{Flight: rec})
-	return rec
-}
-
 // TestGoldenProfDiff pins the cross-lock-regime profile diff: the
 // quick-mode YCSB coordinate profiled under bkl and smp must subtract
 // to the identical signed delta table every run.
@@ -138,7 +121,8 @@ func TestGoldenProfDiff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profdiff sweep is quick-mode, not short-mode")
 	}
-	out, err := ProfDiff(YCSBKeysQuick, YCSBOpsQuick)
+	t.Parallel()
+	out, err := ProfDiff(Env{}, YCSBKeysQuick, YCSBOpsQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +135,10 @@ func TestProfDiffFoldedDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiled sweep is quick-mode, not short-mode")
 	}
+	t.Parallel()
 	fold := func() string {
 		pl := profile.New(0)
-		if err := profDiffSweep(LocksBKL, YCSBKeysQuick, YCSBOpsQuick, pl); err != nil {
+		if err := profDiffSweep(Env{Planes: kernel.Planes{Profile: pl}}, LocksBKL, YCSBKeysQuick, YCSBOpsQuick); err != nil {
 			t.Fatal(err)
 		}
 		return pl.Folded()

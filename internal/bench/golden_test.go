@@ -9,6 +9,7 @@ import (
 
 	"ufork/internal/kernel"
 	"ufork/internal/obs"
+	"ufork/internal/obs/profile"
 )
 
 // The virtual-time outputs are the simulator's ground truth: host-side
@@ -45,61 +46,95 @@ func goldenCompare(t *testing.T, got, file string) {
 }
 
 func TestGoldenForkHist(t *testing.T) {
-	rows, err := ForkHist(ForkHistItersQuick)
+	t.Parallel()
+	rows, err := ForkHist(Env{}, ForkHistItersQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, RenderForkHist(rows), "golden_forkhist.txt")
 }
 
-// TestGoldenForkHistConcurrent runs two forkhist sweeps at once, both
-// recording into one armed registry. Each row's summary comes from its
-// own histogram, so neither sweep may disturb the other's golden rows,
-// and the registry ends up holding both sweeps' forks (run under -race).
+// TestGoldenForkHistConcurrent runs two sweeps at once, each with an Env
+// of its own: forkhist recording into registry A, and the contention
+// sweep recording into registry B and a profile plane. Neither may
+// disturb the other's golden rows or reach the other's planes: A holds
+// exactly its own sweep's forks and no contention metric, B no forkhist
+// histogram, and the profile passes its exact-sum audit (run under
+// -race).
 func TestGoldenForkHistConcurrent(t *testing.T) {
-	reg := obs.NewRegistry()
-	armEverywhere(t, kernel.Planes{Metrics: reg})
+	t.Parallel()
+	regA, regB, prof := obs.NewRegistry(), obs.NewRegistry(), profile.New(0)
 	var wg sync.WaitGroup
-	outs := make([]string, 2)
-	errs := make([]error, 2)
-	for i := range outs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows, err := ForkHist(ForkHistItersQuick)
-			if err == nil {
-				outs[i] = RenderForkHist(rows)
-			}
-			errs[i] = err
-		}()
-	}
+	var fh, ct string
+	var fhErr, ctErr error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var rows []ForkHistRow
+		if rows, fhErr = ForkHist(Env{Planes: kernel.Planes{Metrics: regA}}, ForkHistItersQuick); fhErr == nil {
+			fh = RenderForkHist(rows)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var rows []ContentionRow
+		env := Env{Planes: kernel.Planes{Metrics: regB, Profile: prof}}
+		if rows, ctErr = ContentionSweep(env, ContentionWindowQuick, ContentionCoresDefault); ctErr == nil {
+			ct = RenderContention(rows)
+		}
+	}()
 	wg.Wait()
-	for i := range outs {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		goldenCompare(t, outs[i], "golden_forkhist.txt")
+	if fhErr != nil || ctErr != nil {
+		t.Fatal(fhErr, ctErr)
 	}
+	goldenCompare(t, fh, "golden_forkhist.txt")
+	goldenCompare(t, ct, "golden_contention.txt")
+	a, b := regA.Snapshot(), regB.Snapshot()
+	var forks uint64
 	for _, id := range forkHistSystems {
-		h := reg.Snapshot().Histograms["bench.forkhist."+string(id)]
-		if h.Count != 2*ForkHistItersQuick {
-			t.Errorf("registry bench.forkhist.%s holds %d forks, want %d", id, h.Count, 2*ForkHistItersQuick)
+		if h := a.Histograms["bench.forkhist."+string(id)]; h.Count != ForkHistItersQuick {
+			t.Errorf("registry A bench.forkhist.%s holds %d forks, want %d", id, h.Count, ForkHistItersQuick)
 		}
+	}
+	for name, h := range a.Histograms {
+		if strings.HasPrefix(name, "fork.latency.") {
+			forks += h.Count
+		}
+	}
+	if want := uint64(len(forkHistSystems) * ForkHistItersQuick); forks != want {
+		t.Errorf("registry A fork.latency.* holds %d forks, want %d", forks, want)
+	}
+	// The contention cells listen, pipe and fsync; forkhist never does.
+	for _, name := range []string{"syscall.listen", "syscall.pipe", "syscall.fsync"} {
+		if _, ok := b.Counters[name]; !ok {
+			t.Errorf("registry B has no %s", name)
+		}
+		if _, ok := a.Counters[name]; ok {
+			t.Errorf("registry A holds the contention metric %s", name)
+		}
+	}
+	for name := range b.Histograms {
+		if strings.HasPrefix(name, "bench.forkhist.") {
+			t.Errorf("registry B holds %s", name)
+		}
+	}
+	if err := prof.CheckExact(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestGoldenTable1(t *testing.T) {
-	goldenCompare(t, RenderTable1(Table1()), "golden_table1.txt")
+	t.Parallel()
+	goldenCompare(t, RenderTable1(Table1(Env{})), "golden_table1.txt")
 }
 
 // TestGoldenParallelInvariance re-runs forkhist at several worker-pool
 // widths: the virtual-time distribution must be byte-identical whatever
 // the host parallelism.
 func TestGoldenParallelInvariance(t *testing.T) {
-	defer func(old int) { Parallelism = old }(Parallelism)
+	t.Parallel()
 	for _, par := range []int{1, 4} {
-		Parallelism = par
-		rows, err := ForkHist(ForkHistItersQuick)
+		rows, err := ForkHist(Env{Parallelism: par}, ForkHistItersQuick)
 		if err != nil {
 			t.Fatal(err)
 		}

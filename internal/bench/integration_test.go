@@ -17,7 +17,8 @@ import (
 // both applications complete correctly and no μprocess ever observes
 // another's capabilities.
 func TestMixedWorkloadsOneAddressSpace(t *testing.T) {
-	k := build(SysUForkCoPA, 3, 1<<16, Planes)
+	t.Parallel()
+	k := Env{}.build(SysUForkCoPA, 3, 1<<16)
 	k.VFS().WriteFile("/site/index.html", []byte("<html>mixed</html>"))
 
 	redisSpecLocal := kernel.ProgramSpec{

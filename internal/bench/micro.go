@@ -20,10 +20,10 @@ type HelloRow struct {
 var helloSystems = []SystemID{SysUForkCoPA, SysPosix, SysVMClone}
 
 // HelloWorld measures forking a minimal process on each system (Fig. 8).
-func HelloWorld() ([]HelloRow, error) {
+func HelloWorld(env Env) ([]HelloRow, error) {
 	var rows []HelloRow
 	for _, id := range helloSystems {
-		row, err := helloOnce(id)
+		row, err := env.helloOnce(id)
 		if err != nil {
 			return nil, fmt.Errorf("bench: hello %s: %w", id, err)
 		}
@@ -32,8 +32,8 @@ func HelloWorld() ([]HelloRow, error) {
 	return rows, nil
 }
 
-func helloOnce(id SystemID) (HelloRow, error) {
-	k := build(id, 2, 1<<15, Planes)
+func (env Env) helloOnce(id SystemID) (HelloRow, error) {
+	k := env.build(id, 2, 1<<15)
 	row := HelloRow{System: id}
 	err := runRoot(k, kernel.HelloWorldSpec(), func(p *kernel.Proc) error {
 		// Warm the parent the way a started C program is warm: libc init
@@ -125,11 +125,11 @@ var unixbenchSystems = []SystemID{SysUForkCoPA, SysPosix}
 // Unixbench runs Spawn and Context1 on each system (Fig. 9). Results for
 // smaller iteration counts scale linearly; the renderer normalises to the
 // paper's counts.
-func Unixbench(spawnIters int, context1Target uint64) ([]UnixbenchRow, error) {
+func Unixbench(env Env, spawnIters int, context1Target uint64) ([]UnixbenchRow, error) {
 	var rows []UnixbenchRow
 	for _, id := range unixbenchSystems {
 		row := UnixbenchRow{System: id}
-		k := build(id, 2, 1<<15, Planes)
+		k := env.build(id, 2, 1<<15)
 		err := runRoot(k, kernel.HelloWorldSpec(), func(p *kernel.Proc) error {
 			s, err := unixbench.Spawn(p, spawnIters)
 			if err != nil {

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"ufork/internal/apps/httpd"
+	"ufork/internal/chaos"
 	"ufork/internal/kernel"
 	"ufork/internal/sim"
 )
@@ -37,7 +39,7 @@ type NginxRow struct {
 //   - μFork with TOCTTOU protections, same setup (the 6.5% cost);
 //   - CheriBSD allowed to scale across cores (workers == cores);
 //   - CheriBSD restricted to a single core.
-func NginxSweep(window sim.Time) ([]NginxRow, error) {
+func NginxSweep(env Env, window sim.Time) ([]NginxRow, error) {
 	var rows []NginxRow
 	type cfg struct {
 		id      SystemID
@@ -56,7 +58,7 @@ func NginxSweep(window sim.Time) ([]NginxRow, error) {
 		cfgs = append(cfgs, cfg{SysPosix, w, 1})
 	}
 	for _, c := range cfgs {
-		row, err := nginxOnce(c.id, c.workers, c.cores, window)
+		row, err := env.nginxOnce(c.id, c.workers, c.cores, window)
 		if err != nil {
 			return nil, fmt.Errorf("bench: nginx %s/%dw/%dc: %w", c.id, c.workers, c.cores, err)
 		}
@@ -85,61 +87,90 @@ func driverSpec() kernel.ProgramSpec {
 	}
 }
 
-func nginxOnce(id SystemID, workers, cores int, window sim.Time) (NginxRow, error) {
-	k := build(id, cores, 1<<16, Planes)
-	k.VFS().WriteFile("/index.html", make([]byte, nginxDocBytes))
-	row := NginxRow{System: id, Workers: workers, Cores: cores}
+func (env Env) nginxOnce(id SystemID, workers, cores int, window sim.Time) (NginxRow, error) {
+	_, served, err := env.wrkRun(id, cores, workers, nginxDrivers, window)
+	return NginxRow{System: id, Workers: workers, Cores: cores, Served: served,
+		ThroughputPerSec: float64(served) / (float64(window) / float64(sim.Second))}, err
+}
 
+// wrkRun boots system id on cores and serves /index.html from a
+// workers-strong httpd fleet to drivers wrk-like closed-loop clients
+// until window closes. It returns the kernel and the requests served.
+func (env Env) wrkRun(id SystemID, cores, workers, drivers int, window sim.Time) (*kernel.Kernel, int, error) {
+	k := env.build(id, cores, 1<<16)
+	k.VFS().WriteFile("/index.html", make([]byte, nginxDocBytes))
+	served := 0
 	err := runRoot(k, nginxSpec(), func(p *kernel.Proc) error {
-		srv, err := httpd.Start(p, workers)
-		if err != nil {
-			return err
-		}
-		// Launch the wrk-like drivers: closed-loop clients hammering the
-		// listener until the window closes. They signal completion over a
-		// pipe the master reads.
-		rfd, wfd, err := k.Pipe(p)
-		if err != nil {
-			return err
-		}
-		doneEnd, err := p.FDs.Get(wfd)
-		if err != nil {
-			return err
-		}
-		deadline := p.Now() + window
-		for d := 0; d < nginxDrivers; d++ {
-			if _, err := k.Spawn(driverSpec(), p.Now(), func(dp *kernel.Proc) {
-				// The driver models wrk on a separate client machine: its
-				// work never occupies the server's cores.
-				dp.Task.Offcore = true
-				// The driver receives the done-pipe's open file description
-				// (SCM_RIGHTS-style descriptor passing).
-				dwfd := dp.FDs.Install(doneEnd)
-				for dp.Now() < deadline {
-					if _, err := httpd.DoRequest(dp, srv.Listener, "/index.html"); err != nil {
-						break
-					}
+		srv, _, err := httpdFleet(p, workers, drivers, nil, func(dp *kernel.Proc, _ int, srv *httpd.Server, start sim.Time) {
+			for dp.Now() < start+window {
+				if _, err := httpd.DoRequest(dp, srv.Listener, "/index.html"); err != nil {
+					break
 				}
-				_, _ = k.Write(dp, dwfd, []byte{1})
-			}); err != nil {
-				return err
 			}
+		})
+		if err == nil {
+			served = srv.TotalServed()
 		}
-		// Wait for all drivers.
-		buf := make([]byte, 1)
-		for d := 0; d < nginxDrivers; d++ {
-			if _, err := k.Read(p, rfd, buf); err != nil {
-				return err
-			}
-		}
-		if err := srv.Shutdown(p); err != nil {
-			return err
-		}
-		row.Served = srv.TotalServed()
-		row.ThroughputPerSec = float64(row.Served) / (float64(window) / float64(sim.Second))
-		return nil
+		return err
 	})
-	return row, err
+	return k, served, err
+}
+
+// httpdFleet runs an httpd load test on the master p: it starts a
+// workers-strong server, arms inj on it when inj is non-nil, and launches
+// drivers off-core driver processes. Driver d runs drive(dp, d, srv,
+// start), start being the launch time, and then writes a done byte on a
+// pipe whose write end it received from the master (SCM_RIGHTS-style
+// descriptor passing). The master reads every done byte, retrying
+// injected EINTR, and shuts the server down. httpdFleet returns the
+// server, for its served counts, and the virtual time from the launch to
+// the last done byte.
+func httpdFleet(p *kernel.Proc, workers, drivers int, inj *chaos.Injector,
+	drive func(dp *kernel.Proc, d int, srv *httpd.Server, start sim.Time)) (*httpd.Server, sim.Time, error) {
+	k := p.Kernel()
+	srv, err := httpd.Start(p, workers)
+	if err != nil {
+		return nil, 0, err
+	}
+	if inj != nil {
+		inj.Arm(k)
+	}
+	rfd, wfd, err := k.Pipe(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	doneEnd, err := p.FDs.Get(wfd)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := p.Now()
+	for d := 0; d < drivers; d++ {
+		if _, err := k.Spawn(driverSpec(), p.Now(), func(dp *kernel.Proc) {
+			// The driver models wrk on a separate client machine: its
+			// work never occupies the server's cores.
+			dp.Task.Offcore = true
+			dwfd := dp.FDs.Install(doneEnd)
+			drive(dp, d, srv, start)
+			_, _ = k.Write(dp, dwfd, []byte{1})
+		}); err != nil {
+			return nil, 0, err
+		}
+	}
+	buf := make([]byte, 1)
+	for d := 0; d < drivers; d++ {
+		for {
+			if _, err := k.Read(p, rfd, buf); err == nil {
+				break
+			} else if !errors.Is(err, kernel.ErrInterrupted) {
+				return nil, 0, err
+			}
+		}
+	}
+	elapsed := p.Now() - start
+	if err := srv.Shutdown(p); err != nil {
+		return nil, 0, err
+	}
+	return srv, elapsed, nil
 }
 
 // RenderNginx formats Figure 7.

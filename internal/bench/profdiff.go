@@ -21,14 +21,13 @@ const ProfDiffTop = 10
 // coordinate small makes the experiment a quick-mode citizen; both
 // sides are fully seeded, so each snapshot — and the rendered diff —
 // is byte-deterministic run to run.
-func profDiffSweep(locks string, keys, ops int, pl *profile.Plane) error {
-	rows, err := YCSBSweep(YCSBOpts{
-		Mixes:   []ycsb.Mix{ycsb.MixA},
-		Keys:    keys,
-		Ops:     ops,
-		Cores:   []int{4},
-		Locks:   []string{locks},
-		Profile: pl,
+func profDiffSweep(env Env, locks string, keys, ops int) error {
+	rows, err := YCSBSweep(env, YCSBOpts{
+		Mixes: []ycsb.Mix{ycsb.MixA},
+		Keys:  keys,
+		Ops:   ops,
+		Cores: []int{4},
+		Locks: []string{locks},
 	})
 	if err != nil {
 		return err
@@ -36,30 +35,19 @@ func profDiffSweep(locks string, keys, ops int, pl *profile.Plane) error {
 	return YCSBFailures(rows)
 }
 
-// ProfDiffSnapshots runs the profiled sweep under each lock regime and
-// returns the two aggregate profiles (bkl first).
-func ProfDiffSnapshots(keys, ops int) (bkl, smp profile.Snapshot, err error) {
-	for _, side := range []struct {
-		locks string
-		out   *profile.Snapshot
-	}{{LocksBKL, &bkl}, {LocksSMP, &smp}} {
-		pl := profile.New(0)
-		if err = profDiffSweep(side.locks, keys, ops, pl); err != nil {
-			return
-		}
-		*side.out = pl.Snapshot()
-	}
-	return
-}
-
-// ProfDiff runs the cross-lock-regime profile diff and renders the top
-// signed per-stack deltas (negative = virtual time the split-lock
+// ProfDiff runs the profiled sweep under each lock regime, each side
+// profiling into a plane of its own in place of env's, and renders the
+// top signed per-stack deltas (negative = virtual time the split-lock
 // kernel no longer spends there).
-func ProfDiff(keys, ops int) (string, error) {
-	bkl, smp, err := ProfDiffSnapshots(keys, ops)
-	if err != nil {
-		return "", err
+func ProfDiff(env Env, keys, ops int) (string, error) {
+	var snaps [2]profile.Snapshot
+	for i, locks := range []string{LocksBKL, LocksSMP} {
+		env.Planes.Profile = profile.New(0)
+		if err := profDiffSweep(env, locks, keys, ops); err != nil {
+			return "", err
+		}
+		snaps[i] = env.Planes.Profile.Snapshot()
 	}
-	return profile.RenderDiff(profile.Diff(bkl, smp), ProfDiffTop,
+	return profile.RenderDiff(profile.Diff(snaps[0], snaps[1]), ProfDiffTop,
 		"locks="+LocksBKL, "locks="+LocksSMP), nil
 }

@@ -62,11 +62,11 @@ func redisSpec(id SystemID, k *kernel.Kernel, dbBytes uint64) kernel.ProgramSpec
 }
 
 // RedisSweep runs the snapshot experiment for every system and size.
-func RedisSweep(sizes []uint64) ([]RedisRow, error) {
+func RedisSweep(env Env, sizes []uint64) ([]RedisRow, error) {
 	var rows []RedisRow
 	for _, id := range redisSystems {
 		for _, size := range sizes {
-			row, err := redisOnce(id, size)
+			row, err := env.redisOnce(id, size)
 			if err != nil {
 				return nil, fmt.Errorf("bench: redis %s/%d: %w", id, size, err)
 			}
@@ -77,42 +77,18 @@ func RedisSweep(sizes []uint64) ([]RedisRow, error) {
 }
 
 // redisOnce runs one (system, size) cell.
-func redisOnce(id SystemID, dbBytes uint64) (RedisRow, error) {
+func (env Env) redisOnce(id SystemID, dbBytes uint64) (RedisRow, error) {
 	// Frames: database + static heap + full-copy child, with headroom.
 	frames := 2*int(dbBytes/kernel.PageSize) + 90000
-	k := build(id, 2, frames, Planes)
+	k := env.build(id, 2, frames)
 	row := RedisRow{System: id, DBBytes: dbBytes}
 	spec := redisSpec(id, k, dbBytes)
 
 	err := runRoot(k, spec, func(p *kernel.Proc) error {
-		a := alloc.Attach(p)
-		if err := a.Init(); err != nil {
-			return err
-		}
-		if !k.Machine.SingleAddressSpace {
-			// jemalloc arena pre-touch on the monolithic baseline (see
-			// posixArenaFloorPages).
-			if err := touchHeapPages(p, posixArenaFloorPages); err != nil {
-				return err
-			}
-		}
-		nkeys := int(dbBytes / redisValueBytes)
-		if nkeys < 1 {
-			nkeys = 1
-		}
-		valBytes := int(dbBytes) / nkeys
-		store, err := kvstore.Init(p, a, bucketCount(nkeys))
+		nkeys := max(int(dbBytes/redisValueBytes), 1)
+		store, val, err := preloadKV(p, nkeys, int(dbBytes)/nkeys)
 		if err != nil {
 			return err
-		}
-		val := make([]byte, valBytes)
-		for i := range val {
-			val[i] = byte(i * 131)
-		}
-		for i := 0; i < nkeys; i++ {
-			if err := store.Set(fmt.Sprintf("key:%06d", i), val); err != nil {
-				return err
-			}
 		}
 
 		// Trigger BGSAVE, then keep "serving": the parent rewrites a few
@@ -140,7 +116,7 @@ func redisOnce(id SystemID, dbBytes uint64) (RedisRow, error) {
 		// rewritten, so the child retains their fork-time value pages —
 		// the bulk of the CoPA child's 6 MB in Fig. 5.
 		for i := 0; i < nkeys/20+1; i++ {
-			if err := store.Set(fmt.Sprintf("key:%06d", i), val); err != nil {
+			if err := store.Set(kvKey(i), val); err != nil {
 				return err
 			}
 		}
@@ -170,6 +146,40 @@ func redisOnce(id SystemID, dbBytes uint64) (RedisRow, error) {
 	foldRun(fmt.Sprintf("redis.%s.%s", id, MB(dbBytes)), k)
 	return row, err
 }
+
+// preloadKV initialises p's allocator and fills a fresh store with keys
+// entries kvKey(i), each holding the same valBytes-byte value, which it
+// returns for the caller's rewrites. On the monolithic baseline it
+// pre-touches the jemalloc arena before building the store (see
+// posixArenaFloorPages).
+func preloadKV(p *kernel.Proc, keys, valBytes int) (*kvstore.Store, []byte, error) {
+	a := alloc.Attach(p)
+	if err := a.Init(); err != nil {
+		return nil, nil, err
+	}
+	if !p.Kernel().Machine.SingleAddressSpace {
+		if err := touchHeapPages(p, posixArenaFloorPages); err != nil {
+			return nil, nil, err
+		}
+	}
+	store, err := kvstore.Init(p, a, bucketCount(keys))
+	if err != nil {
+		return nil, nil, err
+	}
+	val := make([]byte, valBytes)
+	for i := range val {
+		val[i] = byte(i * 131)
+	}
+	for i := 0; i < keys; i++ {
+		if err := store.Set(kvKey(i), val); err != nil {
+			return nil, nil, err
+		}
+	}
+	return store, val, nil
+}
+
+// kvKey names the i-th key of a preloaded store.
+func kvKey(i int) string { return fmt.Sprintf("key:%06d", i) }
 
 // touchHeapPages dirties the first n heap pages (allocator arena warm-up).
 func touchHeapPages(p *kernel.Proc, n int) error {

@@ -39,7 +39,7 @@ const (
 // same seeded schedules and fault plans as the big kernel lock. Every
 // row's failure, if any, carries its own one-line repro, so a soak that
 // dies overnight replays from the log.
-func Stress(seed int64, rounds, maxOps int) []StressRow {
+func Stress(env Env, seed int64, rounds, maxOps int) []StressRow {
 	modes := []core.CopyMode{core.CopyOnPointerAccess, core.CopyOnAccess, core.CopyFull}
 	isos := []kernel.IsolationLevel{kernel.IsolationNone, kernel.IsolationFault, kernel.IsolationFull}
 	var rows []StressRow
@@ -56,7 +56,7 @@ func Stress(seed int64, rounds, maxOps int) []StressRow {
 						if smp && mode != core.CopyOnPointerAccess {
 							continue
 						}
-						cfg := chaos.Config{Mode: mode, Iso: iso, Seed: rseed, SMP: smp, MaxOps: maxOps, ProgBytes: 4 * maxOps, Planes: Planes}
+						cfg := chaos.Config{Mode: mode, Iso: iso, Seed: rseed, SMP: smp, MaxOps: maxOps, ProgBytes: 4 * maxOps, Planes: env.Planes}
 						// Label this cell's trace-exemplar reservoir so a
 						// failure dump's trace trees name the soak window.
 						cfg.TraceGroup = fmt.Sprintf("stress/r%d/%s/%s/smp=%v/clean=%v", round, mode, iso, smp, clean)

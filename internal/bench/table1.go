@@ -22,7 +22,7 @@ type Table1Row struct {
 // the paper; the rows for the three systems this repository implements are
 // *derived from the running code* — the harness inspects the machine
 // models and fork engines rather than hard-coding the answers.
-func Table1() []Table1Row {
+func Table1(env Env) []Table1Row {
 	lit := func(name, sas, iso, sc, ipc, seg, fe string) Table1Row {
 		return Table1Row{name, sas, iso, sc, ipc, seg, fe, "literature"}
 	}
@@ -36,14 +36,14 @@ func Table1() []Table1Row {
 		lit("OSv", "Yes", "No", "Yes", "Fast", "No", "Yes"),
 		lit("Junction", "Yes", "No", "No", "Med", "No", "Yes"),
 	}
-	rows = append(rows, measuredRow(SysVMClone, "Nephele (this repo: vmclone engine)"))
-	rows = append(rows, measuredRow(SysUForkCoPA, "uFork (this repo: core engine)"))
+	rows = append(rows, env.measuredRow(SysVMClone, "Nephele (this repo: vmclone engine)"))
+	rows = append(rows, env.measuredRow(SysUForkCoPA, "uFork (this repo: core engine)"))
 	return rows
 }
 
 // measuredRow derives a row from the implemented system's properties.
-func measuredRow(id SystemID, label string) Table1Row {
-	k := build(id, 1, 1<<12, Planes)
+func (env Env) measuredRow(id SystemID, label string) Table1Row {
+	k := env.build(id, 1, 1<<12)
 	m := k.Machine
 	yn := func(b bool) string {
 		if b {

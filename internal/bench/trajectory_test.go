@@ -74,6 +74,7 @@ func benchTrajectory(t *testing.T) (indices []int, paths map[int]string) {
 // trajectory: parseable, described, and carrying a non-empty measurement
 // array under whichever key its era used.
 func TestBenchTrajectory(t *testing.T) {
+	t.Parallel()
 	indices, paths := benchTrajectory(t)
 	if len(indices) == 0 {
 		t.Fatal("no BENCH_*.json files found at the repo root")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ufork/internal/alloc"
 	"ufork/internal/apps/httpd"
 	"ufork/internal/apps/kvstore"
 	"ufork/internal/bench/ycsb"
@@ -14,7 +13,6 @@ import (
 	"ufork/internal/obs"
 	"ufork/internal/obs/causal"
 	"ufork/internal/obs/flight"
-	"ufork/internal/obs/profile"
 	"ufork/internal/sim"
 )
 
@@ -64,10 +62,6 @@ type YCSBOpts struct {
 	// SLO, when non-nil, replaces the built-in per-workload SLOs on every
 	// cell.
 	SLO *ycsb.SLO
-	// Profile, when non-nil, is armed on every cell's kernel, aggregating
-	// stack-attributed virtual-time samples across the whole sweep — the
-	// input to ProfDiff and the -profile bench flag.
-	Profile *profile.Plane
 }
 
 func (o YCSBOpts) withDefaults() YCSBOpts {
@@ -172,7 +166,6 @@ type ycsbCell struct {
 	seed     int64
 	chaos    bool
 	slo      ycsb.SLO
-	planes   kernel.Planes // the sweep's planes; ycsbPlanes fills the rest
 }
 
 // cellSeed derives a per-cell seed: every (workload, mix, locks, cores)
@@ -193,7 +186,7 @@ func (o YCSBOpts) cellSeed(workload string, mix ycsb.Mix, locks string, cores in
 // Chaos already armed everything) one dedicated chaos cell per workload
 // on the most parallel split-lock configuration — the run that proves
 // the SLO plane stays honest under fault injection.
-func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
+func YCSBSweep(env Env, opts YCSBOpts) ([]YCSBRow, error) {
 	o := opts.withDefaults()
 	var cells []ycsbCell
 	for _, workload := range YCSBWorkloads {
@@ -229,19 +222,15 @@ func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
 		} else {
 			c.slo = DefaultYCSBSLO(c.workload, c.chaos)
 		}
-		c.planes = Planes
-		if o.Profile != nil {
-			c.planes.Profile = o.Profile
-		}
 		var (
 			row YCSBRow
 			err error
 		)
 		switch c.workload {
 		case "kvstore":
-			row, err = ycsbKV(c)
+			row, err = env.ycsbKV(c)
 		case "httpd":
-			row, err = ycsbHTTPD(c)
+			row, err = env.ycsbHTTPD(c)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("bench: ycsb %s/%s/%s/%dc: %w", c.workload, c.mix.Name, c.locks, c.cores, err)
@@ -251,18 +240,18 @@ func YCSBSweep(opts YCSBOpts) ([]YCSBRow, error) {
 	return rows, nil
 }
 
-// ycsbPlanes arms a cell's kernel with pl plus, where pl has none, a
-// private flight ring and causal plane, so a breach report always has a
-// flight dump and exemplar trace trees. A served sweep keeps the live
-// planes and so accumulates every cell's exemplars on /traces.
-func ycsbPlanes(pl kernel.Planes) kernel.Planes {
-	if pl.Flight == nil {
-		pl.Flight = flight.New(flight.DefaultEvents)
+// withExemplars adds, where env has none, a private flight ring and
+// causal plane for one cell, so a breach report always has a flight dump
+// and exemplar trace trees. A served sweep keeps the live planes and so
+// accumulates every cell's exemplars on /traces.
+func (env Env) withExemplars() Env {
+	if env.Planes.Flight == nil {
+		env.Planes.Flight = flight.New(flight.DefaultEvents)
 	}
-	if pl.Causal == nil {
-		pl.Causal = causal.New(0)
+	if env.Planes.Causal == nil {
+		env.Planes.Causal = causal.New(0)
 	}
-	return pl
+	return env
 }
 
 // ycsbGroup names a cell's exemplar reservoir.
@@ -311,8 +300,6 @@ func ycsbKVSpec(k *kernel.Kernel, keys int) kernel.ProgramSpec {
 	return spec
 }
 
-func ycsbKeyName(i int) string { return fmt.Sprintf("key:%06d", i) }
-
 // reapRetry waits out one child, retrying injected EINTR. Each retry
 // counts one error against errs.
 func reapRetry(k *kernel.Kernel, p *kernel.Proc, errs *int) (kernel.PID, int, error) {
@@ -331,9 +318,9 @@ func reapRetry(k *kernel.Kernel, p *kernel.Proc, errs *int) (kernel.PID, int, er
 // AOF record) while the parent cycles BGSAVE snapshot forks — so every
 // latency sample competes with fork pauses, CoW faults, and (per lock
 // mode) the big kernel lock or the split hierarchy.
-func ycsbKV(c ycsbCell) (YCSBRow, error) {
+func (env Env) ycsbKV(c ycsbCell) (YCSBRow, error) {
 	dataPages := c.keys * (ycsbValueBytes + 256) / int(kernel.PageSize)
-	k := build(contentionSystem(c.locks), c.cores, 2*dataPages+1<<16, ycsbPlanes(c.planes))
+	k := env.withExemplars().build(contentionSystem(c.locks), c.cores, 2*dataPages+1<<16)
 	group := ycsbGroup(c)
 	row := YCSBRow{
 		Workload: "kvstore", Mix: c.mix, Chooser: "zipfian", Locks: c.locks,
@@ -346,22 +333,9 @@ func ycsbKV(c ycsbCell) (YCSBRow, error) {
 	}
 
 	err := runRoot(k, ycsbKVSpec(k, c.keys), func(p *kernel.Proc) error {
-		a := alloc.Attach(p)
-		if err := a.Init(); err != nil {
-			return err
-		}
-		store, err := kvstore.Init(p, a, bucketCount(c.keys))
+		store, val, err := preloadKV(p, c.keys, ycsbValueBytes)
 		if err != nil {
 			return err
-		}
-		val := make([]byte, ycsbValueBytes)
-		for i := range val {
-			val[i] = byte(i * 131)
-		}
-		for i := 0; i < c.keys; i++ {
-			if err := store.Set(ycsbKeyName(i), val); err != nil {
-				return err
-			}
 		}
 		// Arm fault injection only after the loader: the measured window
 		// soaks under faults, the fixture load always succeeds.
@@ -406,10 +380,10 @@ func ycsbKV(c ycsbCell) (YCSBRow, error) {
 					k.TraceBegin(cp, group, opName)
 					var opErr error
 					if op == ycsb.OpRead {
-						_, opErr = ws.Get(ycsbKeyName(key))
+						_, opErr = ws.Get(kvKey(key))
 						reads[w]++
 					} else {
-						opErr = ws.Set(ycsbKeyName(key), val)
+						opErr = ws.Set(kvKey(key), val)
 						if opErr == nil {
 							_, opErr = k.Write(cp, aofFD, rec)
 						}
@@ -502,8 +476,8 @@ func ycsbPath(i int) string { return fmt.Sprintf("/y/k%06d", i) }
 // the keyspace as files while off-core closed-loop drivers run the mix —
 // GETs read a key's document, updates PUT a replacement body through the
 // same workers.
-func ycsbHTTPD(c ycsbCell) (YCSBRow, error) {
-	k := build(contentionSystem(c.locks), c.cores, 1<<16, ycsbPlanes(c.planes))
+func (env Env) ycsbHTTPD(c ycsbCell) (YCSBRow, error) {
+	k := env.withExemplars().build(contentionSystem(c.locks), c.cores, 1<<16)
 	group := ycsbGroup(c)
 	row := YCSBRow{
 		Workload: "httpd", Mix: c.mix, Chooser: "zipfian", Locks: c.locks,
@@ -523,86 +497,54 @@ func ycsbHTTPD(c ycsbCell) (YCSBRow, error) {
 		k.VFS().WriteFile(ycsbPath(i), body)
 	}
 
+	opsPerDriver := c.ops / ycsbDrivers
+	reads := make([]int, ycsbDrivers)
+	updates := make([]int, ycsbDrivers)
+	errs := make([]int, ycsbDrivers)
+	drive := func(dp *kernel.Proc, d int, srv *httpd.Server, _ sim.Time) {
+		gen := ycsb.NewGenerator(c.mix, ycsb.NewZipfian(c.keys, c.seed+int64(d)*7919, true), c.seed^int64(d+1))
+		for i := 0; i < opsPerDriver; i++ {
+			op, key := gen.Next()
+			opName := "GET"
+			if op != ycsb.OpRead {
+				opName = "PUT"
+			}
+			// The driver's request bytes carry the trace into the
+			// serving worker through the connection pipes: the
+			// exemplar shows a pipe edge driver→worker.
+			opStart := dp.Now()
+			k.TraceBegin(dp, group, opName)
+			var (
+				res   httpd.ClientResult
+				opErr error
+				want  string
+			)
+			if op == ycsb.OpRead {
+				res, opErr = httpd.DoRequest(dp, srv.Listener, ycsbPath(key))
+				want = "200"
+				reads[d]++
+			} else {
+				res, opErr = httpd.DoPut(dp, srv.Listener, ycsbPath(key), body)
+				want = "201"
+				updates[d]++
+			}
+			lat := dp.Now() - opStart
+			k.TraceEnd(dp)
+			hist.Observe(uint64(lat))
+			if opErr != nil || !strings.Contains(res.Status, want) {
+				errs[d]++
+			}
+		}
+	}
+
 	err := runRoot(k, nginxSpec(), func(p *kernel.Proc) error {
-		srv, err := httpd.Start(p, ycsbWorkers)
-		if err != nil {
-			return err
-		}
-		if inj != nil {
-			inj.Arm(k)
-		}
-		rfd, wfd, err := k.Pipe(p)
-		if err != nil {
-			return err
-		}
-		doneEnd, err := p.FDs.Get(wfd)
-		if err != nil {
-			return err
-		}
-		opsPerDriver := c.ops / ycsbDrivers
-		reads := make([]int, ycsbDrivers)
-		updates := make([]int, ycsbDrivers)
-		errs := make([]int, ycsbDrivers)
-		start := p.Now()
-		for d := 0; d < ycsbDrivers; d++ {
-			d := d
-			if _, err := k.Spawn(driverSpec(), p.Now(), func(dp *kernel.Proc) {
-				dp.Task.Offcore = true
-				dwfd := dp.FDs.Install(doneEnd)
-				gen := ycsb.NewGenerator(c.mix, ycsb.NewZipfian(c.keys, c.seed+int64(d)*7919, true), c.seed^int64(d+1))
-				for i := 0; i < opsPerDriver; i++ {
-					op, key := gen.Next()
-					opName := "GET"
-					if op != ycsb.OpRead {
-						opName = "PUT"
-					}
-					// The driver's request bytes carry the trace into the
-					// serving worker through the connection pipes: the
-					// exemplar shows a pipe edge driver→worker.
-					opStart := dp.Now()
-					k.TraceBegin(dp, group, opName)
-					var (
-						res   httpd.ClientResult
-						opErr error
-						want  string
-					)
-					if op == ycsb.OpRead {
-						res, opErr = httpd.DoRequest(dp, srv.Listener, ycsbPath(key))
-						want = "200"
-						reads[d]++
-					} else {
-						res, opErr = httpd.DoPut(dp, srv.Listener, ycsbPath(key), body)
-						want = "201"
-						updates[d]++
-					}
-					lat := dp.Now() - opStart
-					k.TraceEnd(dp)
-					hist.Observe(uint64(lat))
-					if opErr != nil || !strings.Contains(res.Status, want) {
-						errs[d]++
-					}
-				}
-				_, _ = k.Write(dp, dwfd, []byte{1})
-			}); err != nil {
-				return err
-			}
-		}
-		buf := make([]byte, 1)
-		for d := 0; d < ycsbDrivers; d++ {
-			for {
-				if _, err := k.Read(p, rfd, buf); err == nil {
-					break
-				} else if !errors.Is(err, kernel.ErrInterrupted) {
-					return err
-				}
-			}
-		}
 		// All drivers have retired their last op once every done byte is
-		// in; the master's clock now bounds the measured window.
-		row.WindowNS = uint64(p.Now() - start)
-		if err := srv.Shutdown(p); err != nil {
+		// in; the fleet's elapsed time is the measured window.
+		_, window, err := httpdFleet(p, ycsbWorkers, ycsbDrivers, inj, drive)
+		if err != nil {
 			return err
 		}
+		row.WindowNS = uint64(window)
 		for d := 0; d < ycsbDrivers; d++ {
 			row.Reads += reads[d]
 			row.Updates += updates[d]

@@ -82,7 +82,8 @@ func ycsbJSON(rows []YCSBRow) ([]byte, error) {
 // its SLO, every kvstore cell took BGSAVE forks mid-run, and both chaos
 // cells actually injected faults yet still held their (looser) SLOs.
 func TestGoldenYCSB(t *testing.T) {
-	rows, err := YCSBSweep(YCSBOpts{})
+	t.Parallel()
+	rows, err := YCSBSweep(Env{}, YCSBOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +152,7 @@ func TestGoldenYCSB(t *testing.T) {
 // determinism the golden tables and chaos repro lines rely on, checked
 // under the race detector in CI.
 func TestYCSBRaceSMPReplay(t *testing.T) {
+	t.Parallel()
 	opts := YCSBOpts{
 		Mixes: []ycsb.Mix{ycsb.MixA},
 		Keys:  1024, Ops: 2000,
@@ -160,7 +162,7 @@ func TestYCSBRaceSMPReplay(t *testing.T) {
 	}
 	runs := make([][]YCSBRow, 2)
 	for i := range runs {
-		rows, err := YCSBSweep(opts)
+		rows, err := YCSBSweep(Env{}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,8 +191,9 @@ func TestYCSBRaceSMPReplay(t *testing.T) {
 // failure error must carry the want-vs-got gate report and the
 // flight-recorder tail of the breaching run.
 func TestYCSBSLOBreachFires(t *testing.T) {
+	t.Parallel()
 	impossible := ycsb.SLO{MaxP99: 1, MaxErrorRate: -1}
-	rows, err := YCSBSweep(YCSBOpts{
+	rows, err := YCSBSweep(Env{}, YCSBOpts{
 		Mixes: []ycsb.Mix{ycsb.MixA},
 		Keys:  512, Ops: 800,
 		Cores: []int{1},
@@ -237,7 +240,8 @@ func TestYCSBSLOBreachFires(t *testing.T) {
 // one-virtual-ns p99 ceiling makes the gate fire with the offending
 // cells named.
 func TestStressSLOGate(t *testing.T) {
-	rows := Stress(1, 1, 600)
+	t.Parallel()
+	rows := Stress(Env{}, 1, 1, 600)
 	if err := StressFailures(rows); err != nil {
 		t.Fatal(err)
 	}

@@ -16,16 +16,16 @@ import (
 // checkpoint cursor tiles the delay taxonomy over the op window; any gap
 // or overlap means attribution is inventing or losing time.
 func TestYCSBTraceExemplarBGSave(t *testing.T) {
-	// Arm a shared plane through the cell's planes, the way the live
+	t.Parallel()
+	// Arm a shared plane through the cell's env, the way the live
 	// telemetry server does, so the cell's private-plane fallback is
 	// bypassed and the test can read the reservoir afterwards.
 	pl := causal.New(0)
 	c := ycsbCell{
 		workload: "kvstore", mix: ycsb.MixA, locks: LocksBKL, cores: 2,
 		keys: 512, ops: 800, seed: 11, slo: DefaultYCSBSLO("kvstore", false),
-		planes: kernel.Planes{Causal: pl},
 	}
-	row, err := ycsbKV(c)
+	row, err := Env{Planes: kernel.Planes{Causal: pl}}.ycsbKV(c)
 	if err != nil {
 		t.Fatal(err)
 	}
