@@ -282,12 +282,18 @@ func scanInt(b []byte) (int, bool) {
 	return int(n), err == nil
 }
 
-// Shutdown closes the listener and reaps all workers.
+// Shutdown closes the listener and reaps all workers. An interrupted
+// wait reaps nothing, so it is retried: the master still reaps every
+// worker.
 func (s *Server) Shutdown(p *kernel.Proc) error {
 	k := p.Kernel()
 	s.Listener.Shutdown(p)
 	for range s.Workers {
-		if _, _, err := k.Wait(p); err != nil {
+		_, _, err := k.Wait(p)
+		for errors.Is(err, kernel.ErrInterrupted) {
+			_, _, err = k.Wait(p)
+		}
+		if err != nil {
 			return err
 		}
 	}

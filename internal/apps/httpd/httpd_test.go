@@ -108,6 +108,58 @@ func TestWorkersShareLoad(t *testing.T) {
 	k.Run()
 }
 
+// interruptWaits fails every other wait(2) with EINTR, the first one
+// included, and counts the waits it saw.
+type interruptWaits struct{ waits int }
+
+func (f *interruptWaits) SyscallError(name string) error {
+	if name != "wait" {
+		return nil
+	}
+	f.waits++
+	if f.waits%2 == 1 {
+		return kernel.ErrInterrupted
+	}
+	return nil
+}
+
+// TestShutdownRetriesInterruptedWait: an interrupted wait reaps nothing,
+// so Shutdown must retry it and still reap every worker.
+func TestShutdownRetriesInterruptedWait(t *testing.T) {
+	const workers = 3
+	k := newKernel(2)
+	k.VFS().WriteFile("/f", []byte("payload"))
+	failer := &interruptWaits{}
+	k.Chaos = failer
+	if _, err := k.Spawn(serverSpec(), 0, func(p *kernel.Proc) {
+		srv, err := httpd.Start(p, workers)
+		if err != nil {
+			t.Errorf("start: %v", err)
+			return
+		}
+		if _, err := httpd.DoRequest(p, srv.Listener, "/f"); err != nil {
+			t.Errorf("request: %v", err)
+			return
+		}
+		if err := srv.Shutdown(p); err != nil {
+			t.Errorf("shutdown: %v", err)
+			return
+		}
+		if n := len(p.Children()); n != 0 {
+			t.Errorf("%d workers left unreaped", n)
+		}
+		if failer.waits != 2*workers {
+			t.Errorf("shutdown made %d waits, want %d: one interrupted and one reaping per worker", failer.waits, 2*workers)
+		}
+		if srv.TotalServed() != 1 {
+			t.Errorf("served = %d, want 1", srv.TotalServed())
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+}
+
 func TestPutReplacesFile(t *testing.T) {
 	k := newKernel(2)
 	k.VFS().WriteFile("/k1", []byte("old"))

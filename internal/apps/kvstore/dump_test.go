@@ -88,7 +88,7 @@ func FuzzLoadDump(f *testing.F) {
 			}
 		}
 		entries := fuzzEntries(data)
-		withStoreSpec(t, core.CopyOnPointerAccess, redisSpec(256), func(k *kernel.Kernel, p *kernel.Proc, s *kvstore.Store) {
+		withStoreSpec(t, core.CopyOnPointerAccess, redisSpec(256), 256, func(k *kernel.Kernel, p *kernel.Proc, s *kvstore.Store) {
 			for _, e := range entries {
 				if err := s.Set(e[0], []byte(e[1])); err != nil {
 					t.Errorf("set %q: %v", e[0], err)

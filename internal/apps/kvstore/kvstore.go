@@ -65,11 +65,15 @@ var (
 )
 
 // Store is a per-process view of the key-value store. Like the allocator,
-// it keeps no host-side state beyond the process handle: a forked child
-// attaches to its inherited, relocated copy.
+// it keeps no host-side state beyond the process handle and the reply
+// buffer Get loads values into. A forked child attaches to its inherited,
+// relocated copy and starts with a reply buffer of its own.
 type Store struct {
 	p *kernel.Proc
 	a *alloc.Allocator
+	// reply holds the value the last Get served. It grows to the largest
+	// value served and is kept, like a Redis client's output buffer.
+	reply []byte
 }
 
 // Init creates an empty store with the given bucket count and plants its
@@ -330,7 +334,10 @@ func (s *Store) Set(key string, value []byte) error {
 	return s.p.StoreU64(root, rootCountOff, count+1)
 }
 
-// Get returns the value for key.
+// Get returns the value for key. The value is loaded into the store's
+// reply buffer: the slice is valid until the next Get on the same Store,
+// and a caller that keeps it must copy it. Its capacity equals its
+// length, so an append by the caller cannot write into the buffer.
 func (s *Store) Get(key string) ([]byte, error) {
 	_, table, bucketOff, err := s.bucketOf(key)
 	if err != nil {
@@ -347,7 +354,11 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, val.Len()-(val.Addr()-val.Base()))
+	n := val.Len() - (val.Addr() - val.Base())
+	if uint64(len(s.reply)) < n {
+		s.reply = make([]byte, n)
+	}
+	buf := s.reply[:n:n]
 	if err := s.p.Load(val, 0, buf); err != nil {
 		return nil, err
 	}

@@ -121,10 +121,10 @@ func (env Env) wrkRun(id SystemID, cores, workers, drivers int, window sim.Time)
 // drivers off-core driver processes. Driver d runs drive(dp, d, srv,
 // start), start being the launch time, and then writes a done byte on a
 // pipe whose write end it received from the master (SCM_RIGHTS-style
-// descriptor passing). The master reads every done byte, retrying
-// injected EINTR, and shuts the server down. httpdFleet returns the
-// server, for its served counts, and the virtual time from the launch to
-// the last done byte.
+// descriptor passing). Making the pipe, writing a done byte and reading
+// one all retry injected EINTR; the master reads every done byte and
+// shuts the server down. httpdFleet returns the server, for its served
+// counts, and the virtual time from the launch to the last done byte.
 func httpdFleet(p *kernel.Proc, workers, drivers int, inj *chaos.Injector,
 	drive func(dp *kernel.Proc, d int, srv *httpd.Server, start sim.Time)) (*httpd.Server, sim.Time, error) {
 	k := p.Kernel()
@@ -136,6 +136,9 @@ func httpdFleet(p *kernel.Proc, workers, drivers int, inj *chaos.Injector,
 		inj.Arm(k)
 	}
 	rfd, wfd, err := k.Pipe(p)
+	for errors.Is(err, kernel.ErrInterrupted) {
+		rfd, wfd, err = k.Pipe(p)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -151,7 +154,11 @@ func httpdFleet(p *kernel.Proc, workers, drivers int, inj *chaos.Injector,
 			dp.Task.Offcore = true
 			dwfd := dp.FDs.Install(doneEnd)
 			drive(dp, d, srv, start)
-			_, _ = k.Write(dp, dwfd, []byte{1})
+			// A lost done byte would leave the master waiting forever.
+			_, err := k.Write(dp, dwfd, []byte{1})
+			for errors.Is(err, kernel.ErrInterrupted) {
+				_, err = k.Write(dp, dwfd, []byte{1})
+			}
 		}); err != nil {
 			return nil, 0, err
 		}

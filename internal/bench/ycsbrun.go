@@ -300,6 +300,20 @@ func ycsbKVSpec(k *kernel.Kernel, keys int) kernel.ProgramSpec {
 	return spec
 }
 
+// forkRetry forks a child running entry, retrying injected EINTR. Each
+// retry counts one error against errs. Fork fails before it changes any
+// state, so a retry forks exactly one child.
+func forkRetry(k *kernel.Kernel, p *kernel.Proc, errs *int, entry func(*kernel.Proc)) (kernel.PID, error) {
+	for {
+		pid, err := k.Fork(p, entry)
+		if errors.Is(err, kernel.ErrInterrupted) {
+			*errs++
+			continue
+		}
+		return pid, err
+	}
+}
+
 // reapRetry waits out one child, retrying injected EINTR. Each retry
 // counts one error against errs.
 func reapRetry(k *kernel.Kernel, p *kernel.Proc, errs *int) (kernel.PID, int, error) {
@@ -350,9 +364,10 @@ func (env Env) ycsbKV(c ycsbCell) (YCSBRow, error) {
 		finish := make([]sim.Time, ycsbWorkers)
 		start := p.Now()
 		workerPIDs := make(map[kernel.PID]bool, ycsbWorkers)
+		parentErrs := 0
 		for w := 0; w < ycsbWorkers; w++ {
 			w := w
-			pid, err := k.Fork(p, func(cp *kernel.Proc) {
+			pid, err := forkRetry(k, p, &parentErrs, func(cp *kernel.Proc) {
 				ws, err := kvstore.Attach(cp)
 				if err != nil {
 					k.Exit(cp, 1)
@@ -410,7 +425,6 @@ func (env Env) ycsbKV(c ycsbCell) (YCSBRow, error) {
 		// the whole fleet has retired, then drain outstanding snapshots.
 		workersLeft := ycsbWorkers
 		outstanding := ycsbWorkers
-		parentErrs := 0
 		for workersLeft > 0 {
 			// Each snapshot cycle is its own traced op: the BGSAVE fork
 			// joins the child with a fork edge, so the exemplar shows the

@@ -186,6 +186,32 @@ func TestYCSBRaceSMPReplay(t *testing.T) {
 	}
 }
 
+// TestYCSBChaosCellsSurviveEINTR runs the cells of the all-chaos sweep
+// (-exp ycsb -chaos) in which an injected EINTR once failed the whole
+// cell: a worker fork in kvstore/A/bkl/4c and the master's reap in
+// httpd/B/bkl/4c. Every cell must come back as a row; an SLO verdict is
+// the gate's business, not an error.
+func TestYCSBChaosCellsSurviveEINTR(t *testing.T) {
+	t.Parallel()
+	rows, err := YCSBSweep(Env{}, YCSBOpts{
+		Mixes: []ycsb.Mix{ycsb.MixA, ycsb.MixB},
+		Cores: []int{4},
+		Locks: []string{LocksBKL},
+		Chaos: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("sweep returned %d rows, want 4", len(rows))
+	}
+	for _, r := range rows {
+		if r.Ops != YCSBOpsQuick || r.Injected == 0 {
+			t.Errorf("%s/%s: %d ops with %d faults injected, want %d ops under faults", r.Workload, r.Mix.Name, r.Ops, r.Injected, YCSBOpsQuick)
+		}
+	}
+}
+
 // TestYCSBSLOBreachFires sabotages the gate: an impossible SLO (p99
 // under 1 virtual ns, zero error budget) must fail every cell, and the
 // failure error must carry the want-vs-got gate report and the
