@@ -130,10 +130,15 @@ func workerLoop(w *kernel.Proc, lfd int) int {
 
 // serveConn reads one request from the connection descriptor, resolves
 // the path and writes the response. GET serves the file; PUT replaces
-// it (the write-op half of the YCSB mixes the load harness drives).
+// it (the write-op half of the YCSB mixes the load harness drives). An
+// interrupted read of the request has consumed nothing and is retried,
+// as workerLoop retries an interrupted accept.
 func (s *scratch) serveConn(w *kernel.Proc, cfd int) error {
 	k := w.Kernel()
 	n, err := k.Read(w, cfd, s.req[:])
+	for errors.Is(err, kernel.ErrInterrupted) {
+		n, err = k.Read(w, cfd, s.req[:])
+	}
 	if err != nil || n == 0 {
 		return errEmptyRequest
 	}

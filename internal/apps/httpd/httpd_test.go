@@ -160,6 +160,54 @@ func TestShutdownRetriesInterruptedWait(t *testing.T) {
 	k.Run()
 }
 
+// interruptFirstRead fails the first read(2) of the run with EINTR.
+type interruptFirstRead struct{ fired bool }
+
+func (f *interruptFirstRead) SyscallError(name string) error {
+	if name != "read" || f.fired {
+		return nil
+	}
+	f.fired = true
+	return kernel.ErrInterrupted
+}
+
+// TestServeRetriesInterruptedRead: an interrupted read of the request
+// has consumed nothing, so the worker must retry it and serve the
+// request rather than drop the connection.
+func TestServeRetriesInterruptedRead(t *testing.T) {
+	k := newKernel(2)
+	k.VFS().WriteFile("/f", []byte("payload"))
+	failer := &interruptFirstRead{}
+	k.Chaos = failer
+	if _, err := k.Spawn(serverSpec(), 0, func(p *kernel.Proc) {
+		srv, err := httpd.Start(p, 1)
+		if err != nil {
+			t.Errorf("start: %v", err)
+			return
+		}
+		res, err := httpd.DoRequest(p, srv.Listener, "/f")
+		if err != nil {
+			t.Errorf("request: %v", err)
+			return
+		}
+		if !failer.fired {
+			t.Error("no read was interrupted")
+		}
+		if !strings.Contains(res.Status, "200") || string(res.Body) != "payload" {
+			t.Errorf("interrupted request got %q %q, want 200 and the file", res.Status, res.Body)
+		}
+		if err := srv.Shutdown(p); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if srv.TotalServed() != 1 {
+			t.Errorf("served = %d, want 1", srv.TotalServed())
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+}
+
 func TestPutReplacesFile(t *testing.T) {
 	k := newKernel(2)
 	k.VFS().WriteFile("/k1", []byte("old"))
