@@ -8,11 +8,11 @@ import (
 
 // This file is the kernel side of the causal trace-context plane
 // (internal/obs/causal): origins mint a trace on a μprocess, the kernel
-// carries it across fork, pipe, and signal boundaries, and the delay
-// hooks in the syscall/fault/block paths flush critical-path segments.
-// Every hook is gated on a nil span check, so an untraced kernel pays
-// one pointer compare per site; none of them ever advances a virtual
-// clock, so arming the plane leaves timelines byte-identical. The plane
+// carries it across fork, pipe, and signal boundaries. The critical-path
+// segments of lock waits, sleeps and fault windows are flushed by
+// Proc.emit's armed path (read), which labels them from the attribution
+// context. Nothing here ever advances a virtual clock, so arming the
+// plane leaves timelines byte-identical. The plane
 // is not reset per kernel: trace IDs are plane-global and exemplar groups
 // deliberately accumulate across the many kernels a bench sweep boots, so
 // /traces shows the whole run.
@@ -63,12 +63,9 @@ func (k *Kernel) TraceEnd(p *Proc) {
 	if s == nil || !s.Root() {
 		return
 	}
-	t := p.Task
 	id, start := uint64(s.Trace()), s.Start
-	s.Checkpoint(t.Now(), t.Delays())
-	k.Causal.Close(s, t.Now())
-	p.cspan = nil
-	k.emit(t.Now(), int32(p.PID), flight.KindTraceEnd, id, uint64(t.Now()-start), 0)
+	k.causalExit(p)
+	k.emit(p.Task.Now(), int32(p.PID), flight.KindTraceEnd, id, uint64(p.Task.Now()-start), 0)
 }
 
 // causalExit closes p's span as the process terminates: a root dying
@@ -116,14 +113,4 @@ func (k *Kernel) causalAdopt(p *Proc, kind causal.EdgeKind, id causal.TraceID, f
 	}
 	p.cspan = s
 	k.emit(t.Now(), fromPID, flight.KindTraceEdge, uint64(id), uint64(kind), uint64(p.PID))
-}
-
-// causalLockSite names a contended lock for its "lock:<site>" segment
-// label: the lock's own name from the split hierarchy, or "bkl" for the
-// legacy zero-value global lock BKL machines never Init.
-func causalLockSite(l *sim.VLock) string {
-	if n := l.Name(); n != "" {
-		return n
-	}
-	return "bkl"
 }

@@ -20,12 +20,29 @@ func BenchmarkDisabledEmit(b *testing.B) {
 	}
 }
 
+// BenchmarkDisabledProcEmit is a μprocess event with no plane armed: its
+// accounting counters and the one readers test.
+func BenchmarkDisabledProcEmit(b *testing.B) {
+	p := &Proc{k: &Kernel{}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.emit(flight.KindLockWait, 100, 3, 0)
+	}
+}
+
 // TestDisabledEmitAllocatesNothing: with no plane armed an event costs no
-// allocation.
+// allocation, kernel-scoped or a μprocess's own.
 func TestDisabledEmitAllocatesNothing(t *testing.T) {
 	k := &Kernel{}
 	if n := testing.AllocsPerRun(1000, func() { k.emit(0, 1, flight.KindFault, 2, 0x1000, 0) }); n != 0 {
 		t.Fatalf("disabled emit allocates %v objects/event, want 0", n)
+	}
+	p := &Proc{k: k}
+	if n := testing.AllocsPerRun(1000, func() { p.emit(flight.KindBlock, blockNet, 500, 0) }); n != 0 {
+		t.Fatalf("disabled process emit allocates %v objects/event, want 0", n)
+	}
+	if got := p.Acct.BlockNetNS.Value(); got != 1001*500 {
+		t.Fatalf("BlockNetNS = %d after 1001 block events of 500 ns", got)
 	}
 }
 

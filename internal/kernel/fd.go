@@ -195,9 +195,7 @@ func (r *PipeReader) Read(k *Kernel, p *Proc, buf []byte) (int, error) {
 		if c.writers == 0 {
 			return 0, nil // EOF
 		}
-		p.Acct.BlockPipeNS.Add(uint64(blockAccounted(p, "block:pipe", func() {
-			c.rq.Wait(p.Task)
-		})))
+		blockAccounted(p, blockPipe, func() { c.rq.Wait(p.Task) })
 		blocked = true
 	}
 	if blocked {
@@ -246,9 +244,7 @@ func (w *PipeWriter) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
 		}
 		space := c.cap - c.unread()
 		if space == 0 {
-			p.Acct.BlockPipeNS.Add(uint64(blockAccounted(p, "block:pipe", func() {
-				c.wq.Wait(p.Task)
-			})))
+			blockAccounted(p, blockPipe, func() { c.wq.Wait(p.Task) })
 			k.chargeSwitch(p)
 			continue
 		}
@@ -422,9 +418,7 @@ func (l *Listener) Accept(p *Proc) (*Conn, error) {
 		if l.closed {
 			return nil, ErrPipeClosed
 		}
-		p.Acct.BlockNetNS.Add(uint64(blockAccounted(p, "block:net", func() {
-			l.aq.Wait(p.Task)
-		})))
+		blockAccounted(p, blockNet, func() { l.aq.Wait(p.Task) })
 		blocked = true
 	}
 	if blocked {

@@ -241,8 +241,7 @@ func (ra *regionAllocator) find(va uint64) (Region, bool) {
 
 // Stats aggregates kernel-wide counters for the harness. The counters are
 // atomic (obs.Counter) so `go test -race` passes even when several
-// simulated kernels are driven from concurrent host goroutines, and so a
-// Snapshot/Reset pair cannot tear.
+// simulated kernels are driven from concurrent host goroutines.
 type Stats struct {
 	Forks       obs.Counter
 	Syscalls    obs.Counter
@@ -258,15 +257,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 		"page-faults":  s.PageFaults.Value(),
 		"ctx-switches": s.CtxSwitches.Value(),
 	}
-}
-
-// Reset zeroes every counter so counts cannot leak between benchmark
-// iterations that reuse a kernel.
-func (s *Stats) Reset() {
-	s.Forks.Reset()
-	s.Syscalls.Reset()
-	s.PageFaults.Reset()
-	s.CtxSwitches.Reset()
 }
 
 // Kernel is one simulated operating system instance.
@@ -330,6 +320,9 @@ type Kernel struct {
 	// Planes holds the observability planes this kernel records into;
 	// each site tests its plane against nil.
 	Planes
+	// readers is set when a plane that reads μprocess events (flight,
+	// metrics, causal, profile) is armed: the one test Proc.emit pays.
+	readers bool
 
 	// Chaos, when non-nil, is consulted at the entry of fallible syscalls
 	// and may fail them with an injected error (ENOMEM/EINTR storms). Set
@@ -511,6 +504,7 @@ func New(cfg Config) *Kernel {
 		procs:   make(map[PID]*Proc),
 		next:    1,
 		Planes:  pl,
+		readers: pl.Flight != nil || pl.Metrics != nil || pl.Causal != nil || pl.Profile != nil,
 	}
 	if cfg.Engine != nil {
 		k.forkLatency = "fork.latency." + cfg.Engine.Name()
@@ -818,7 +812,7 @@ func (k *Kernel) terminate(p *Proc, status int) {
 	}
 	p.exited = true
 	p.exitStatus = status
-	k.emit(t.Now(), int32(p.PID), flight.KindProcExit, uint64(status), 0, 0)
+	p.emit(flight.KindProcExit, uint64(status), 0, 0)
 	k.curPID = p.PID
 	p.FDs.CloseAll(k, p)
 	// Freeze the final memory footprint into the accounting gauges before

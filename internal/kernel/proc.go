@@ -93,31 +93,14 @@ type Proc struct {
 	// The kernel never reads it and fork does not copy it.
 	AllocIndex any
 
-	// sysEnter is the in-flight syscall's entry time for latency
-	// accounting and sysNo its number for the flight recorder's return
-	// event; syscalls do not nest within one μprocess, so one slot is
-	// enough.
-	sysEnter sim.Time
-	sysNo    SysNo
-
 	// cspan is the process's live causal-trace span (internal/obs/causal):
 	// a root minted by TraceBegin, or a member joined via a fork, pipe, or
 	// signal edge. Nil when untraced — the one check every causal hook
 	// pays on the disabled path. Touched only on the simulation goroutine.
 	cspan *causal.Span
 
-	// Profiler attribution state (internal/obs/profile), maintained only
-	// while a plane is armed and touched only on the simulation
-	// goroutine. inSys marks the kernel-entry→exit window so samples get
-	// their syscall frame (sysNo alone goes stale after leave); profPhase
-	// is the current phase frame (fork:<phase> during the fork latency
-	// charge); profDepth/profBuf defer samples taken inside a
-	// fault-service window until the handler resolves the copy mode that
-	// names their phase.
-	inSys     bool
-	profPhase string
-	profDepth int
-	profBuf   []profSample
+	// at is the attribution context p's events maintain (see emit).
+	at attrib
 
 	// lk is the μprocess lock — the per-process footprint every syscall
 	// acquires on fine-grained machines (rank uproc, seq = PID) — and fdlk
@@ -156,69 +139,19 @@ func permForAccess(acc vm.Access) cap.Perm {
 	}
 }
 
-// faultLabels decode the fault-resolution mode (the same encoding
-// KindFrameOwnerChange uses) into fault-window labels.
-var faultLabels = [...]string{"fault:mapped", "fault:cow", "fault:coa", "fault:copa"}
-
-// faultBegin opens p's fault-service window in the causal trace and the
-// profiler: the copy mode is only known once the handler returns, so both
-// planes defer labelling the window's time until faultEnd. The causal
-// trace is checkpointed up to the fault and fenced; the profiler buffers
-// the window's samples. Windows nest (a handler that faults again): each
-// end relabels only its own window, and nested hooks (a contended tmem
-// acquisition) keep their own site labels inside it. A mark is -1 when
-// its plane is off.
-func (k *Kernel) faultBegin(p *Proc) (cmark, pmark int) {
-	cmark, pmark = -1, -1
-	if cs := k.causalSpan(p); cs != nil {
-		cs.Checkpoint(p.Task.Now(), p.Task.Delays())
-		cmark = cs.Mark()
-	}
-	if k.Profile != nil {
-		p.profDepth++
-		pmark = len(p.profBuf)
-	}
-	return cmark, pmark
-}
-
-// faultEnd closes the window faultBegin opened, labelling it in both
-// planes: the trace's unattributed segments since cmark, and every
-// profiler sample buffered since pmark, flushed in charge order. Every
-// exit from the fault path calls it, the failed ones as fault:error.
-func (k *Kernel) faultEnd(p *Proc, cmark, pmark int, label string) {
-	if cmark >= 0 {
-		if cs := k.causalSpan(p); cs != nil {
-			cs.Checkpoint(p.Task.Now(), p.Task.Delays())
-			cs.RelabelWindow(cmark, label)
-		}
-	}
-	if pmark >= 0 {
-		p.profDepth--
-		for i := pmark; i < len(p.profBuf); i++ {
-			s := p.profBuf[i]
-			s.st.Phase = label
-			k.Profile.Add(s.st, s.kind, s.cpu, s.d)
-		}
-		p.profBuf = p.profBuf[:pmark]
-	}
-}
-
 // translate resolves va for the access, invoking the fork engine's fault
-// handler (CoW / CoA / CoPA resolution) as needed.
+// handler (CoW / CoA / CoPA resolution) as needed. A fault's events open
+// and close its service window in p's attribution context, which the
+// accounting counters and the planes label by the resolved copy mode.
 func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 	for attempt := 0; attempt < 8; attempt++ {
 		pfn, off, fault := p.AS.Translate(va, acc)
 		if fault == nil {
 			return pfn, off, nil
 		}
-		p.k.Stats.PageFaults.Inc()
-		p.Acct.Faults.Inc()
-		p.k.curPID = p.PID
-		p.k.emit(p.Task.Now(), int32(p.PID), flight.KindFault, uint64(fault.Kind), fault.VA, 0)
 		// Taking the fault costs a trap + handler dispatch. Everything
 		// from here to the handler's return is fault-service time.
-		fault0 := p.Task.Now()
-		cmark, pmark := p.k.faultBegin(p)
+		p.emit(flight.KindFault, uint64(fault.Kind), fault.VA, 0)
 		p.Task.Advance(p.k.Machine.PageFault)
 		// Snapshot the faulting page's frame before the handler runs: if
 		// the resolution breaks sharing, this is the ancestor frame the
@@ -254,13 +187,11 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			p.k.locks.tmem.Unlock(p.Task)
 		}
 		if err != nil {
-			p.k.faultEnd(p, cmark, pmark, "fault:error")
+			p.emit(flight.KindFaultError, uint64(fault.Kind), fault.VA, 0)
 			// Double-wrap so errors.Is sees both the segfault and the
 			// handler's cause (e.g. an injected tmem.ErrOutOfMemory).
 			return tmem.NoFrame, 0, fmt.Errorf("%w: %w", ErrSegfault, err)
 		}
-		service := p.Task.Now() - fault0
-		p.Acct.FaultServiceNS.Add(uint64(service))
 		copied := st.PagesCopied.Value() - copied0
 		adopted := st.PagesAdopted.Value() - adopted0
 		relocs := st.CapsRelocated.Value() - relocs0
@@ -268,26 +199,16 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			// Fault-path copies mutate tmem under BKL protection; credit
 			// the shadow meter with the resolution's serialized cost.
 			p.k.lkTmem.Acquire(p.Task.Now())
-			p.k.lkTmem.ObserveHold(service)
+			p.k.lkTmem.ObserveHold(p.Task.Now() - p.at.fault0)
 		}
 		mode := uint64(0) // KindFrameOwnerChange mode: 1=CoW 2=CoA 3=CoPA
 		switch {
 		case relocs > 0:
-			p.Acct.FaultCoPA.Inc()
 			mode = 3
 		case copied > 0:
-			p.Acct.FaultCoW.Inc()
 			mode = 1
 		case adopted > 0:
-			p.Acct.FaultCoA.Inc()
 			mode = 2
-		default:
-			p.Acct.FaultMapped.Inc()
-			if fault.Kind == vm.FaultNotMapped {
-				// Demand map: the handler mapped one fresh frame (the
-				// monolithic baseline's demand-paged heap).
-				p.Acct.chargeFrames(1)
-			}
 		}
 		if mode != 0 {
 			// The resolution broke sharing: the faulting page's frame is now
@@ -311,14 +232,9 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			if oldPFN != tmem.NoFrame {
 				old = oldPFN
 			}
-			p.k.emit(p.Task.Now(), int32(p.PID), flight.KindFrameOwnerChange, uint64(newPFN), mode, uint64(old))
+			p.emit(flight.KindFrameOwnerChange, uint64(newPFN), mode, uint64(old))
 		}
-		p.Acct.FaultCapsRelocated.Add(relocs)
-		if copied > 0 {
-			p.Acct.chargeFrames(int64(copied))
-		}
-		p.k.emit(p.Task.Now(), int32(p.PID), flight.KindFaultDone, uint64(fault.Kind), copied, relocs)
-		p.k.faultEnd(p, cmark, pmark, faultLabels[mode])
+		p.emit(flight.KindFaultDone, uint64(fault.Kind), copied, relocs)
 	}
 	return tmem.NoFrame, 0, fmt.Errorf("%w: fault loop at %#x", ErrSegfault, va)
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"ufork/internal/obs"
+	"ufork/internal/obs/flight"
 	"ufork/internal/sim"
 )
 
@@ -221,19 +222,18 @@ func (p *Proc) Stat() ProcStat {
 	return st
 }
 
-// blockAccounted runs wait (which parks the task) and returns the parked
-// virtual time the sleep accrued, so blocking sites can attribute it to a
-// cause counter (pipe, socket, child); label is the causal-segment name
-// ("block:pipe", "block:net", "block:child") the sleep's blocked delta is
-// flushed under when the process is traced — flushed before the lock
-// re-acquisition below, whose own waits belong to their lock sites. On
-// fine-grained machines a sleeping task first releases every strict
+// blockAccounted runs wait (which parks the task) and records the sleep as
+// one KindBlock event carrying its cause (blockPipe, blockNet, blockChild)
+// and the parked virtual time it accrued, from which emit derives the
+// Acct.Block*NS counters. The event lands before the lock re-acquisition
+// below, whose own waits belong to their lock sites. On fine-grained
+// machines a sleeping task first releases every strict
 // kernel lock it holds — a parked holder would wedge the FIFO handoff
 // queues exactly the way a sleeping lock holder wedges a real kernel —
 // and re-acquires the same footprint in hierarchy order on wake. The
 // legacy BKL is not on the held stack; its virtual-exclusion semantics
 // tolerate a parked holder, so BKL-machine behavior is unchanged.
-func blockAccounted(p *Proc, label string, wait func()) sim.Time {
+func blockAccounted(p *Proc, cause uint64, wait func()) {
 	t := p.Task
 	held := t.HeldLocks()
 	for i := len(held) - 1; i >= 0; i-- {
@@ -241,14 +241,10 @@ func blockAccounted(p *Proc, label string, wait func()) sim.Time {
 	}
 	b0 := t.Delay(sim.DelayBlocked)
 	wait()
-	d := t.Delay(sim.DelayBlocked) - b0
-	if s := p.k.causalSpan(p); s != nil {
-		s.CheckpointAs(sim.DelayBlocked, label, t.Now(), t.Delays())
-	}
+	p.emit(flight.KindBlock, cause, uint64(t.Delay(sim.DelayBlocked)-b0), 0)
 	for _, l := range held {
 		p.k.lockWait(p, l)
 	}
-	return d
 }
 
 // deadStatsCap bounds the reaped-process history: enough for a whole

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ufork/internal/core"
 	"ufork/internal/kernel"
 	"ufork/internal/model"
 	"ufork/internal/obs"
@@ -16,49 +17,190 @@ import (
 	"ufork/internal/vm"
 )
 
-// TestMetricsMatchFlight: the registry's per-event families are derived
-// from the same kernel events the flight ring keeps, so over a program
-// that forks, CoW-faults and makes syscalls every count matches the
-// matching flight-event count exactly.
-func TestMetricsMatchFlight(t *testing.T) {
-	rec, reg := flight.New(1<<16), obs.NewRegistry()
-	profStorm(t, model.UFork(2), kernel.Planes{Flight: rec, Metrics: reg})
-	if rec.Dropped() != 0 {
-		t.Fatalf("ring dropped %d events; enlarge it", rec.Dropped())
+// handoffStorm parks a parent on a pipe read and on a socket accept
+// until a forked child writes and connects: the sleeps profStorm does not
+// take.
+func handoffStorm(t *testing.T, m *model.Machine, planes kernel.Planes) *kernel.Kernel {
+	t.Helper()
+	k := kernel.New(kernel.Config{
+		Machine: m, Engine: core.New(core.CopyOnPointerAccess),
+		Isolation: kernel.IsolationFault, Frames: 1 << 16, Planes: planes,
+	})
+	if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
+		r, w, err := k.Pipe(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lfd, l := k.Listen(p)
+		if _, err := k.Fork(p, func(c *kernel.Proc) {
+			c.Compute(5000)
+			if _, err := k.Write(c, w, []byte("x")); err != nil {
+				t.Error(err)
+			}
+			c.Compute(5000)
+			k.Yield(c) // sync the clock: Connect itself does not
+			l.Connect(c)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		if _, err := k.Read(p, r, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Accept(p, lfd); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := k.Wait(p); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
+	k.Run()
+	return k
+}
 
-	want := map[string]uint64{}
-	for _, e := range rec.Snapshot() {
+// TestReadersMatchFlight: every reader of a μprocess event derives its
+// count from the same emit the flight ring records, so over a program
+// that forks, CoW-faults, contends on locks, sleeps and makes syscalls,
+// each derived count equals its flight-event sum exactly — the kernel
+// and per-process counters, the metrics registry's per-event families,
+// and the profiler's lock-wait time.
+func TestReadersMatchFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, *model.Machine, kernel.Planes) *kernel.Kernel
+		m    *model.Machine
+		// want names the flight sums the case must make nonzero, so no
+		// comparison passes by both sides reading 0.
+		want string
+	}{
+		{"storm-bkl", profStorm, model.UFork(4), "faults lock-wait child"},
+		{"storm-smp", profStorm, model.UForkSMP(4), "faults child"},
+		{"handoff-smp", handoffStorm, model.UForkSMP(2), "pipe net lock-wait"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, reg, pl := flight.New(1<<16), obs.NewRegistry(), profile.New(0)
+			k := tc.run(t, tc.m, kernel.Planes{Flight: rec, Metrics: reg, Profile: pl})
+			if rec.Dropped() != 0 {
+				t.Fatalf("ring dropped %d events; enlarge it", rec.Dropped())
+			}
+			checkReaders(t, k, rec.Snapshot(), reg, pl, strings.Fields(tc.want))
+		})
+	}
+}
+
+// checkReaders compares every derived count against the sum of the
+// flight events it derives from.
+func checkReaders(t *testing.T, k *kernel.Kernel, evs []flight.Event, reg *obs.Registry, pl *profile.Plane, want []string) {
+	t.Helper()
+	// The registry's per-event families.
+	wantMetrics := map[string]uint64{}
+	// Per-process sums, keyed like ProcStat's fields.
+	type sums struct {
+		syscalls         map[string]uint64
+		faults, service  uint64
+		modes            [4]uint64 // mapped, CoW, CoA, CoPA
+		bklWait          uint64
+		pipe, net, child uint64
+	}
+	per := map[int]*sums{}
+	var syscalls, faults, lockWait uint64
+	open := map[int32]flight.Event{} // fault window per PID
+	mode := map[int32]uint64{}
+	for _, e := range evs {
+		s := per[int(e.PID)]
+		if s == nil {
+			s = &sums{syscalls: map[string]uint64{}}
+			per[int(e.PID)] = s
+		}
 		switch e.Kind {
 		case flight.KindSyscall:
-			want["syscall."+kernel.SysNo(e.Args[0]).String()]++
+			name := kernel.SysNo(e.Args[0]).String()
+			wantMetrics["syscall."+name]++
+			s.syscalls[name]++
+			syscalls++
 		case flight.KindSysRet:
-			want["syscall.latency"]++
+			wantMetrics["syscall.latency"]++
 		case flight.KindForkPhase:
-			want["fork.phase."+flight.ForkPhases[e.Args[0]]]++
+			wantMetrics["fork.phase."+flight.ForkPhases[e.Args[0]]]++
 		case flight.KindFault:
-			want["vm.fault."+vm.FaultKind(e.Args[0]).String()]++
+			wantMetrics["vm.fault."+vm.FaultKind(e.Args[0]).String()]++
+			s.faults++
+			faults++
+			open[e.PID], mode[e.PID] = e, 0
+		case flight.KindFrameOwnerChange:
+			mode[e.PID] = e.Args[1]
+		case flight.KindFaultDone:
+			s.service += e.TS - open[e.PID].TS
+			s.modes[mode[e.PID]]++
+		case flight.KindLockWait:
+			lockWait += e.Args[0]
+			if site := e.LockSite(); site == "bkl" || site == "residual" {
+				s.bklWait += e.Args[0]
+			}
+		case flight.KindBlock:
+			*[...]*uint64{&s.pipe, &s.net, &s.child}[e.Args[0]] += e.Args[1]
 		}
 	}
+	total := map[string]uint64{"syscalls": syscalls, "faults": faults, "lock-wait": lockWait}
+	for _, s := range per {
+		total["pipe"] += s.pipe
+		total["net"] += s.net
+		total["child"] += s.child
+	}
+	for _, name := range append(want, "syscalls") {
+		if total[name] == 0 {
+			t.Fatalf("program recorded no %s: %v", name, total)
+		}
+	}
+
+	if got := k.Stats.Syscalls.Value(); got != syscalls {
+		t.Errorf("k.Stats.Syscalls = %d, flight syscalls %d", got, syscalls)
+	}
+	if got := k.Stats.PageFaults.Value(); got != faults {
+		t.Errorf("k.Stats.PageFaults = %d, flight faults %d", got, faults)
+	}
+	for _, st := range k.ProcStats() {
+		s := per[st.PID]
+		if s == nil {
+			s = &sums{}
+		}
+		got := sums{
+			syscalls: st.Syscalls, faults: st.Faults, service: st.FaultServiceNS,
+			modes:   [4]uint64{st.FaultMapped, st.FaultCoW, st.FaultCoA, st.FaultCoPA},
+			bklWait: st.BKLWaitNS, pipe: st.BlockPipeNS, net: st.BlockNetNS, child: st.BlockChildNS,
+		}
+		if len(got.syscalls) == 0 && len(s.syscalls) == 0 {
+			got.syscalls = s.syscalls
+		}
+		if !reflect.DeepEqual(got, *s) {
+			t.Errorf("pid %d: accounting %+v\nflight sums %+v", st.PID, got, *s)
+		}
+	}
+
 	snap := reg.Snapshot()
-	got := map[string]uint64{}
+	gotMetrics := map[string]uint64{}
 	for name, v := range snap.Counters {
 		if strings.HasPrefix(name, "syscall.") || strings.HasPrefix(name, "vm.fault.") {
-			got[name] = v
+			gotMetrics[name] = v
 		}
 	}
 	for name, h := range snap.Histograms {
 		if name == "syscall.latency" || strings.HasPrefix(name, "fork.phase.") {
-			got[name] = h.Count
+			gotMetrics[name] = h.Count
 		}
 	}
-	for _, family := range []string{"syscall.fork", "syscall.latency", "fork.phase.reserve", "vm.fault.write-protect"} {
-		if want[family] == 0 {
-			t.Fatalf("program recorded no %s events: %v", family, want)
-		}
+	if !reflect.DeepEqual(gotMetrics, wantMetrics) {
+		t.Errorf("registry counts %v\nflight counts   %v", gotMetrics, wantMetrics)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("registry counts %v\nflight counts   %v", got, want)
+
+	var profWait uint64
+	for cpu := 0; cpu < k.Eng.Cores(); cpu++ {
+		profWait += pl.ChargedNS(cpu, profile.KindLockWait)
+	}
+	if profWait != lockWait {
+		t.Errorf("profiler charged %d ns of lock wait, flight lock waits sum to %d", profWait, lockWait)
 	}
 }
 

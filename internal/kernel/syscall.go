@@ -19,13 +19,7 @@ import (
 // principle 4).
 func (k *Kernel) enter(p *Proc, no SysNo, bufBytes int) {
 	t := p.Task
-	k.Stats.Syscalls.Inc()
-	p.Acct.Syscalls[no].Inc()
-	p.sysNo = no
-	p.sysEnter = t.Now()
-	p.inSys = true
-	k.curPID = p.PID
-	k.emit(t.Now(), int32(p.PID), flight.KindSyscall, uint64(no), 0, 0)
+	p.emit(flight.KindSyscall, uint64(no), 0, 0)
 	// Pending kills and signals are delivered at kernel entry.
 	k.checkKilled(p)
 	k.deliverSignals(p)
@@ -64,30 +58,18 @@ func (k *Kernel) enter(p *Proc, no SysNo, bufBytes int) {
 	t.Advance(k.Machine.SyscallBase)
 }
 
-// lockWait acquires l for p, attributing any lock-wait delta the
-// acquisition adds: waits on the global serializing lock (BKL or residual)
-// land in Acct.BKLWaitNS, and any contended acquisition emits a
-// KindLockWait flight event tagged with the in-flight syscall. On the BKL
-// itself the delta is exact — it is the only lock a BKL-machine μprocess
-// ever takes.
+// lockWait acquires l for p; a contended acquisition is one KindLockWait
+// event carrying the wait, the in-flight syscall and the lock's site, from
+// which emit derives Acct.BKLWaitNS for the global serializing lock (BKL or
+// residual). On the BKL itself the delta is exact — it is the only lock a
+// BKL-machine μprocess ever takes.
 func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 	t := p.Task
 	w0 := t.Delay(sim.DelayLockWait)
 	l.Lock(t)
-	w := t.Delay(sim.DelayLockWait) - w0
-	if w == 0 {
-		return
+	if w := t.Delay(sim.DelayLockWait) - w0; w != 0 {
+		p.emit(flight.KindLockWait, uint64(w), uint64(p.at.sysNo), uint64(l.Rank()))
 	}
-	if l == &k.locks.global {
-		p.Acct.BKLWaitNS.Add(uint64(w))
-	}
-	k.emit(t.Now(), int32(p.PID), flight.KindLockWait, uint64(w), uint64(p.sysNo), 0)
-	if s := k.causalSpan(p); s != nil {
-		// Flush the wait into the trace under the contended site's name
-		// before another lock's wait can blur into the same bucket.
-		s.CheckpointAs(sim.DelayLockWait, "lock:"+causalLockSite(l), t.Now(), t.Delays())
-	}
-	k.profLockWait(p, l, w)
 }
 
 // chargeSwitch bills one scheduler context switch to p: register state,
@@ -95,7 +77,7 @@ func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 // switch with its TLB/cache maintenance (§2.2). Switches occupy the CPU,
 // so they are booked on a core rather than merely advancing the clock.
 func (k *Kernel) chargeSwitch(p *Proc) {
-	k.emit(p.Task.Now(), int32(p.PID), flight.KindCtxSwitch, uint64(k.Machine.CtxSwitch), 0, 0)
+	p.emit(flight.KindCtxSwitch, uint64(k.Machine.CtxSwitch), 0, 0)
 	p.Task.Book(k.Machine.CtxSwitch)
 	k.Stats.CtxSwitches.Inc()
 }
@@ -113,9 +95,7 @@ func (k *Kernel) leave(p *Proc) {
 		p.Task.ReleaseAll()
 	}
 	p.Task.Advance(k.Machine.SyscallExit)
-	k.emit(p.Task.Now(), int32(p.PID), flight.KindSysRet,
-		uint64(p.sysNo), uint64(p.Task.Now()-p.sysEnter), 0)
-	p.inSys = false
+	p.emit(flight.KindSysRet, uint64(p.at.sysNo), uint64(p.Task.Now()-p.at.sysEnter), 0)
 }
 
 // Getpid returns the caller's process ID.
@@ -156,7 +136,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	p.Forked++
 	p.Acct.Forks.Inc()
 	forkStart := p.Task.Now()
-	k.emit(forkStart, int32(p.PID), flight.KindForkStart, 0, 0, 0)
+	p.emit(flight.KindForkStart, 0, 0, 0)
 
 	child := &Proc{
 		k:          k,
@@ -349,9 +329,7 @@ func (k *Kernel) Wait(p *Proc) (PID, int, error) {
 				return c.PID, c.exitStatus, nil
 			}
 		}
-		p.Acct.BlockChildNS.Add(uint64(blockAccounted(p, "block:child", func() {
-			p.childExit.Wait(p.Task)
-		})))
+		blockAccounted(p, blockChild, func() { p.childExit.Wait(p.Task) })
 	}
 }
 

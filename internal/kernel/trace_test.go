@@ -3,12 +3,15 @@ package kernel_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ufork/internal/kernel"
 	"ufork/internal/obs/flight"
+	"ufork/internal/tmem"
 )
 
 // chromeEvent is the decoded shape of one exported trace event.
@@ -124,5 +127,86 @@ func TestChromeExportCoPAFork(t *testing.T) {
 	}
 	if !frameAlloc {
 		t.Error("frame-alloc must stay an instant event")
+	}
+}
+
+// TestChromeExportPlaneLabels: the export names spans with the labels the
+// causal and profile planes use — a lock wait is a lock:<site> span and a
+// sleep a block:<cause> span, each ending at its event, and a fault whose
+// resolution failed is a fault:error span up to its fault-error event.
+func TestChromeExportPlaneLabels(t *testing.T) {
+	r := flight.New(16)
+	r.Emit(4000, 3, flight.KindFault, 2, 0x1000, 0)
+	r.Emit(4500, 3, flight.KindFaultError, 2, 0x1000, 0)
+	r.Emit(6000, 3, flight.KindLockWait, 700, uint64(kernel.SysRead), 50)
+	r.Emit(7000, 4, flight.KindLockWait, 300, uint64(kernel.SysFork), 0)
+	r.Emit(9000, 3, flight.KindBlock, 1, 2000, 0)
+	var buf bytes.Buffer
+	if err := kernel.WriteChromeTrace(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("exported trace is not valid JSON: %v", err)
+	}
+	type span struct {
+		name    string
+		pid     int
+		ts, dur uint64
+	}
+	var got []span
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			t.Errorf("%s exported as %q, want a span", ev.Name, ev.Ph)
+		}
+		got = append(got, span{ev.Name, ev.PID, ns(ev.TS), ns(ev.Dur)})
+	}
+	want := []span{
+		{"fault:error", 3, 4000, 500},
+		{"lock:residual", 3, 5300, 700},
+		{"lock:bkl", 4, 6700, 300},
+		{"block:net", 3, 7000, 2000},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("spans = %v, want %v", got, want)
+	}
+}
+
+// TestFailedFaultExportsErrorSpan: a fault whose handler fails is
+// recorded as a fault-error event closing its window, so the export
+// shows a fault:error span, not a dangling fault instant.
+func TestFailedFaultExportsErrorSpan(t *testing.T) {
+	rec := flight.New(1 << 12)
+	k := newKernelWith(1, kernel.IsolationFault, kernel.Planes{Flight: rec})
+	fail := false
+	k.Mem.SetHooks(&tmem.Hooks{FailAlloc: func() bool { return fail }})
+	if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
+		if _, err := k.Fork(p, func(c *kernel.Proc) { k.Exit(c, 0) }); err != nil {
+			t.Fatal(err)
+		}
+		fail = true
+		if err := p.StoreU64(p.HeapCap, 0, 2); !errors.Is(err, kernel.ErrSegfault) {
+			t.Errorf("store with failing allocations: %v, want a segfault", err)
+		}
+		fail = false
+		if _, _, err := k.Wait(p); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	var buf bytes.Buffer
+	if err := kernel.WriteChromeTrace(&buf, rec.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, `"name":"fault:error","cat":"fault","ph":"X"`) {
+		t.Errorf("no fault:error span in the export:\n%s", out)
+	}
+	if strings.Contains(out, `"name":"fault","cat":"flight"`) {
+		t.Errorf("a fault was left a dangling instant:\n%s", out)
 	}
 }

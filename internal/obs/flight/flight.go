@@ -68,7 +68,10 @@ const (
 	// for an in-place CoA adoption).
 	KindFrameOwnerChange
 	// KindLockWait is a contended lock acquisition that stalled the
-	// caller. Args: wait (virtual ns), syscall number being entered.
+	// caller. Args: wait (virtual ns), syscall number being entered, the
+	// lock's site as its kernel lock rank (LockSites decodes rank/10:
+	// 0 the legacy big kernel lock, 10/20/30/40/50 uproc, proctable,
+	// fdtable, tmem and the residual global lock).
 	KindLockWait
 	// KindDispatch is a core grant that had to queue behind busy cores.
 	// Args: queueing delay (virtual ns).
@@ -87,6 +90,12 @@ const (
 	// phase's start on the parent's timeline. Args: phase (an index into
 	// ForkPhases), duration (virtual ns), units of work the phase covered.
 	KindForkPhase
+	// KindBlock is a sleep that parked the μprocess, stamped at its wake.
+	// Args: cause (an index into BlockCauses), blocked time (virtual ns).
+	KindBlock
+	// KindFaultError is a fault whose resolution failed, closing the
+	// window its KindFault opened. Args: vm.FaultKind, faulting VA.
+	KindFaultError
 	numKinds
 )
 
@@ -94,13 +103,23 @@ var kindNames = [numKinds]string{
 	"syscall", "sysret", "fork-start", "fork-done", "fault", "fault-done",
 	"frame-alloc", "frame-free", "ctx-switch", "proc-spawn", "proc-exit",
 	"mark", "frame-owner", "lock-wait", "dispatch",
-	"trace-start", "trace-edge", "trace-end", "fork-phase",
+	"trace-start", "trace-edge", "trace-end", "fork-phase", "block",
+	"fault-error",
 }
 
 // ForkPhases decodes KindForkPhase's phase argument, in the order a fork
 // runs them. The names match the profiler's fork:<phase> frames and the
 // fork.phase.* histograms.
 var ForkPhases = [...]string{"reserve", "ptecopy", "eagercopy", "scan", "reg", "fixup"}
+
+// LockSites decodes KindLockWait's site argument: the site of rank r is
+// LockSites[r/10]. The names match the lock:<site> labels of the causal
+// and profile planes.
+var LockSites = [...]string{"bkl", "uproc", "proctable", "fdtable", "tmem", "residual"}
+
+// BlockCauses decodes KindBlock's cause argument; the names match the
+// block:<cause> labels of the causal plane.
+var BlockCauses = [...]string{"pipe", "net", "child"}
 
 // ownerChangeModes decodes KindFrameOwnerChange's mode argument.
 var ownerChangeModes = [...]string{"?", "cow", "coa", "copa"}
@@ -109,6 +128,14 @@ var ownerChangeModes = [...]string{"?", "cow", "coa", "copa"}
 // causal.EdgeKind; flight cannot import causal without inverting the
 // dependency).
 var traceEdgeNames = [...]string{"fork", "pipe", "signal"}
+
+// decode names table[i], or "?" for an index outside it.
+func decode(table []string, i uint64) string {
+	if i < uint64(len(table)) {
+		return table[i]
+	}
+	return "?"
+}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -126,6 +153,12 @@ type Event struct {
 	Kind Kind
 	Args [3]uint64
 }
+
+// LockSite names a KindLockWait event's lock site.
+func (e Event) LockSite() string { return decode(LockSites[:], e.Args[2]/10) }
+
+// BlockCause names a KindBlock event's cause.
+func (e Event) BlockCause() string { return decode(BlockCauses[:], e.Args[0]) }
 
 // Format renders the event as one line of the text dump.
 func (e Event) Format() string {
@@ -155,31 +188,23 @@ func (e Event) Format() string {
 	case KindMark:
 		return fmt.Sprintf("%12d  pid=%-3d mark        a0=%d a1=%d a2=%d", e.TS, e.PID, e.Args[0], e.Args[1], e.Args[2])
 	case KindFrameOwnerChange:
-		mode := "?"
-		if e.Args[1] < uint64(len(ownerChangeModes)) {
-			mode = ownerChangeModes[e.Args[1]]
-		}
-		return fmt.Sprintf("%12d  pid=%-3d frame-owner pfn=%d mode=%s from=%d", e.TS, e.PID, e.Args[0], mode, e.Args[2])
+		return fmt.Sprintf("%12d  pid=%-3d frame-owner pfn=%d mode=%s from=%d", e.TS, e.PID, e.Args[0], decode(ownerChangeModes[:], e.Args[1]), e.Args[2])
 	case KindLockWait:
-		return fmt.Sprintf("%12d  pid=%-3d lock-wait   wait=%dns no=%d", e.TS, e.PID, e.Args[0], e.Args[1])
+		return fmt.Sprintf("%12d  pid=%-3d lock-wait   wait=%dns no=%d site=%s", e.TS, e.PID, e.Args[0], e.Args[1], e.LockSite())
 	case KindDispatch:
 		return fmt.Sprintf("%12d  pid=%-3d dispatch    wait=%dns", e.TS, e.PID, e.Args[0])
 	case KindTraceStart:
 		return fmt.Sprintf("%12d  pid=%-3d trace-start id=%d", e.TS, e.PID, e.Args[0])
 	case KindTraceEdge:
-		edge := "?"
-		if e.Args[1] < uint64(len(traceEdgeNames)) {
-			edge = traceEdgeNames[e.Args[1]]
-		}
-		return fmt.Sprintf("%12d  pid=%-3d trace-edge  id=%d kind=%s peer=%d", e.TS, e.PID, e.Args[0], edge, e.Args[2])
+		return fmt.Sprintf("%12d  pid=%-3d trace-edge  id=%d kind=%s peer=%d", e.TS, e.PID, e.Args[0], decode(traceEdgeNames[:], e.Args[1]), e.Args[2])
 	case KindTraceEnd:
 		return fmt.Sprintf("%12d  pid=%-3d trace-end   id=%d lat=%dns", e.TS, e.PID, e.Args[0], e.Args[1])
 	case KindForkPhase:
-		phase := "?"
-		if e.Args[0] < uint64(len(ForkPhases)) {
-			phase = ForkPhases[e.Args[0]]
-		}
-		return fmt.Sprintf("%12d  pid=%-3d fork-phase  %s dur=%dns n=%d", e.TS, e.PID, phase, e.Args[1], e.Args[2])
+		return fmt.Sprintf("%12d  pid=%-3d fork-phase  %s dur=%dns n=%d", e.TS, e.PID, decode(ForkPhases[:], e.Args[0]), e.Args[1], e.Args[2])
+	case KindBlock:
+		return fmt.Sprintf("%12d  pid=%-3d block       cause=%s blocked=%dns", e.TS, e.PID, e.BlockCause(), e.Args[1])
+	case KindFaultError:
+		return fmt.Sprintf("%12d  pid=%-3d fault-error kind=%d va=%#x", e.TS, e.PID, e.Args[0], e.Args[1])
 	default:
 		return fmt.Sprintf("%12d  pid=%-3d %v a0=%d a1=%d a2=%d", e.TS, e.PID, e.Kind, e.Args[0], e.Args[1], e.Args[2])
 	}

@@ -564,6 +564,9 @@ func (l *VLock) Init(name string, rank, seq int) {
 // Name returns the lock's Init name ("" for a legacy zero-value lock).
 func (l *VLock) Name() string { return l.name }
 
+// Rank returns the lock's ordering rank (0 for a legacy zero-value lock).
+func (l *VLock) Rank() int { return l.rank }
+
 // Holder returns the task currently inside a strict lock's critical
 // section, or nil. Always nil for legacy locks. Simulation goroutine only.
 func (l *VLock) Holder() *Task { return l.holder }

@@ -256,16 +256,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 	return out
 }
 
-// Reset zeroes every counter.
-func (s *Stats) Reset() {
-	for i := range s.faults {
-		s.faults[i].Reset()
-	}
-	s.PagesCopied.Reset()
-	s.PagesAdopted.Reset()
-	s.CapsRelocated.Reset()
-}
-
 // NewAddressSpace creates an empty address space over physical memory mem.
 func NewAddressSpace(mem *tmem.Memory) *AddressSpace {
 	return &AddressSpace{
