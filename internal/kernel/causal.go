@@ -12,10 +12,10 @@ import (
 // segments of lock waits, sleeps and fault windows are flushed by
 // Proc.emit's armed path (read), which labels them from the attribution
 // context. Nothing here ever advances a virtual clock, so arming the
-// plane leaves timelines byte-identical. The plane
-// is not reset per kernel: trace IDs are plane-global and exemplar groups
-// deliberately accumulate across the many kernels a bench sweep boots, so
-// /traces shows the whole run.
+// plane leaves timelines byte-identical. The plane is not reset per
+// kernel: trace IDs are plane-global and exemplar groups deliberately
+// accumulate across the many kernels a bench sweep boots, so /traces
+// shows the whole run.
 
 // causalSpan returns p's live causal span, lazily clearing one whose
 // trace already finished (an adopted span goes stale the moment its

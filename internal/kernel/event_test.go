@@ -3,8 +3,10 @@ package kernel
 import (
 	"testing"
 
+	"ufork/internal/model"
 	"ufork/internal/obs"
 	"ufork/internal/obs/flight"
+	"ufork/internal/sim"
 	"ufork/internal/vm"
 )
 
@@ -82,6 +84,26 @@ func TestArmedMetricsEmitAllocatesNothing(t *testing.T) {
 	for _, name := range []string{"syscall.sys-unknown", "vm.fault.fault(99)"} {
 		if n := k.Metrics.Counter(name).Value(); n != 1 {
 			t.Errorf("%s counted %d events, want 1", name, n)
+		}
+	}
+}
+
+// TestLockSitesMatchRanks: each kernel lock's rank decodes, through
+// flight.LockSites, to the lock's own name (the legacy BKL, rank 0, to
+// "bkl"), so a lock-wait event's site and its lock:<site> label name the
+// lock that was contended.
+func TestLockSitesMatchRanks(t *testing.T) {
+	k := New(Config{Machine: model.UForkSMP(2), Frames: 64})
+	p := &Proc{PID: 1}
+	k.initProcLocks(p)
+	for _, l := range []*sim.VLock{&k.locks.global, &k.locks.shards[0], &k.locks.tmem, &p.lk, &p.fdlk, {}} {
+		name := l.Name()
+		if name == "" {
+			name = "bkl"
+		}
+		e := flight.Event{Kind: flight.KindLockWait, Args: [3]uint64{1, 0, uint64(l.Rank())}}
+		if got := e.LockSite(); got != name || lockLabels[l.Rank()/10] != "lock:"+name {
+			t.Errorf("lock %q of rank %d decodes to site %q, label %q", name, l.Rank(), got, lockLabels[l.Rank()/10])
 		}
 	}
 }
