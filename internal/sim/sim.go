@@ -2,11 +2,13 @@
 //
 // Every μprocess (and every baseline process) runs as a Task: a goroutine
 // whose progress is measured on a virtual clock in nanoseconds. Exactly one
-// task executes at any real-time instant — the engine hands control back
-// and forth over channels — so simulations are fully deterministic, yet
-// tasks overlap in *virtual* time across a configurable number of CPU
-// cores, which is how the multi-core throughput experiments (Figures 6 and
-// 7) are reproduced.
+// task executes at any real-time instant, so simulations are fully
+// deterministic, yet tasks overlap in *virtual* time across a configurable
+// number of CPU cores, which is how the multi-core throughput experiments
+// (Figures 6 and 7) are reproduced. Run hands control to a task over its
+// resume channel and the task hands it back when it syncs, parks or ends;
+// a task that syncs while no other task is runnable keeps control instead,
+// because Run would hand it straight back.
 //
 // The model:
 //
@@ -15,8 +17,9 @@
 //     different task — this is where multi-address-space TLB flush costs
 //     surface);
 //   - Task.Sync() is a causality point: the engine always resumes the
-//     runnable task with the smallest clock, so cross-task interactions
-//     (pipes, wait/exit, locks) observe a consistent global order;
+//     runnable task with the smallest (clock, id), so cross-task
+//     interactions (pipes, wait/exit, locks) observe a consistent global
+//     order; a task alone on the engine returns from Sync at once;
 //   - Task.Park()/Task.Unpark() implement blocking: a parked task resumes
 //     no earlier than the waker's clock at wake time.
 package sim
@@ -149,6 +152,10 @@ type Engine struct {
 	running  *Task
 	started  bool
 	finished bool
+
+	// resumes counts the channel handoffs Run makes to a task; tests
+	// read it to see which Syncs went through the scheduler.
+	resumes int
 
 	// sched, when armed via ArmSched, collects run-queue depth, dispatch
 	// latency, and per-core utilization. Nil in production runs: every
@@ -288,6 +295,7 @@ func (e *Engine) Run() {
 		}
 		t.st = stateRunning
 		e.running = t
+		e.resumes++
 		t.resume <- struct{}{}
 		<-e.toSched
 		e.running = nil
@@ -335,10 +343,24 @@ func (t *Task) AdvanceTo(abs Time) {
 }
 
 // Sync is a causality point: the task re-enters the scheduler so that any
-// other runnable task with a smaller clock executes first. Kernel entry
-// points call this before touching shared state.
+// other runnable task ahead of it on (clock, id) executes first. Kernel
+// entry points call this before touching shared state.
+//
+// When the run queue is empty the task is alone on the engine and Sync
+// returns at once, without a handoff through Run. That is exact: every
+// other task is parked or done, and only the running task can make one
+// runnable (Go, Unpark), so Run would pop this task straight back. The
+// schedule, every clock and every delay bucket are those of the round
+// trip, and an armed SchedStats records the run-queue depth 0 that Run's
+// pop would have.
 func (t *Task) Sync() {
 	t.check()
+	if t.eng.runq.Len() == 0 {
+		if s := t.eng.sched; s != nil {
+			s.RunqDepth.Observe(0)
+		}
+		return
+	}
 	t.st = stateRunnable
 	heap.Push(&t.eng.runq, t)
 	t.eng.toSched <- t
