@@ -285,7 +285,7 @@ func RenderContention(rows []ContentionRow) string {
 // finished sweep: the split-lock httpd fleet at 4 cores must clear twice
 // its 1-core throughput, and no split-lock row at 4+ cores may spend more
 // than 40% of its wait on the residual lock (the BKL rows sit near 100%).
-// Used by CI's scaling-smoke job via ufork-bench -check-scaling.
+// ufork-bench -check-scaling exits non-zero when it fails.
 func CheckContentionScaling(rows []ContentionRow) error {
 	var base1, base4 float64
 	for _, r := range rows {

@@ -34,13 +34,16 @@ func must[T any](t *testing.T, sweep func() (T, error)) T {
 }
 
 // TestGoldenFigures pins the stdout of `ufork-bench -exp fig3`, `fig7`,
-// `fig8` and `fig9`, concatenated; CI diffs the command's own output
-// against the same file.
+// `fig8`, `fig9`, `forkserver` and `footprint`, concatenated; CI diffs
+// the command's own output against the same file.
 func TestGoldenFigures(t *testing.T) {
 	t.Parallel()
 	redis := must(t, redisQuick)
+	forkServer := must(t, func() ([]ForkServerRow, error) { return ForkServerSweep(Env{}, ForkServerInputsQuick) })
+	footprint := must(t, func() ([]FootprintRow, error) { return Footprint(Env{}) })
 	goldenCompare(t, strings.Join([]string{RenderRedis(redis), RenderAblation(redis), RenderNginx(must(t, nginxQuick)),
-		RenderHello(must(t, helloQuick)), RenderUnixbench(must(t, unixQuick))}, "\n"), "golden_figures.txt")
+		RenderHello(must(t, helloQuick)), RenderUnixbench(must(t, unixQuick)),
+		RenderForkServer(forkServer), RenderFootprint(footprint)}, "\n"), "golden_figures.txt")
 }
 
 // TestGoldenFig6 pins Fig. 6 at the ledger's 40 ms window.

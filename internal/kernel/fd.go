@@ -46,6 +46,16 @@ func (t *FDTable) Install(of *OpenFile) int {
 	return len(t.slots) - 1
 }
 
+// installAt places of at exactly the given slot, growing the table as
+// needed. The slot must be free.
+func (t *FDTable) installAt(of *OpenFile, fd int) {
+	for len(t.slots) <= fd {
+		t.slots = append(t.slots, nil)
+	}
+	of.refs++
+	t.slots[fd] = of
+}
+
 // Get returns the open file for fd.
 func (t *FDTable) Get(fd int) (*OpenFile, error) {
 	if fd < 0 || fd >= len(t.slots) || t.slots[fd] == nil {

@@ -17,11 +17,11 @@ const (
 func (k *Kernel) Dup(p *Proc, fd int) (int, error) {
 	k.enter(p, SysDup, 0)
 	defer k.leave(p)
-	of, err := p.FDs.Get(fd)
+	of, err := k.fdGet(p, fd)
 	if err != nil {
 		return -1, err
 	}
-	return p.FDs.Install(of), nil
+	return k.fdInstall(p, of), nil
 }
 
 // Dup2 duplicates oldfd onto newfd, closing whatever newfd held. Used by
@@ -29,7 +29,7 @@ func (k *Kernel) Dup(p *Proc, fd int) (int, error) {
 func (k *Kernel) Dup2(p *Proc, oldfd, newfd int) (int, error) {
 	k.enter(p, SysDup2, 0)
 	defer k.leave(p)
-	of, err := p.FDs.Get(oldfd)
+	of, err := k.fdGet(p, oldfd)
 	if err != nil {
 		return -1, err
 	}
@@ -40,30 +40,20 @@ func (k *Kernel) Dup2(p *Proc, oldfd, newfd int) (int, error) {
 		return -1, fmt.Errorf("%w: %d", ErrBadFD, newfd)
 	}
 	// Close the target slot if occupied, then install at exactly newfd.
-	if existing, err := p.FDs.Get(newfd); err == nil && existing != nil {
-		if err := p.FDs.Close(k, p, newfd); err != nil {
+	if _, err := k.fdGet(p, newfd); err == nil {
+		if err := k.fdClose(p, newfd); err != nil {
 			return -1, err
 		}
 	}
-	p.FDs.installAt(of, newfd)
+	k.fdInstallAt(p, of, newfd)
 	return newfd, nil
-}
-
-// installAt places of at exactly the given slot, growing the table as
-// needed. The slot must be free.
-func (t *FDTable) installAt(of *OpenFile, fd int) {
-	for len(t.slots) <= fd {
-		t.slots = append(t.slots, nil)
-	}
-	of.refs++
-	t.slots[fd] = of
 }
 
 // Lseek repositions a regular file's offset.
 func (k *Kernel) Lseek(p *Proc, fd int, offset int64, whence int) (uint64, error) {
 	k.enter(p, SysLseek, 0)
 	defer k.leave(p)
-	of, err := p.FDs.Get(fd)
+	of, err := k.fdGet(p, fd)
 	if err != nil {
 		return 0, err
 	}

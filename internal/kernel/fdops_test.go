@@ -4,7 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"ufork/internal/core"
 	"ufork/internal/kernel"
+	"ufork/internal/model"
+	"ufork/internal/sim"
 )
 
 func TestDupSharesOffset(t *testing.T) {
@@ -257,5 +260,66 @@ func TestWriteInsideFile(t *testing.T) {
 	ino, _ := k.VFS().Lookup("/w")
 	if string(ino.Data) != "012XY56789" || size != 10 {
 		t.Fatalf("file = %q, stat %d; want %q, 10", ino.Data, size, "012XY56789")
+	}
+}
+
+// TestDupMetersFDTable: Dup, Dup2 and Lseek reach the descriptor table
+// through the fdtable-lock brackets like every other syscall. On the
+// split-lock machine each takes the lock (a Dup twice: lookup, install);
+// on a BKL machine the fdtable shadow meter counts only fork fixups, so
+// none of them moves it.
+func TestDupMetersFDTable(t *testing.T) {
+	for _, smp := range []bool{true, false} {
+		m := model.UFork(1)
+		if smp {
+			m = model.UForkSMP(1)
+		}
+		k := kernel.New(kernel.Config{
+			Machine:   m,
+			Engine:    core.New(core.CopyOnPointerAccess),
+			Isolation: kernel.IsolationFault,
+			Frames:    1 << 12,
+			Planes:    kernel.Planes{Locks: sim.NewLockTable()},
+		})
+		fdtable := func() uint64 {
+			for _, s := range k.Lockstat() {
+				if s.Name == "fdtable" {
+					return s.Acquisitions
+				}
+			}
+			return 0
+		}
+		got := map[string]uint64{}
+		if _, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
+			fd, err := k.Open(p, "/f", true)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, op := range []struct {
+				name string
+				call func() error
+			}{
+				{"dup", func() error { _, err := k.Dup(p, fd); return err }},
+				{"dup2", func() error { _, err := k.Dup2(p, fd, fd+1); return err }},
+				{"lseek", func() error { _, err := k.Lseek(p, fd, 0, kernel.SeekEnd); return err }},
+			} {
+				before := fdtable()
+				if err := op.call(); err != nil {
+					t.Errorf("%s: %v", op.name, err)
+					return
+				}
+				got[op.name] = fdtable() - before
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+		if smp && (got["dup"] != 2 || got["dup2"] == 0 || got["lseek"] != 1) {
+			t.Errorf("split-lock fdtable acquisitions per call = %v, want dup 2, dup2 > 0, lseek 1", got)
+		}
+		if !smp && (got["dup"] != 0 || got["dup2"] != 0 || got["lseek"] != 0) {
+			t.Errorf("BKL fdtable shadow meter moved: %v", got)
+		}
 	}
 }

@@ -97,7 +97,7 @@ func TestProfileExactSumVsSched(t *testing.T) {
 }
 
 // TestProfileStacks checks the synthetic stacks carry the attribution
-// frames the walkthroughs and the profile-smoke CI job grep for:
+// frames the walkthroughs and the served-plane tests look for:
 // fork-phase latency, syscall compute, fault-service copy modes, and
 // (under the contended BKL) lock-wait sites.
 func TestProfileStacks(t *testing.T) {

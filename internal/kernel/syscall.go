@@ -333,10 +333,11 @@ func (k *Kernel) Wait(p *Proc) (PID, int, error) {
 	}
 }
 
-// fdGet, fdInstall and fdClose are the descriptor-table access paths for
-// syscalls: on fine-grained machines they bracket the owning process's
-// FD-table lock (rank fdtable, above the μprocess lock enter already
-// holds); on BKL machines they are plain table operations under the BKL.
+// fdGet, fdInstall, fdInstallAt and fdClose are the descriptor-table
+// access paths for syscalls: on fine-grained machines they bracket the
+// owning process's FD-table lock (rank fdtable, above the μprocess lock
+// enter already holds); on BKL machines they are plain table operations
+// under the BKL.
 // The brackets are narrow — lookup or slot assignment only — so the
 // "fdtable" lockstat row measures real table serialization, not I/O.
 func (k *Kernel) fdGet(p *Proc, fd int) (*OpenFile, error) {
@@ -357,6 +358,17 @@ func (k *Kernel) fdInstall(p *Proc, of *OpenFile) int {
 	fd := p.FDs.Install(of)
 	p.fdlk.Unlock(p.Task)
 	return fd
+}
+
+// fdInstallAt installs of at exactly fd, which must be free (dup2).
+func (k *Kernel) fdInstallAt(p *Proc, of *OpenFile, fd int) {
+	if !k.Machine.FineGrainedLocks {
+		p.FDs.installAt(of, fd)
+		return
+	}
+	k.lockWait(p, &p.fdlk)
+	p.FDs.installAt(of, fd)
+	p.fdlk.Unlock(p.Task)
 }
 
 func (k *Kernel) fdClose(p *Proc, fd int) error {
@@ -409,11 +421,6 @@ func (k *Kernel) Write(p *Proc, fd int, buf []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if rf, ok := of.File.(*regularFile); ok {
-		n := rf.writeAt(k, p, of.Offset, buf)
-		of.Offset += uint64(n)
-		return n, nil
-	}
 	return of.File.Write(k, p, buf)
 }
 
@@ -427,11 +434,6 @@ func (k *Kernel) Read(p *Proc, fd int, buf []byte) (int, error) {
 	of, err := k.fdGet(p, fd)
 	if err != nil {
 		return 0, err
-	}
-	if rf, ok := of.File.(*regularFile); ok {
-		n := rf.readAt(k, p, of.Offset, buf)
-		of.Offset += uint64(n)
-		return n, nil
 	}
 	return of.File.Read(k, p, buf)
 }

@@ -150,40 +150,22 @@ func (v *VFS) open(ino *Inode) *OpenFile {
 	return &of.OpenFile
 }
 
-// Read copies from the inode at the description's offset. The per-byte
-// ram-disk cost is charged to the caller.
+// Read copies from the inode at its description's offset and advances
+// the offset. The per-byte ram-disk cost is charged to the caller.
 func (f *regularFile) Read(k *Kernel, p *Proc, buf []byte) (int, error) {
-	return 0, fmt.Errorf("kernel: regularFile.Read must go through OpenFile")
-}
-
-func (f *regularFile) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
-	return 0, fmt.Errorf("kernel: regularFile.Write must go through OpenFile")
-}
-
-// Close runs when an open file description's last descriptor is closed:
-// it folds the file's pending appends into Data. No descriptor reaches
-// the description any more, so it goes back to the kernel's VFS for the
-// next open.
-func (f *regularFile) Close(k *Kernel, _ *Proc) error {
 	f.ino.fold()
-	f.ino, f.of.Offset = nil, 0
-	k.vfs.free = append(k.vfs.free, f.of)
-	return nil
-}
-
-// readAt / writeAt implement offset-aware I/O; the syscall layer resolves
-// the OpenFile offset.
-func (f *regularFile) readAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
-	f.ino.fold()
+	off := f.of.Offset
 	if off >= uint64(len(f.ino.Data)) {
-		return 0
+		return 0, nil
 	}
 	n := copy(buf, f.ino.Data[off:])
+	f.of.Offset += uint64(n)
 	p.Task.Book(sim.Time(n) * k.Machine.FSReadNsPerKB / 1024)
-	return n
+	return n, nil
 }
 
-// writeAt leaves written bytes where they land. Once a file is longer
+// Write writes at its description's offset and advances the offset,
+// leaving written bytes where they land. Once a file is longer
 // than one extent, an append past cap(Data) goes into extents, which fold
 // into Data once: the first 16.9 MB dump written to a path allocates its
 // bytes about twice (extents, then Data with its headroom), where regrowing
@@ -191,10 +173,10 @@ func (f *regularFile) readAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
 // Any other write folds first and works on Data in place, growing it
 // through slices.Grow.
 // Truncation keeps the backing array, so any hole between the old end and
-// off is zeroed: otherwise it would expose the bytes from before the
+// the offset is zeroed: otherwise it would expose the bytes from before the
 // truncate. The virtual-time charge depends on the length alone.
-func (f *regularFile) writeAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
-	ino := f.ino
+func (f *regularFile) Write(k *Kernel, p *Proc, buf []byte) (int, error) {
+	ino, off := f.ino, f.of.Offset
 	if ino.appendsToExtents(off, len(buf)) {
 		ino.appendExtents(buf)
 	} else {
@@ -210,6 +192,18 @@ func (f *regularFile) writeAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
 		}
 		copy(data[off:], buf)
 	}
+	f.of.Offset += uint64(len(buf))
 	p.Task.Book(sim.Time(len(buf)) * k.Machine.FSWriteNsPerKB / 1024)
-	return len(buf)
+	return len(buf), nil
+}
+
+// Close runs when an open file description's last descriptor is closed:
+// it folds the file's pending appends into Data. No descriptor reaches
+// the description any more, so it goes back to the kernel's VFS for the
+// next open.
+func (f *regularFile) Close(k *Kernel, _ *Proc) error {
+	f.ino.fold()
+	f.ino, f.of.Offset = nil, 0
+	k.vfs.free = append(k.vfs.free, f.of)
+	return nil
 }

@@ -295,8 +295,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthz is the /healthz document: which observability planes are
-// armed and whether a kernel is tracked. CI smoke jobs poll it instead
-// of sleeping a fixed interval before the first scrape.
+// armed and whether a kernel is tracked. A client polls it instead of
+// sleeping a fixed interval before its first scrape.
 type healthz struct {
 	Tracked bool            `json:"tracked"`
 	Planes  map[string]bool `json:"planes"`

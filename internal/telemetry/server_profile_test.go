@@ -142,7 +142,7 @@ func TestProfileEndpointLive(t *testing.T) {
 }
 
 // TestHealthzEndpoint: the document flips as planes arm and a kernel is
-// tracked — the poll loop CI smoke jobs gate their first scrape on.
+// tracked.
 func TestHealthzEndpoint(t *testing.T) {
 	s := testServer()
 	parse := func() healthz {
