@@ -99,14 +99,16 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 	// (the allocator and page table are shared state, and frame-number
 	// assignment must stay deterministic); the page copies and relocation
 	// scans — the actual byte work — are queued and fanned out across the
-	// worker pool below. CopyFull queues the whole image, so its queue is
-	// sized up front; page descriptors come from a slab rather than one
-	// heap object per page.
-	var eager []eagerCopy
-	if e.Mode == CopyFull {
-		eager = make([]eagerCopy, 0, parent.Region.Size/vm.PageSize)
+	// worker pool below. The queue and the slab the page descriptors come
+	// from are sized up front to the pages of the eagerly copied segments.
+	nEager := 0
+	for s, n := range parent.Layout.Pages {
+		if e.Mode == CopyFull || e.proactive(kernel.Segment(s)) {
+			nEager += n
+		}
 	}
-	var slab pageSlab
+	eager := make([]eagerCopy, 0, nEager)
+	slab := vm.NewPageSlab(nEager)
 	// The walk visits pages in ascending order, so the current segment
 	// covers a long run of consecutive pages; cache it and only consult
 	// SegmentOf when the offset leaves its bounds.
@@ -131,15 +133,7 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 		}
 		childVPN := vm.VPNOf(child.Region.Base + off)
 		natural := seg.NaturalProt()
-		proactive := seg == kernel.SegGOT || seg == kernel.SegAllocMeta
-		if e.Mode == CopyOnAccess && seg == kernel.SegStack {
-			// Under CoA every child access faults — including the stack
-			// accesses of the return-from-fork path itself. Copying the
-			// stack eagerly is what lets the child resume at all, and is
-			// why CoA forks are slightly slower than CoPA forks (Fig. 4:
-			// 283 µs vs 260 µs at 100 MB).
-			proactive = true
-		}
+		proactive := e.proactive(seg)
 
 		stats.PTEsCopied++
 		stats.Latency += m.PTECopy
@@ -151,7 +145,7 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 				copyErr = err
 				return
 			}
-			if err := child.AS.Map(childVPN, slab.page(pfn), natural); err != nil {
+			if err := child.AS.Map(childVPN, slab.Page(pfn), natural); err != nil {
 				// The frame was allocated but never mapped: free it here or
 				// nothing ever will (the abort path only walks the page table).
 				_ = k.Mem.FreeFrame(pfn)
@@ -245,22 +239,15 @@ type eagerCopy struct {
 	err      error
 }
 
-// pageSlab hands out page descriptors in blocks of 256: a CopyFull fork
-// maps tens of thousands of fresh pages and one heap object per descriptor
-// was a measurable share of fork wall-clock. Descriptors stay reachable
-// through the page table; a block is collected when its last page dies.
-type pageSlab struct {
-	block []vm.Page
-}
-
-func (s *pageSlab) page(pfn tmemPFN) *vm.Page {
-	if len(s.block) == 0 {
-		s.block = make([]vm.Page, 256)
-	}
-	p := &s.block[0]
-	s.block = s.block[1:]
-	p.PFN = pfn
-	return p
+// proactive reports whether fork copies and relocates seg's pages at once
+// in every copy mode: the GOT and allocator metadata (§3.5, §3.7), and
+// under CoA the stack. Under CoA every child access faults, including the
+// stack accesses of the return-from-fork path itself; copying the stack
+// eagerly is what lets the child resume at all, and is why CoA forks are
+// slightly slower than CoPA forks (Fig. 4: 283 µs vs 260 µs at 100 MB).
+func (e *Engine) proactive(seg kernel.Segment) bool {
+	return seg == kernel.SegGOT || seg == kernel.SegAllocMeta ||
+		e.Mode == CopyOnAccess && seg == kernel.SegStack
 }
 
 // relocatePage performs the 16-byte-stride tag scan over one frame and

@@ -726,8 +726,9 @@ func (k *Kernel) ReserveRegion(size uint64, name string) Region {
 // hierarchy is split.
 func (k *Kernel) BKLContended() uint64 { return k.locks.global.Contended() }
 
-// Run drives the simulation to completion, then passes the frames the
-// kernel freed on to the kernels booted after it (tmem.Memory.Release).
+// Run drives the simulation to completion, then passes the data storage
+// of the frames the kernel freed on to the kernels booted after it
+// (tmem.Memory.Release).
 func (k *Kernel) Run() {
 	k.Eng.Run()
 	k.Mem.Release()

@@ -203,15 +203,12 @@ func (k *Kernel) load(spec ProgramSpec) (*Proc, error) {
 		if s == SegHeap && k.Machine.DemandPagedHeap {
 			continue
 		}
-		base := layout.SegBase(region.Base, s)
-		for i := 0; i < layout.Pages[s]; i++ {
-			va := base + uint64(i)*PageSize
-			if _, err := as.MapNew(vm.VPNOf(va), s.NaturalProt()); err != nil {
-				k.memPhase = phase0
-				return nil, fmt.Errorf("kernel: load %s %v page %d: %w", spec.Name, s, i, err)
-			}
-			imagePages++
+		n, err := as.MapNewRange(vm.VPNOf(layout.SegBase(region.Base, s)), layout.Pages[s], s.NaturalProt())
+		if err != nil {
+			k.memPhase = phase0
+			return nil, fmt.Errorf("kernel: load %s %v page %d: %w", spec.Name, s, n, err)
 		}
+		imagePages += n
 	}
 	k.memPhase = phase0
 	p.Acct.chargeFrames(int64(imagePages))

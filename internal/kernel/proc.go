@@ -290,30 +290,57 @@ func (p *Proc) rw(c cap.Capability, off uint64, buf []byte, acc vm.Access) error
 	return nil
 }
 
+// access checks c for an n-byte access acc at off from its cursor and
+// translates it: the one check-and-translate of the word-granular
+// accesses, with the error values and messages of rw's.
+func (p *Proc) access(c cap.Capability, off, n uint64, acc vm.Access) (tmem.PFN, uint64, error) {
+	va := c.Addr() + off
+	if err := p.checkCap(c, va, n, acc); err != nil {
+		return tmem.NoFrame, 0, err
+	}
+	return p.translate(va, acc)
+}
+
+// straddles reports whether the 8-byte word at off from c's cursor
+// crosses a page boundary: such a word goes through rw's page loop.
+func straddles(c cap.Capability, off uint64) bool {
+	return vm.PageOff(c.Addr()+off) > PageSize-8
+}
+
 // LoadU64 reads a 64-bit little-endian value.
 func (p *Proc) LoadU64(c cap.Capability, off uint64) (uint64, error) {
-	var b [8]byte
-	if err := p.Load(c, off, b[:]); err != nil {
+	if straddles(c, off) {
+		var b [8]byte
+		if err := p.Load(c, off, b[:]); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
+	}
+	pfn, poff, err := p.access(c, off, 8, vm.AccRead)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return p.k.Mem.ReadU64(pfn, poff)
 }
 
 // StoreU64 writes a 64-bit little-endian value.
 func (p *Proc) StoreU64(c cap.Capability, off uint64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return p.Store(c, off, b[:])
+	if straddles(c, off) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return p.Store(c, off, b[:])
+	}
+	pfn, poff, err := p.access(c, off, 8, vm.AccWrite)
+	if err != nil {
+		return err
+	}
+	return p.k.Mem.WriteU64(pfn, poff, v)
 }
 
 // LoadCap loads a capability through c at offset off. On CoPA pages this
 // is the access that triggers the copy-and-relocate fault (§3.8).
 func (p *Proc) LoadCap(c cap.Capability, off uint64) (cap.Capability, error) {
-	va := c.Addr() + off
-	if err := p.checkCap(c, va, cap.GranuleSize, vm.AccCapRead); err != nil {
-		return cap.Null(), err
-	}
-	pfn, poff, err := p.translate(va, vm.AccCapRead)
+	pfn, poff, err := p.access(c, off, cap.GranuleSize, vm.AccCapRead)
 	if err != nil {
 		return cap.Null(), err
 	}
@@ -322,11 +349,7 @@ func (p *Proc) LoadCap(c cap.Capability, off uint64) (cap.Capability, error) {
 
 // StoreCap stores capability v through c at offset off.
 func (p *Proc) StoreCap(c cap.Capability, off uint64, v cap.Capability) error {
-	va := c.Addr() + off
-	if err := p.checkCap(c, va, cap.GranuleSize, vm.AccCapWrite); err != nil {
-		return err
-	}
-	pfn, poff, err := p.translate(va, vm.AccCapWrite)
+	pfn, poff, err := p.access(c, off, cap.GranuleSize, vm.AccCapWrite)
 	if err != nil {
 		return err
 	}

@@ -78,9 +78,11 @@ func (m *Memory) FreeFrames() int {
 // ForEachAllocated calls fn with every currently allocated PFN in
 // ascending order.
 func (m *Memory) ForEachAllocated(fn func(pfn PFN)) {
-	for i, f := range m.frames {
-		if f != nil {
-			fn(PFN(i))
+	for ci, c := range m.chunks {
+		for i := range c {
+			if c[i].live {
+				fn(PFN(ci<<chunkBits | i))
+			}
 		}
 	}
 }

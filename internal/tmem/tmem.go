@@ -66,9 +66,10 @@ var (
 // pointer see its address, as on real hardware) followed by a descriptive
 // pattern. Clearing the tag leaves the bytes behind but revokes authority.
 type Frame struct {
-	// Data is allocated on the frame's first write: a frame never written
+	// Data is attached on the frame's first write: a frame never written
 	// reads as zeros, so mapping a large static heap costs no host memory
-	// for the pages nobody touches. A pooled frame keeps its storage.
+	// for the pages nobody touches. A freed frame keeps its storage for
+	// the next tenant of its PFN until the bank is released.
 	Data *[PageSize]byte
 	// tags is the packed tag plane: bit g%64 of word g/64 is the validity
 	// tag of granule g.
@@ -82,6 +83,8 @@ type Frame struct {
 	// from planePool with its previous frame's entries; they are
 	// unobservable, because every read is gated on the tag bit.
 	caps *plane
+	// live is set while the frame is allocated.
+	live bool
 }
 
 // plane is one frame's capability plane: the authoritative value of each
@@ -105,13 +108,25 @@ func (f *Frame) setTag(g uint64, v bool) {
 	}
 }
 
-// data returns the frame's bytes for writing, allocating them on first
-// use.
+// data returns the frame's bytes for writing, attaching zeroed storage on
+// first use.
 func (f *Frame) data() *[PageSize]byte {
 	if f.Data == nil {
-		f.Data = new([PageSize]byte)
+		f.Data = takeData(true)
 	}
 	return f.Data
+}
+
+// takeData returns data storage from dataPool, cleared when zero is set,
+// or else a new zeroed array.
+func takeData(zero bool) *[PageSize]byte {
+	if d, ok := dataPool.Get().(*[PageSize]byte); ok {
+		if zero {
+			clear(d[:])
+		}
+		return d
+	}
+	return new([PageSize]byte)
 }
 
 // word reads the little-endian uint64 at off; unwritten bytes read zero.
@@ -133,12 +148,13 @@ func (f *Frame) reset() {
 	f.ntags = 0
 }
 
-// framePool passes freed Frames from finished banks (Release) to the
-// banks booted after them: a sweep boots hundreds of kernels, and each
-// would otherwise allocate its frames afresh. Pooled frames carry neither
-// data nor a capability plane, and are reset on reuse, so nothing a kernel
-// can observe crosses banks.
-var framePool sync.Pool
+// dataPool holds the data storage of frames freed by finished banks
+// (Release), for the first write to a frame of any bank booted after
+// them: a sweep boots hundreds of kernels, and each would otherwise
+// allocate its frames' bytes afresh. Pooled arrays hold their previous
+// frame's bytes; takeData clears them unless the caller overwrites the
+// whole array.
+var dataPool sync.Pool
 
 // planePool holds the capability planes detached from freed or zeroed
 // frames, for the next frame of any bank that stores a capability. A
@@ -148,23 +164,22 @@ var framePool sync.Pool
 var planePool sync.Pool
 
 // Memory is a bank of tagged physical frames with a free-list allocator.
-// Freed Frames are pooled and reset on reuse rather than handed to the
-// garbage collector: fork-heavy workloads recycle tens of thousands of
-// frames per fork and the allocation churn dominated host wall-clock time.
+// Frames are held by value in fixed chunks, and a freed frame keeps its
+// data storage for the next tenant of its PFN: fork-heavy workloads
+// recycle tens of thousands of frames per fork, and allocating each afresh
+// dominated host wall-clock time.
 type Memory struct {
-	// frames is indexed by PFN. It grows as frames are first handed out,
-	// so a bank costs host memory in proportion to the frames it has
-	// used, not to its size: len(frames) == fresh.
-	frames  []*Frame
+	// chunks holds the frames, frame pfn at chunks[pfn>>chunkBits]
+	// [pfn&chunkMask]. A chunk is allocated when its first PFN is handed
+	// out, so a bank costs host memory in proportion to the frames it has
+	// used, not to its size.
+	chunks  []*chunk
 	nframes int
 	// freeList holds freed frames, the most recent on top. Frames
 	// [fresh, nframes) have never been handed out and sit logically
 	// below it, lowest first (see popFree).
-	freeList []PFN
-	fresh    PFN
-	// pool holds freed Frames, with their data storage but without
-	// their capability planes (see planePool), for reuse by this bank.
-	pool      []*Frame
+	freeList  []PFN
+	fresh     PFN
 	allocated int
 	peak      int
 	// totalOps counts byte-level read/write/copy volume. Atomic: frame
@@ -188,8 +203,21 @@ type Memory struct {
 	caches *frameCaches
 }
 
+// Frames are held in chunks of 512, like the page table's directories.
+const (
+	chunkBits = 9
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+type chunk [chunkSize]Frame
+
 // New creates a memory bank with the given number of physical frames.
 func New(nframes int) *Memory { return &Memory{nframes: nframes} }
+
+// slot returns frame pfn's storage, allocated or not. pfn must have been
+// handed out by popFree.
+func (m *Memory) slot(pfn PFN) *Frame { return &m.chunks[pfn>>chunkBits][pfn&chunkMask] }
 
 // NumFrames returns the total number of physical frames.
 func (m *Memory) NumFrames() int { return m.nframes }
@@ -212,7 +240,12 @@ func (m *Memory) popFree() (PFN, bool) {
 	}
 	pfn := m.fresh
 	m.fresh++
-	m.frames = append(m.frames, nil)
+	if pfn&chunkMask == 0 {
+		if m.chunks == nil {
+			m.chunks = make([]*chunk, 0, (m.nframes+chunkMask)>>chunkBits)
+		}
+		m.chunks = append(m.chunks, new(chunk))
+	}
 	return pfn, true
 }
 
@@ -226,9 +259,11 @@ func (m *Memory) PeakAllocated() int { return m.peak }
 // plane: each costs 10 KiB of host memory beside the frame's 4 KiB.
 func (m *Memory) CapPlanes() int {
 	n := 0
-	for _, f := range m.frames {
-		if f != nil && f.caps != nil {
-			n++
+	for _, c := range m.chunks {
+		for i := range c {
+			if c[i].live && c[i].caps != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -238,7 +273,7 @@ func (m *Memory) CapPlanes() int {
 func (m *Memory) AllocFrame() (PFN, error) { return m.alloc(true) }
 
 // AllocFrameForCopy allocates a frame whose data bytes are UNSPECIFIED (a
-// pooled frame keeps its previous contents); its tag plane is clear and it
+// recycled frame keeps its previous contents); its tag plane is clear and it
 // holds no capability plane. The caller must fully overwrite it with
 // CopyFrame before anything reads it. The fork eager-copy path uses this
 // to skip zeroing 4 KiB per page that the copy is about to overwrite
@@ -256,18 +291,14 @@ func (m *Memory) alloc(zero bool) (PFN, error) {
 		}
 		pfn, _ = m.popFree()
 	}
-	f, pooled := m.takePooled()
-	if pooled {
-		if zero {
-			f.reset()
-		} else {
-			f.tags = [TagWords]uint64{}
-			f.ntags = 0
-		}
-		m.frames[pfn] = f
+	f := m.slot(pfn)
+	if zero {
+		f.reset()
 	} else {
-		m.frames[pfn] = &Frame{}
+		f.tags = [TagWords]uint64{}
+		f.ntags = 0
 	}
+	f.live = true
 	m.allocated++
 	if m.allocated > m.peak {
 		m.peak = m.allocated
@@ -277,19 +308,6 @@ func (m *Memory) alloc(zero bool) (PFN, error) {
 		m.observer(true, pfn)
 	}
 	return pfn, nil
-}
-
-// takePooled returns a recycled Frame, from this bank's pool or else from
-// framePool, reporting false when there is none.
-func (m *Memory) takePooled() (*Frame, bool) {
-	if n := len(m.pool); n > 0 {
-		f := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		return f, true
-	}
-	f, ok := framePool.Get().(*Frame)
-	return f, ok
 }
 
 // takePlane returns a capability plane for a frame about to hold tags,
@@ -309,17 +327,19 @@ func detachPlane(f *Frame) {
 	}
 }
 
-// Release hands the bank's recycled frames to framePool for the banks
-// booted after it, dropping their data: a frame a bank has never written
-// holds no data storage. The bank stays usable. kernel.Run calls it once
-// every task has finished.
+// Release moves the data storage of the bank's free frames to dataPool,
+// for the banks booted after it: a frame a bank has never written holds
+// no storage. The bank stays usable. kernel.Run calls it once every task
+// has finished.
 func (m *Memory) Release() {
-	for i, f := range m.pool {
-		f.Data = nil
-		framePool.Put(f)
-		m.pool[i] = nil
+	for _, c := range m.chunks {
+		for i := range c {
+			if f := &c[i]; !f.live && f.Data != nil {
+				dataPool.Put(f.Data)
+				f.Data = nil
+			}
+		}
 	}
-	m.pool = m.pool[:0]
 }
 
 // SetFrameObserver installs fn as the alloc/free observer; nil removes it.
@@ -334,23 +354,22 @@ func (m *Memory) SetFrameObserver(fn func(alloc bool, pfn PFN)) { m.observer = f
 func (m *Memory) SetCopyObserver(fn func(dst, src PFN)) { m.copyObserver = fn }
 
 // FreeFrame returns a frame to the allocator. Freeing a frame that is not
-// currently allocated reports ErrFreeFree. The frame's data storage is
-// retained in the pool for the next allocation; its capability plane goes
-// to planePool, for the next frame that stores a capability.
+// currently allocated reports ErrFreeFree. The frame keeps its data
+// storage for the next tenant of its PFN; its capability plane goes to
+// planePool, for the next frame that stores a capability.
 func (m *Memory) FreeFrame(pfn PFN) error {
 	if pfn == NoFrame || int(pfn) >= m.nframes {
 		return fmt.Errorf("%w: pfn %d", ErrBadFrame, pfn)
 	}
-	if int(pfn) >= len(m.frames) || m.frames[pfn] == nil {
+	f, err := m.frame(pfn)
+	if err != nil {
 		return fmt.Errorf("%w: pfn %d", ErrFreeFree, pfn)
 	}
-	f := m.frames[pfn]
 	if m.hooks != nil && m.hooks.PoisonFreed {
 		poisonFrame(f)
 	}
-	m.frames[pfn] = nil
+	f.live = false
 	detachPlane(f)
-	m.pool = append(m.pool, f)
 	if !m.cacheFree(pfn) {
 		m.freeList = append(m.freeList, pfn)
 	}
@@ -363,10 +382,12 @@ func (m *Memory) FreeFrame(pfn PFN) error {
 }
 
 func (m *Memory) frame(pfn PFN) (*Frame, error) {
-	if pfn == NoFrame || int(pfn) >= len(m.frames) || m.frames[pfn] == nil {
-		return nil, fmt.Errorf("%w: pfn %d", ErrBadFrame, pfn)
+	if pfn < m.fresh {
+		if f := m.slot(pfn); f.live {
+			return f, nil
+		}
 	}
-	return m.frames[pfn], nil
+	return nil, fmt.Errorf("%w: pfn %d", ErrBadFrame, pfn)
 }
 
 // checkRange validates that [off, off+n) lies within one frame.
@@ -406,26 +427,62 @@ func (m *Memory) WriteBytes(pfn PFN, off uint64, buf []byte) error {
 		return err
 	}
 	copy(f.data()[off:], buf)
-	if f.ntags > 0 {
-		first := off / cap.GranuleSize
-		last := (off + uint64(len(buf)) - 1) / cap.GranuleSize
-		// Clear whole words at a time; the popcount of the cleared bits
-		// keeps the cached tag count exact.
-		for w := first / 64; w <= last/64; w++ {
-			mask := ^uint64(0)
-			if w == first/64 {
-				mask &= ^uint64(0) << (first % 64)
-			}
-			if w == last/64 && last%64 != 63 {
-				mask &= (uint64(1) << (last%64 + 1)) - 1
-			}
-			if cleared := f.tags[w] & mask; cleared != 0 {
-				f.tags[w] &^= mask
-				f.ntags -= int32(bits.OnesCount64(cleared))
-			}
+	f.clearTags(off, uint64(len(buf)))
+	m.totalOps.Add(uint64(len(buf)))
+	return nil
+}
+
+// clearTags clears the tags of every granule [off, off+n) touches.
+func (f *Frame) clearTags(off, n uint64) {
+	if f.ntags == 0 || n == 0 {
+		return
+	}
+	first := off / cap.GranuleSize
+	last := (off + n - 1) / cap.GranuleSize
+	// Clear whole words at a time; the popcount of the cleared bits keeps
+	// the cached tag count exact.
+	for w := first / 64; w <= last/64; w++ {
+		mask := ^uint64(0)
+		if w == first/64 {
+			mask &= ^uint64(0) << (first % 64)
+		}
+		if w == last/64 && last%64 != 63 {
+			mask &= (uint64(1) << (last%64 + 1)) - 1
+		}
+		if cleared := f.tags[w] & mask; cleared != 0 {
+			f.tags[w] &^= mask
+			f.ntags -= int32(bits.OnesCount64(cleared))
 		}
 	}
-	m.totalOps.Add(uint64(len(buf)))
+}
+
+// ReadU64 reads the little-endian uint64 at offset off of frame pfn: the
+// word-granular ReadBytes, with the same checks and byte accounting.
+func (m *Memory) ReadU64(pfn PFN, off uint64) (uint64, error) {
+	f, err := m.frame(pfn)
+	if err != nil {
+		return 0, err
+	}
+	if err := checkRange(off, 8); err != nil {
+		return 0, err
+	}
+	m.totalOps.Add(8)
+	return f.word(off), nil
+}
+
+// WriteU64 stores v little-endian at offset off of frame pfn, clearing the
+// tags of the granules the word touches: the word-granular WriteBytes.
+func (m *Memory) WriteU64(pfn PFN, off uint64, v uint64) error {
+	f, err := m.frame(pfn)
+	if err != nil {
+		return err
+	}
+	if err := checkRange(off, 8); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(f.data()[off:], v)
+	f.clearTags(off, 8)
+	m.totalOps.Add(8)
 	return nil
 }
 
@@ -548,9 +605,13 @@ func (m *Memory) CopyFrame(dst, src PFN) error {
 		return err
 	}
 	if fs.Data != nil {
-		*fd.data() = *fs.Data
+		if fd.Data == nil {
+			// The copy overwrites every byte: skip the clear.
+			fd.Data = takeData(false)
+		}
+		*fd.Data = *fs.Data
 	} else if fd.Data != nil {
-		// A pooled destination must not keep its previous contents.
+		// A recycled destination must not keep its previous contents.
 		clear(fd.Data[:])
 	}
 	fd.tags = fs.tags

@@ -379,13 +379,13 @@ func TestUnwrittenFrameReadsZeros(t *testing.T) {
 	if c.Tag() || c.Addr() != 0 {
 		t.Fatalf("unwritten granule loads as %v, want an untagged zero", c)
 	}
-	if m.frames[pfn].Data != nil {
+	if m.slot(pfn).Data != nil {
 		t.Fatal("reads must not allocate frame data")
 	}
 	if err := m.WriteBytes(pfn, 8, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if m.frames[pfn].Data == nil {
+	if m.slot(pfn).Data == nil {
 		t.Fatal("the first write must allocate frame data")
 	}
 }
@@ -569,7 +569,7 @@ func TestFreedPlaneSkipsDataFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pfn := range []PFN{data, copied, plain} {
-		if m.frames[pfn].caps != nil {
+		if m.slot(pfn).caps != nil {
 			t.Errorf("frame %d holds a capability plane without ever holding a tag", pfn)
 		}
 		if err := m.AuditFrame(pfn); err != nil {
@@ -582,7 +582,7 @@ func TestFreedPlaneSkipsDataFrames(t *testing.T) {
 	if err := m.ZeroFrame(data); err != nil {
 		t.Fatal(err)
 	}
-	if m.frames[data].caps != nil || m.CapPlanes() != 0 {
+	if m.slot(data).caps != nil || m.CapPlanes() != 0 {
 		t.Fatalf("ZeroFrame kept the plane: CapPlanes=%d", m.CapPlanes())
 	}
 }
@@ -616,7 +616,7 @@ func TestCopyFramePlaneFollowsSourceTags(t *testing.T) {
 		if err := m.CopyFrame(dst, src); err != nil {
 			t.Fatal(err)
 		}
-		if m.frames[dst].caps == nil {
+		if m.slot(dst).caps == nil {
 			t.Fatalf("stride %d: copy of a tagged source has no plane", stride)
 		}
 		for _, pfn := range []PFN{src, dst} {
@@ -682,4 +682,150 @@ func TestRecycledPlaneLoadsUntagged(t *testing.T) {
 	check(m)
 	fill(New(2))
 	check(New(2))
+}
+
+// TestFreedFrameKeepsStorage: a freed frame keeps its data storage for
+// the next tenant of its PFN, which AllocFrame hands out zeroed; Release
+// moves the storage of free frames, and only theirs, to the pool.
+func TestFreedFrameKeepsStorage(t *testing.T) {
+	m := New(2)
+	pfn, _ := m.AllocFrame()
+	kept, _ := m.AllocFrame()
+	for _, f := range []PFN{pfn, kept} {
+		if err := m.WriteBytes(f, 0, bytes.Repeat([]byte{0xAA}, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := m.slot(pfn).Data
+	if err := m.FreeFrame(pfn); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := m.AllocFrame()
+	if again != pfn || m.slot(again).Data != d {
+		t.Fatalf("pfn %d reallocated as %d with storage %p, want its own %p", pfn, again, m.slot(again).Data, d)
+	}
+	if got := readPage(t, m, again); !bytes.Equal(got, make([]byte, PageSize)) {
+		t.Fatal("AllocFrame must zero a recycled frame's storage")
+	}
+	if err := m.FreeFrame(again); err != nil {
+		t.Fatal(err)
+	}
+	m.Release()
+	if m.slot(pfn).Data != nil {
+		t.Fatal("Release must move a free frame's storage to the pool")
+	}
+	if m.slot(kept).Data == nil {
+		t.Fatal("Release must leave an allocated frame's storage in place")
+	}
+	if err := m.FreeFrame(kept); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPooledStorageReadsZerosAroundWrite: a frame of a second bank whose
+// storage came from a first bank's written frame reads as zeros around a
+// partial write, and a copy into pooled storage holds exactly its source.
+func TestPooledStorageReadsZerosAroundWrite(t *testing.T) {
+	first := New(2)
+	for i := 0; i < 2; i++ {
+		pfn, _ := first.AllocFrame()
+		if err := first.WriteBytes(pfn, 0, bytes.Repeat([]byte{0xAA}, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := first.FreeFrame(pfn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first.Release()
+
+	m := New(3)
+	pfn, _ := m.AllocFrame()
+	if err := m.WriteBytes(pfn, 100, []byte("xy")); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, PageSize)
+	copy(want[100:], "xy")
+	if got := readPage(t, m, pfn); !bytes.Equal(got, want) {
+		t.Fatal("a partial write to pooled storage must leave zeros around it")
+	}
+	dst, _ := m.AllocFrameForCopy()
+	if err := m.CopyFrame(dst, pfn); err != nil {
+		t.Fatal(err)
+	}
+	if got := readPage(t, m, dst); !bytes.Equal(got, want) {
+		t.Fatal("a copy into pooled storage must hold exactly its source")
+	}
+	for _, f := range []PFN{pfn, dst} {
+		if err := m.FreeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func readPage(t *testing.T, m *Memory, pfn PFN) []byte {
+	t.Helper()
+	buf := make([]byte, PageSize)
+	if err := m.ReadBytes(pfn, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestWordAccessMatchesBytes: ReadU64 and WriteU64 read and write what
+// the byte path does, clear the tags of the granules the word touches,
+// count 8 bytes moved, and fail as the byte path fails.
+func TestWordAccessMatchesBytes(t *testing.T) {
+	m := New(2)
+	pfn, _ := m.AllocFrame()
+	for g := uint64(0); g < 4; g++ {
+		if err := m.StoreCap(pfn, g*cap.GranuleSize, cap.Root(0x4000, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := m.BytesMoved()
+	// Bytes [12, 20) straddle granules 0 and 1.
+	if err := m.WriteU64(pfn, 12, 0x0102030405060708); err != nil {
+		t.Fatal(err)
+	}
+	for g, wantTag := range []bool{false, false, true, true} {
+		if tag, _ := m.TagAt(pfn, uint64(g)*cap.GranuleSize); tag != wantTag {
+			t.Fatalf("granule %d tag = %v, want %v", g, tag, wantTag)
+		}
+	}
+	if err := m.AuditFrame(pfn); err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.ReadU64(pfn, 12)
+	if err != nil || v != 0x0102030405060708 {
+		t.Fatalf("ReadU64 = %#x, %v", v, err)
+	}
+	var b [8]byte
+	if err := m.ReadBytes(pfn, 12, b[:]); err != nil || b != [8]byte{8, 7, 6, 5, 4, 3, 2, 1} {
+		t.Fatalf("ReadBytes after WriteU64 = %v, %v", b, err)
+	}
+	if got := m.BytesMoved() - before; got != 24 {
+		t.Fatalf("BytesMoved grew by %d, want 24", got)
+	}
+	free, _ := m.AllocFrame()
+	if err := m.FreeFrame(free); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pfn PFN
+		off uint64
+	}{{pfn, PageSize - 4}, {pfn, ^uint64(0) - 3}, {free, 0}, {NoFrame, 0}} {
+		_, werr := m.ReadU64(tc.pfn, tc.off)
+		berr := m.ReadBytes(tc.pfn, tc.off, b[:])
+		if werr == nil || berr == nil || werr.Error() != berr.Error() {
+			t.Errorf("read pfn %d off %#x: word %v, bytes %v", tc.pfn, tc.off, werr, berr)
+		}
+		werr = m.WriteU64(tc.pfn, tc.off, 1)
+		berr = m.WriteBytes(tc.pfn, tc.off, b[:])
+		if werr == nil || berr == nil || werr.Error() != berr.Error() {
+			t.Errorf("write pfn %d off %#x: word %v, bytes %v", tc.pfn, tc.off, werr, berr)
+		}
+	}
+	if err := m.FreeFrame(pfn); err != nil {
+		t.Fatal(err)
+	}
 }

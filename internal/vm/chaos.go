@@ -3,7 +3,10 @@
 // translate/map paths) unless a harness arms the hooks.
 package vm
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // ErrInjected marks a fault-injected mapping failure, so callers and the
 // chaos harness can tell deliberate failures from real bugs.
@@ -27,3 +30,11 @@ type Hooks struct {
 
 // SetHooks installs (or, with nil, removes) the chaos interception points.
 func (as *AddressSpace) SetHooks(h *Hooks) { as.hooks = h }
+
+// injectMapFailure consults the FailMap hook before a PTE install.
+func (as *AddressSpace) injectMapFailure(vpn VPN) error {
+	if as.hooks != nil && as.hooks.FailMap != nil && as.hooks.FailMap(vpn) {
+		return fmt.Errorf("%w: vpn %#x", ErrInjected, vpn)
+	}
+	return nil
+}

@@ -297,10 +297,14 @@ func (as *AddressSpace) dir(key VPN, create bool) *pageDir {
 // Map installs a PTE for vpn referencing page with protection prot,
 // incrementing the page's reference count.
 func (as *AddressSpace) Map(vpn VPN, page *Page, prot Prot) error {
-	if as.hooks != nil && as.hooks.FailMap != nil && as.hooks.FailMap(vpn) {
-		return fmt.Errorf("%w: vpn %#x", ErrInjected, vpn)
+	if err := as.injectMapFailure(vpn); err != nil {
+		return err
 	}
-	d := as.dir(vpn>>dirBits, true)
+	return as.install(as.dir(vpn>>dirBits, true), vpn, page, prot)
+}
+
+// install maps page at vpn, whose directory is d, unless vpn is mapped.
+func (as *AddressSpace) install(d *pageDir, vpn VPN, page *Page, prot Prot) error {
 	pte := &d.ptes[vpn&dirMask]
 	if pte.Page != nil {
 		return fmt.Errorf("%w: vpn %#x", ErrAlreadyMapped, vpn)
@@ -330,6 +334,61 @@ func (as *AddressSpace) MapNew(vpn VPN, prot Prot) (*Page, error) {
 	return page, nil
 }
 
+// MapNewRange maps n fresh zeroed frames at [vpn, vpn+n) with protection
+// prot, exactly as a MapNew loop would: frames are allocated in ascending
+// VPN order, hooks and the observer see each page as Map shows it to them,
+// and a failure leaves the pages before it mapped. It returns the number
+// of pages mapped. The page table is looked up once per directory and the
+// page descriptors come from one slab sized to the run.
+func (as *AddressSpace) MapNewRange(vpn VPN, n int, prot Prot) (int, error) {
+	slab := NewPageSlab(n)
+	var d *pageDir
+	for i := 0; i < n; i++ {
+		v := vpn + VPN(i)
+		pfn, err := as.mem.AllocFrame()
+		if err != nil {
+			return i, err
+		}
+		// As in Map, an injected failure creates no directory.
+		err = as.injectMapFailure(v)
+		if err == nil {
+			if d == nil || v&dirMask == 0 {
+				d = as.dir(v>>dirBits, true)
+			}
+			err = as.install(d, v, slab.Page(pfn), prot)
+		}
+		if err != nil {
+			_ = as.mem.FreeFrame(pfn)
+			return i, err
+		}
+	}
+	return n, nil
+}
+
+// PageSlab hands out page descriptors carved from one allocation sized to
+// the run that maps them: loading an image or a CopyFull fork maps tens of
+// thousands of fresh pages, and one heap object per descriptor was a
+// measurable share of host time. Descriptors stay reachable through the
+// page table; the slab is collected when its last page dies.
+type PageSlab struct {
+	block []Page
+}
+
+// NewPageSlab returns a slab of n descriptors.
+func NewPageSlab(n int) PageSlab { return PageSlab{block: make([]Page, n)} }
+
+// Page returns an unreferenced descriptor of frame pfn, allocating one of
+// its own once the slab is used up.
+func (s *PageSlab) Page(pfn tmem.PFN) *Page {
+	if len(s.block) == 0 {
+		return &Page{PFN: pfn}
+	}
+	p := &s.block[0]
+	s.block = s.block[1:]
+	p.PFN = pfn
+	return p
+}
+
 // Unmap removes the PTE for vpn, dropping the page reference and freeing
 // the frame when the last reference dies. A directory emptied by the unmap
 // returns to the node pool.
@@ -339,12 +398,22 @@ func (as *AddressSpace) Unmap(vpn VPN) error {
 	if d == nil || d.ptes[vpn&dirMask].Page == nil {
 		return fmt.Errorf("%w: vpn %#x", ErrNotMapped, vpn)
 	}
-	pte := &d.ptes[vpn&dirMask]
+	_, err := as.unmapSlot(key, d, vpn&dirMask)
+	return err
+}
+
+// unmapSlot clears the live PTE at slot of directory d (key key) and drops
+// its page reference, freeing the frame when the last reference dies. It
+// reports whether the unmap emptied d, which then went back to the node
+// pool and must not be touched again.
+func (as *AddressSpace) unmapSlot(key VPN, d *pageDir, slot VPN) (bool, error) {
+	pte := &d.ptes[slot]
 	page := pte.Page
 	*pte = PTE{}
 	d.live--
 	as.mapped--
-	if d.live == 0 {
+	emptied := d.live == 0
+	if emptied {
 		delete(as.dirs, key)
 		dirPool.Put(d)
 		// The pooled node can come back under another key: evict it.
@@ -357,12 +426,12 @@ func (as *AddressSpace) Unmap(vpn VPN) error {
 	}
 	page.Refs--
 	if as.obs != nil {
-		as.obs.OnUnmap(vpn, page)
+		as.obs.OnUnmap(key<<dirBits|slot, page)
 	}
 	if page.Refs == 0 && !page.Pinned {
-		return as.mem.FreeFrame(page.PFN)
+		return emptied, as.mem.FreeFrame(page.PFN)
 	}
-	return nil
+	return emptied, nil
 }
 
 // Lookup returns the PTE for vpn, or nil when unmapped.
@@ -565,15 +634,38 @@ func (as *AddressSpace) Usage(base, size uint64) RegionUsage {
 	return u
 }
 
-// UnmapRange unmaps every mapped page in [base, base+size).
+// UnmapRange unmaps every mapped page in [base, base+size), in ascending
+// order, walking each directory in place.
 func (as *AddressSpace) UnmapRange(base, size uint64) error {
-	scratch := as.snapshotRange(VPNOf(base), VPNOf(base+size-1)+1)
-	for _, vpn := range scratch {
-		if err := as.Unmap(vpn); err != nil {
-			as.scratch = scratch[:0]
-			return err
+	startVPN, endVPN := VPNOf(base), VPNOf(base+size-1)+1
+	if startVPN >= endVPN || as.mapped == 0 {
+		return nil
+	}
+	startKey, endKey := startVPN>>dirBits, (endVPN-1)>>dirBits
+	for key := startKey; key <= endKey; key++ {
+		d := as.dirs[key]
+		if d == nil {
+			continue
+		}
+		lo, hi := VPN(0), VPN(dirSize)
+		if key == startKey {
+			lo = startVPN & dirMask
+		}
+		if key == endKey {
+			hi = (endVPN-1)&dirMask + 1
+		}
+		for i := lo; i < hi; i++ {
+			if d.ptes[i].Page == nil {
+				continue
+			}
+			emptied, err := as.unmapSlot(key, d, i)
+			if err != nil {
+				return err
+			}
+			if emptied {
+				break
+			}
 		}
 	}
-	as.scratch = scratch[:0]
 	return nil
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -409,5 +410,140 @@ func TestDirCacheEvictsReleasedDir(t *testing.T) {
 				t.Fatalf("VPNs = %v (mapped %d), want %v", got, as.MappedPages(), want)
 			}
 		})
+	}
+}
+
+// mutationLog is an Observer that records every page-table mutation.
+type mutationLog []string
+
+func (l *mutationLog) OnMap(vpn VPN, p *Page) {
+	*l = append(*l, fmt.Sprintf("map %d pfn %d refs %d", vpn, p.PFN, p.Refs))
+}
+
+func (l *mutationLog) OnUnmap(vpn VPN, p *Page) {
+	*l = append(*l, fmt.Sprintf("unmap %d pfn %d refs %d", vpn, p.PFN, p.Refs))
+}
+
+func (l *mutationLog) OnReplace(vpn VPN, old, new *Page) {
+	*l = append(*l, fmt.Sprintf("replace %d pfn %d -> %d", vpn, old.PFN, new.PFN))
+}
+
+// TestMapNewRangeMatchesMapNewLoop: MapNewRange hands out the PFNs, PTEs,
+// frame and mapping observer calls, counts and errors that a MapNew loop
+// does: across directory boundaries, on an already mapped page, on an
+// injected PTE failure and out of memory, with and without per-CPU frame
+// caches.
+func TestMapNewRangeMatchesMapNewLoop(t *testing.T) {
+	loop := func(as *AddressSpace, vpn VPN, n int, prot Prot) (int, error) {
+		for i := 0; i < n; i++ {
+			if _, err := as.MapNew(vpn+VPN(i), prot); err != nil {
+				return i, err
+			}
+		}
+		return n, nil
+	}
+	ranged := func(as *AddressSpace, vpn VPN, n int, prot Prot) (int, error) {
+		return as.MapNewRange(vpn, n, prot)
+	}
+	run := func(mapRange func(*AddressSpace, VPN, int, Prot) (int, error), caches, failMap, observe bool) []string {
+		mem := tmem.New(2000)
+		if caches {
+			mem.EnableCPUCaches(2, 8)
+		}
+		var log mutationLog
+		mem.SetFrameObserver(func(alloc bool, pfn tmem.PFN) { log = append(log, fmt.Sprintf("frame %v %d", alloc, pfn)) })
+		as := NewAddressSpace(mem)
+		if failMap {
+			as.SetHooks(&Hooks{FailMap: func(vpn VPN) bool { return vpn == 520 }})
+		}
+		if observe {
+			as.SetObserver(&log)
+		}
+		for _, r := range []struct {
+			vpn  VPN
+			n    int
+			prot Prot
+		}{
+			{10, 3, ProtRW},
+			{500, 600, ProtRead}, // three directories
+			{5, 10, ProtRW},      // runs into VPN 10
+			{1100, 0, ProtRW},
+			{3000, 2000, ProtRX}, // out of frames
+		} {
+			mem.SetCPU(int(r.vpn) % 2)
+			n, err := mapRange(as, r.vpn, r.n, r.prot)
+			log = append(log, fmt.Sprintf("range %d+%d: %d %v", r.vpn, r.n, n, err))
+		}
+		for _, vpn := range as.VPNs() {
+			pte := as.Lookup(vpn)
+			log = append(log, fmt.Sprintf("pte %d pfn %d refs %d prot %d", vpn, pte.Page.PFN, pte.Page.Refs, pte.Prot))
+		}
+		log = append(log, fmt.Sprintf("mapped %d allocated %d peak %d free %d",
+			as.MappedPages(), mem.Allocated(), mem.PeakAllocated(), mem.FreeFrames()))
+		if err := as.UnmapRange(0, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			pfn, err := mem.AllocFrame()
+			log = append(log, fmt.Sprintf("next %d %v", pfn, err))
+		}
+		return log
+	}
+	for _, caches := range []bool{false, true} {
+		for _, failMap := range []bool{false, true} {
+			for _, observe := range []bool{false, true} {
+				want := run(loop, caches, failMap, observe)
+				got := run(ranged, caches, failMap, observe)
+				if !slices.Equal(got, want) {
+					for i := range min(len(got), len(want)) {
+						if got[i] != want[i] {
+							t.Fatalf("caches=%v failMap=%v observe=%v: line %d: MapNewRange %q, MapNew loop %q",
+								caches, failMap, observe, i, got[i], want[i])
+						}
+					}
+					t.Fatalf("caches=%v failMap=%v observe=%v: MapNewRange logs %d lines, the MapNew loop %d",
+						caches, failMap, observe, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestUnmapRangePFNOrder pins the frames handed out after unmapping a
+// mixed shared/private range: UnmapRange frees in ascending VPN order
+// across a directory boundary, a shared page's frame stays with its other
+// mapping, and the free list hands the freed frames back most recent
+// first.
+func TestUnmapRangePFNOrder(t *testing.T) {
+	as := newAS(t, 16)
+	if _, err := as.MapNewRange(510, 4, ProtRW); err != nil { // PFNs 0-3
+		t.Fatal(err)
+	}
+	shared, err := as.MapNew(600, ProtRW) // PFN 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Map(514, shared, ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.MapNew(516, ProtRW); err != nil { // PFN 5
+		t.Fatal(err)
+	}
+	if err := as.UnmapRange(510*PageSize, 7*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := as.VPNs(); !slices.Equal(got, []VPN{600}) || shared.Refs != 1 {
+		t.Fatalf("after UnmapRange: VPNs %v, shared refs %d; want [600] and 1", got, shared.Refs)
+	}
+	var got []tmem.PFN
+	for i := 0; i < 6; i++ {
+		pfn, err := as.Mem().AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, pfn)
+	}
+	if want := []tmem.PFN{5, 3, 2, 1, 0, 6}; !slices.Equal(got, want) {
+		t.Fatalf("PFNs after UnmapRange = %v, want %v", got, want)
 	}
 }
